@@ -7,8 +7,9 @@ Subcommands:
   survey   one CSV row of invariants per ring in a family
 
 Exit codes: 0 success (verify: no failing verdict), 1 verify found at
-least one fail, 2 usage error, bad ring spec or unknown claim id,
-3 ring has no unity element, 4 exhaustive search bound exceeded.
+least one fail, 2 usage error, bad ring spec, unknown claim id or an
+--out file that cannot be written, 3 ring has no unity element,
+4 exhaustive search bound exceeded.
 
 Output is deterministic: rerunning a command byte-identically reproduces
 it.  Everything ends with a newline; CSV fields never contain commas.
@@ -71,8 +72,21 @@ class _CliError(Exception):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {exc.strerror}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _resolve_ring(spec: str, order_cap: int) -> FiniteRing:
@@ -287,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--zmod-max",
-        type=int,
+        type=_non_negative_int,
         default=claims_mod.DEFAULT_ZMOD_MAX,
         help="sweep Z/n for n up to this bound (default %(default)s)",
     )
@@ -306,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--family", choices=("zmod", "gf", "bool"), required=True)
     p_survey.add_argument(
         "--max",
-        type=int,
+        type=_non_negative_int,
         required=True,
         help="zmod: largest modulus; gf: largest field order; bool: most factors",
     )

@@ -3,6 +3,11 @@
 All solvers are exact; the NP-hard ones (domination, clique, chromatic,
 hamiltonicity) use branch and bound over bitmask vertex sets and are
 meant for the graph sizes unit groups produce, not for general instances.
+Girth and eccentricity work on whole adjacency rows: girth settles
+forests by their edge count and cyclic graphs with a triangle by one row
+AND per edge, and runs a per-root BFS only on triangle-free cyclic
+graphs; eccentricities come from a direction-switching BFS over vertex
+masks that stops after its first root when the graph is disconnected.
 Planarity and hamiltonicity fall back to bounded exhaustive searches and
 refuse (VertexBoundError) beyond their vertex limits.
 
@@ -58,31 +63,25 @@ def isolated_vertices(g: SimpleGraph) -> list[int]:
     return [v for v in range(g.n) if g.adj[v] == 0]
 
 
-def _bfs_dist(g: SimpleGraph, root: int) -> list[int]:
-    """BFS distances from root; unreachable vertices get -1."""
-    dist = [-1] * g.n
-    dist[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in bit_indices(g.adj[u]):
-                if dist[v] == -1:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def girth(g: SimpleGraph) -> ExtendedNat:
     """Length of a shortest cycle, INFINITY for forests.
 
-    BFS from every root; a non-tree edge (u, v) seen from root r closes a
-    walk of length dist[u] + dist[v] + 1 containing a cycle no longer than
-    itself, and for r on a shortest cycle the bound is attained.
+    A graph is a forest iff it has n - (component count) edges.  Otherwise
+    any edge u < v whose endpoint rows share a neighbor closes a triangle,
+    and no simple graph has a shorter cycle.  Only triangle-free graphs
+    with a cycle reach the per-root BFS: a non-tree edge (u, v) seen from
+    root r closes a walk of length dist[u] + dist[v] + 1 containing a
+    cycle no longer than itself, and for r on a shortest cycle the bound
+    is attained.
     """
+    if g.edge_count == g.n - len(component_masks(g)):
+        return INFINITY
+    adj = g.adj
+    for u in range(g.n):
+        row = adj[u]
+        for v in bit_indices(row >> (u + 1) << (u + 1)):
+            if row & adj[v]:
+                return 3
     best: ExtendedNat = INFINITY
     for root in range(g.n):
         dist = [-1] * g.n
@@ -94,7 +93,7 @@ def girth(g: SimpleGraph) -> ExtendedNat:
             for u in frontier:
                 if 2 * dist[u] >= best:
                     continue
-                for v in bit_indices(g.adj[u]):
+                for v in bit_indices(adj[u]):
                     if dist[v] == -1:
                         dist[v] = dist[u] + 1
                         parent[v] = u
@@ -114,13 +113,42 @@ def eccentricity_profile(
 
     In a disconnected graph every eccentricity is INFINITY.  A single
     vertex has eccentricity 0.
+
+    One BFS per root with the frontier and the visited set as masks
+    (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC'12).
+    While the frontier has no more vertices than the unvisited set, a
+    level is expanded top-down by OR-ing the frontier's rows; after that,
+    bottom-up by keeping the unvisited vertices whose row meets the
+    frontier.  The first BFS decides connectivity, so a disconnected
+    graph costs one BFS.
     """
     if g.n == 0:
         return 0, 0, []
+    adj = g.adj
+    full = (1 << g.n) - 1
     ecc: list[ExtendedNat] = []
-    for v in range(g.n):
-        dist = _bfs_dist(g, v)
-        ecc.append(INFINITY if -1 in dist else max(dist))
+    for root in range(g.n):
+        seen = frontier = 1 << root
+        depth = 0
+        while True:
+            unseen = full ^ seen
+            nxt = 0
+            if frontier.bit_count() <= unseen.bit_count():
+                for u in bit_indices(frontier):
+                    nxt |= adj[u]
+                nxt &= unseen
+            else:
+                for v in bit_indices(unseen):
+                    if adj[v] & frontier:
+                        nxt |= 1 << v
+            if not nxt:
+                break
+            seen |= nxt
+            frontier = nxt
+            depth += 1
+        if seen != full:
+            return INFINITY, INFINITY, [INFINITY] * g.n
+        ecc.append(depth)
     return max(ecc), min(ecc), ecc
 
 

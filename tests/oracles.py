@@ -2,13 +2,18 @@
 
 Deliberately dumb and independent of the package internals: subset
 enumeration, submask dynamic programming and permutation search.  Only
-usable on small graphs.
+usable on small graphs.  ``reference_girth`` and
+``reference_eccentricity_profile`` are the former list-based BFS solvers,
+kept as the differential reference for the bit-parallel ones.
 """
 
+import math
 from itertools import combinations, permutations
 from random import Random
 
-from upg.graphs import SimpleGraph, graph_from_edges
+from upg.graphs import SimpleGraph, bit_indices, graph_from_edges
+
+INFINITY = math.inf
 
 
 def brute_domination(g: SimpleGraph) -> int:
@@ -144,6 +149,70 @@ def _bfs_without_edge(g: SimpleGraph, src: int, skip: int) -> list[int]:
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def _bfs_dist(g: SimpleGraph, root: int) -> list[int]:
+    """BFS distances from root; unreachable vertices get -1."""
+    dist = [-1] * g.n
+    dist[root] = 0
+    frontier = [root]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in bit_indices(g.adj[u]):
+                if dist[v] == -1:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def reference_girth(g: SimpleGraph):
+    """Length of a shortest cycle, INFINITY for forests.
+
+    BFS from every root; a non-tree edge (u, v) seen from root r closes a
+    walk of length dist[u] + dist[v] + 1 containing a cycle no longer than
+    itself, and for r on a shortest cycle the bound is attained.
+    """
+    best = INFINITY
+    for root in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                if 2 * dist[u] >= best:
+                    continue
+                for v in bit_indices(g.adj[u]):
+                    if dist[v] == -1:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+                    elif v != parent[u]:
+                        cand = dist[u] + dist[v] + 1
+                        if cand < best:
+                            best = cand
+            frontier = nxt
+    return best
+
+
+def reference_eccentricity_profile(g: SimpleGraph):
+    """(diameter, radius, eccentricities) from one list-based BFS per vertex.
+
+    In a disconnected graph every eccentricity is INFINITY.  A single
+    vertex has eccentricity 0.
+    """
+    if g.n == 0:
+        return 0, 0, []
+    ecc = []
+    for v in range(g.n):
+        dist = _bfs_dist(g, v)
+        ecc.append(INFINITY if -1 in dist else max(dist))
+    return max(ecc), min(ecc), ecc
 
 
 def random_graph(n: int, p: float, rng: Random) -> SimpleGraph:

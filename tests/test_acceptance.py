@@ -6,11 +6,13 @@ invariant computation does not distort the timings.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 from upg.claims import FAIL, HYPOTHESIS_GAP, builtin_claims, default_rings, lookup, run_sweep
@@ -76,9 +78,16 @@ def ring_graphs(n: int):
     return ug, g, complement(g)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "upg", *args], capture_output=True, text=True
+        [sys.executable, "-m", "upg", *args], capture_output=True, text=True, env=CLI_ENV
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -30,9 +31,18 @@ GOLDEN_Z11_DOT = """graph {
 """
 
 
+# Subprocesses import this checkout's `upg`, whatever PYTHONPATH the
+# test run itself was given.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "upg", *args], capture_output=True, text=True
+        [sys.executable, "-m", "upg", *args], capture_output=True, text=True, env=CLI_ENV
     )
 
 
@@ -251,6 +261,30 @@ def test_out_flag_writes_file(tmp_path):
     assert target.read_text() == GOLDEN_Z11_DOT
 
 
+def test_out_into_missing_directory_exit_2(tmp_path):
+    target = tmp_path / "missing" / "graph.dot"
+    res = run_cli("build", "--ring", "zmod:7", "--out", str(target))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert str(target) in res.stderr and "No such file or directory" in res.stderr
+    assert not target.parent.exists()
+
+
+def test_negative_zmod_max_exit_2():
+    res = run_cli("verify", "--zmod-max", "-5")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--zmod-max: must not be negative: -5" in res.stderr
+
+
+def test_negative_survey_max_exit_2():
+    res = run_cli("survey", "--family", "zmod", "--max", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--max: must not be negative: -1" in res.stderr
+
+
 def test_console_script_matches_module():
     # The `upg` console script declared in pyproject.toml must print the
     # same bytes as `python -m upg`. Run its entry point the way the
@@ -262,7 +296,10 @@ def test_console_script_matches_module():
     launcher = f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())"
     args = ("build", "--ring", "zmod:11")
     via_script = subprocess.run(
-        [sys.executable, "-c", launcher, *args], capture_output=True, text=True
+        [sys.executable, "-c", launcher, *args],
+        capture_output=True,
+        text=True,
+        env=CLI_ENV,
     )
     assert via_script.returncode == 0
     assert via_script.stderr == ""

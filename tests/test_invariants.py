@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from upg.graphs import complement, graph_from_edges, unity_product_graph
+from upg.graphs import complement, component_masks, graph_from_edges, unity_product_graph
 from upg.invariants import (
     INFINITY,
     VertexBoundError,
@@ -31,6 +31,8 @@ from oracles import (
     brute_girth,
     brute_hamiltonian,
     random_graph,
+    reference_eccentricity_profile,
+    reference_girth,
 )
 
 
@@ -243,6 +245,57 @@ def test_solvers_match_oracles_randomized():
         if n >= 3:
             assert is_hamiltonian(g) == brute_hamiltonian(g), (trial, g)
         assert girth(g) == brute_girth(g), (trial, g)
+
+
+def random_bipartite_graph(n, p, rng):
+    """Random graph with every edge across a random two-sided split, so it
+    has no odd cycle and, once cyclic, sends girth to its BFS fallback."""
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if side[u] != side[v] and rng.random() < p
+    ]
+    return graph_from_edges(n, edges)
+
+
+def test_girth_and_eccentricity_match_bfs_reference_randomized():
+    rng = Random(20261018)
+    forests = disconnected = triangle_free_cyclic = 0
+    for trial in range(1500):
+        n = rng.randrange(1, 15)
+        density = rng.choice((0.05, 0.15, 0.3, 0.5, 0.7, 0.9)) * rng.uniform(0.5, 1.1)
+        if trial % 3 == 0:
+            g = random_bipartite_graph(n, density, rng)
+        else:
+            g = random_graph(n, density, rng)
+        expected = reference_girth(g)
+        assert girth(g) == expected == brute_girth(g), (trial, g)
+        assert eccentricity_profile(g) == reference_eccentricity_profile(g), (trial, g)
+        forests += expected == INFINITY
+        disconnected += len(component_masks(g)) > 1
+        triangle_free_cyclic += 3 < expected < INFINITY
+    # every branch of both solvers was exercised
+    assert min(forests, disconnected, triangle_free_cyclic) >= 100, (
+        forests, disconnected, triangle_free_cyclic
+    )
+
+
+@pytest.mark.parametrize("singles,pairs", [(1, 511), (2, 2045)])
+def test_metrics_at_order_cap_shapes(singles, pairs):
+    # s*K1 + p*K2 is the UPG of gf:2^10 (1, 511) and of a prime near the
+    # order cap (2, 2045), built without a unit scan.  The complement's
+    # construction, not girth or eccentricity, takes most of this test.
+    g = graph_from_edges(
+        singles + 2 * pairs,
+        [(singles + 2 * i, singles + 2 * i + 1) for i in range(pairs)],
+    )
+    assert girth(g) == INFINITY
+    assert eccentricity_profile(g)[:2] == (INFINITY, INFINITY)
+    comp = complement(g)
+    assert girth(comp) == 3
+    assert eccentricity_profile(comp)[:2] == (2, 1)
 
 
 def test_chromatic_matches_assignment_search_tiny():
