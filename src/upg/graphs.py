@@ -38,10 +38,19 @@ class SimpleGraph:
                 raise ValueError(f"loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references missing vertices")
-        for v, row in enumerate(self.adj):
-            for u in bit_indices(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge ({v}, {u})")
+        # Symmetry over whichever of edges and non-edges is fewer.  The
+        # direction must be one for all rows: checking each row its own way
+        # would let the edge 0 -> 1 of adj = (0b10, 0) through.
+        if sum(row.bit_count() for row in self.adj) <= self.n * (self.n - 1) // 2:
+            for v, row in enumerate(self.adj):
+                for u in bit_indices(row):
+                    if not self.adj[u] >> v & 1:
+                        raise ValueError(f"asymmetric edge ({v}, {u})")
+        else:
+            for v, row in enumerate(self.adj):
+                for u in bit_indices(full & ~row & ~(1 << v)):
+                    if self.adj[u] >> v & 1:
+                        raise ValueError(f"asymmetric edge ({u}, {v})")
 
     @property
     def edge_count(self) -> int:

@@ -11,9 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 DEFAULT_ORDER_CAP = 4096
+# Deepest prod:( ... ) nesting parse_ring_spec accepts.  Parsing, the
+# product unit-group hook and nested add/mul all recurse once per level,
+# so this keeps every one of them far below Python's recursion limit.
+MAX_PROD_NESTING = 64
 
 
 class RingError(Exception):
@@ -60,6 +65,10 @@ class FiniteRing:
 
     ``unity`` is None for rings without a multiplicative identity; such
     rings can be built and inspected but have no unit group.
+
+    ``inverses``, when set, returns the unit group as a map from each unit
+    to its inverse, computed from the ring family's structure.  ``units``
+    calls it lazily and falls back to scanning products when it is None.
     """
 
     order: int
@@ -69,6 +78,7 @@ class FiniteRing:
     unity: int | None
     label: str
     element_names: tuple[str, ...]
+    inverses: Callable[[], dict[int, int]] | None = None
 
     def element_name(self, x: int) -> str:
         return self.element_names[x]
@@ -133,6 +143,7 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         unity=1 % n,
         label=f"Z/{n}",
         element_names=tuple(str(i) for i in range(n)),
+        inverses=lambda: {x: pow(x, -1, n) for x in range(n) if math.gcd(x, n) == 1},
     )
 
 
@@ -270,6 +281,19 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
                 out[i] = (out[i] + c * row[i]) % p
         return encode(out)
 
+    def inverses() -> dict[int, int]:
+        # The multiplicative group is cyclic of order q - 1: walk the powers
+        # of each candidate until one generates it, then g^i * g^(q-1-i) = 1.
+        for g in range(2, order):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = mul(x, g)
+            if len(powers) == order - 1:
+                return {x: powers[-i] for i, x in enumerate(powers)}
+        raise AssertionError(f"GF({order}) has no primitive element")
+
     names = tuple(_poly_name(digits(x)) for x in range(order))
     return FiniteRing(
         order=order,
@@ -279,6 +303,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         unity=1,
         label=f"GF({order})",
         element_names=names,
+        inverses=inverses,
     )
 
 
@@ -318,6 +343,14 @@ def direct_product(
         da, db = decode(a), decode(b)
         return encode([r.mul(x, y) for r, x, y in zip(comps, da, db)])
 
+    def inverses() -> dict[int, int]:
+        # (R x S)^x = R^x x S^x, inverted componentwise
+        groups = [units(r) for r in comps]
+        return {
+            encode(parts): encode([ug.inverse_of[x] for ug, x in zip(groups, parts)])
+            for parts in product(*(ug.units for ug in groups))
+        }
+
     zero = encode([r.zero for r in comps])
     if all(r.unity is not None for r in comps):
         unity = encode([r.unity for r in comps])
@@ -334,7 +367,7 @@ def direct_product(
     )
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
-        element_names=names,
+        element_names=names, inverses=inverses,
     )
 
 
@@ -404,6 +437,11 @@ def _find_unity(ring: FiniteRing) -> int | None:
     return None
 
 
+def _is_index(v: object) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not indices
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def table_ring(
     add_table: Sequence[Sequence[int]],
     mul_table: Sequence[Sequence[int]],
@@ -427,7 +465,7 @@ def table_ring(
             raise RingSpecError(f"table: {name} table is not {n}x{n}")
         for i, row in enumerate(tbl):
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not _is_index(v) or not 0 <= v < n:
                     raise RingSpecError(f"table: {name}[{i}][{j}] = {v!r} out of range")
     if not 0 <= zero < n:
         raise RingSpecError(f"table: zero index {zero} out of range")
@@ -454,19 +492,26 @@ def table_ring(
 
 
 def units(ring: FiniteRing) -> UnitGroup:
-    """The unit group; raises NoUnityError when the ring has no unity."""
+    """The unit group; raises NoUnityError when the ring has no unity.
+
+    Uses the ring's ``inverses`` hook when it has one (Z/n, GF(q) and
+    products); otherwise, as for table rings, tries every product.
+    """
     if ring.unity is None:
         raise NoUnityError(ring.label)
-    e = ring.unity
-    inverse_of: dict[int, int] = {}
-    for x in range(ring.order):
-        if x in inverse_of:
-            continue
-        for y in range(ring.order):
-            if ring.mul(x, y) == e:
-                inverse_of[x] = y
-                inverse_of[y] = x
-                break
+    if ring.inverses is not None:
+        inverse_of = ring.inverses()
+    else:
+        e = ring.unity
+        inverse_of = {}
+        for x in range(ring.order):
+            if x in inverse_of:
+                continue
+            for y in range(ring.order):
+                if ring.mul(x, y) == e:
+                    inverse_of[x] = y
+                    inverse_of[y] = x
+                    break
     members = tuple(sorted(inverse_of))
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
 
@@ -562,8 +607,13 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
     """Parse a ring family spec string.
 
     Grammar: ``zmod:N``, ``gf:P^K`` (or ``gf:P``), ``bool:N``,
-    ``prod:(spec,spec,...)`` with nesting, and ``table:@file.json``.
+    ``prod:(spec,spec,...)`` nested at most ``MAX_PROD_NESTING`` deep, and
+    ``table:@file.json``.
     """
+    return _parse_spec(text, order_cap, 0)
+
+
+def _parse_spec(text: str, order_cap: int, nesting: int) -> FiniteRing:
     spec = text.strip()
     if ":" not in spec:
         raise RingSpecError(f"malformed ring spec {text!r}")
@@ -583,12 +633,14 @@ def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteR
     if family == "bool":
         return boolean_ring(_parse_int(arg, "bool"), order_cap=order_cap)
     if family == "prod":
+        if nesting == MAX_PROD_NESTING:
+            raise RingSpecError(f"prod: nested deeper than {MAX_PROD_NESTING} levels")
         if not (arg.startswith("(") and arg.endswith(")")):
             raise RingSpecError(f"prod: expected parenthesized component list in {text!r}")
         inner = arg[1:-1]
         if not inner.strip():
             raise RingSpecError("prod: empty component list")
-        comps = [parse_ring_spec(c, order_cap=order_cap) for c in _split_top_level(inner)]
+        comps = [_parse_spec(c, order_cap, nesting + 1) for c in _split_top_level(inner)]
         return direct_product(comps, order_cap=order_cap)
     if family == "table":
         if not arg.startswith("@"):
@@ -617,13 +669,13 @@ def table_ring_from_json(doc: object, *, order_cap: int = DEFAULT_ORDER_CAP) -> 
         if key not in doc:
             raise RingSpecError(f"table: missing key {key!r}")
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if not _is_index(order) or order < 1:
         raise RingSpecError(f"table: order must be a positive integer, got {order!r}")
     if not isinstance(doc["add"], list) or not isinstance(doc["mul"], list):
         raise RingSpecError("table: add and mul must be matrices")
     if len(doc["add"]) != order or len(doc["mul"]) != order:
         raise RingSpecError("table: matrix size does not match order")
-    if not isinstance(doc["zero"], int):
+    if not _is_index(doc["zero"]):
         raise RingSpecError("table: zero must be an element index")
     return table_ring(
         doc["add"],

@@ -4,7 +4,9 @@ Deliberately dumb and independent of the package internals: subset
 enumeration, submask dynamic programming and permutation search.  Only
 usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
-kept as the differential reference for the bit-parallel ones.
+kept as the differential reference for the bit-parallel ones, and
+``reference_units`` is the former unit-group scan, the reference for the
+per-family inverse hooks.
 """
 
 import math
@@ -12,6 +14,7 @@ from itertools import combinations, permutations
 from random import Random
 
 from upg.graphs import SimpleGraph, bit_indices, graph_from_edges
+from upg.rings import FiniteRing, NoUnityError, UnitGroup
 
 INFINITY = math.inf
 
@@ -213,6 +216,24 @@ def reference_eccentricity_profile(g: SimpleGraph):
         dist = _bfs_dist(g, v)
         ecc.append(INFINITY if -1 in dist else max(dist))
     return max(ecc), min(ecc), ecc
+
+
+def reference_units(ring: FiniteRing) -> UnitGroup:
+    """The unit group found by trying every product x * y."""
+    if ring.unity is None:
+        raise NoUnityError(ring.label)
+    e = ring.unity
+    inverse_of: dict[int, int] = {}
+    for x in range(ring.order):
+        if x in inverse_of:
+            continue
+        for y in range(ring.order):
+            if ring.mul(x, y) == e:
+                inverse_of[x] = y
+                inverse_of[y] = x
+                break
+    members = tuple(sorted(inverse_of))
+    return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
 
 
 def random_graph(n: int, p: float, rng: Random) -> SimpleGraph:

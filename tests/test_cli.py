@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from upg import cli
+from upg import cli, rings
 from upg.invariants import VertexBoundError
 
 DATA = Path(__file__).parent / "data"
@@ -103,6 +103,47 @@ def test_bad_spec_exit_2():
         assert res.returncode == 2, spec
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
+
+
+def test_prod_nesting_beyond_bound_exit_2():
+    # deep enough to have overflowed the recursive parser
+    spec = "prod:(" * 600 + "zmod:2" + ")" * 600
+    res = run_cli("build", "--ring", spec)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "nested deeper than" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_prod_nesting_at_bound_builds():
+    depth = rings.MAX_PROD_NESTING
+    spec = "prod:(" * depth + "zmod:3" + ")" * depth
+    res = run_cli("build", "--ring", spec, "--format", "json")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert doc["labels"] == ["(" * depth + x + ")" * depth for x in ("1", "2")]
+    assert doc["edges"] == []
+
+
+def test_table_json_boolean_entry_exit_2(tmp_path):
+    doc = json.loads((DATA / "table_z4.json").read_text())
+    doc["mul"][1][1] = True
+    path = tmp_path / "bool_entry.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("build", "--ring", f"table:@{path}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "mul[1][1] = True" in res.stderr
+
+
+def test_build_at_order_cap_gf4096():
+    # UPG of GF(2^12): only 1 is self-inverse, so 2047 edges
+    res = run_cli("build", "--ring", "gf:2^12", "--format", "json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["n"] == 4095
+    assert len(doc["edges"]) == 2047
 
 
 def test_over_cap_exit_2():

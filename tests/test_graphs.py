@@ -80,6 +80,38 @@ def test_simple_graph_validation():
         SimpleGraph(1, ("a",), (0b10,))  # out of range bit
 
 
+def test_simple_graph_symmetry_check_matches_brute_force():
+    # __post_init__ walks edges or non-edges, whichever is fewer; both
+    # walks must reject exactly the asymmetric loop-free digraphs
+    rng = Random(41)
+    outcomes = {(dense, ok): 0 for dense in (False, True) for ok in (False, True)}
+    for _ in range(20000):
+        n = rng.randint(2, 9)
+        p = rng.random()
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        for _ in range(rng.choice((0, 0, 1, 2))):  # flip single arcs
+            u, v = rng.sample(range(n), 2)
+            adj[u] ^= 1 << v
+        symmetric = all(
+            (adj[u] >> v & 1) == (adj[v] >> u & 1) for u in range(n) for v in range(n)
+        )
+        try:
+            SimpleGraph(n, tuple(map(str, range(n))), tuple(adj))
+            accepted = True
+        except ValueError as exc:
+            assert str(exc).startswith("asymmetric edge")
+            accepted = False
+        assert accepted == symmetric, adj
+        dense = sum(row.bit_count() for row in adj) > n * (n - 1) // 2
+        outcomes[dense, accepted] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
 def test_graph_from_edges_normalizes():
     g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
@@ -162,6 +194,14 @@ def test_ring_complements_are_complete_multipartite():
         assert profile.valid
         expected = tuple(sorted([1] * deco.isolated + [2] * deco.pairs))
         assert profile.part_sizes == expected
+
+
+def test_complement_at_order_cap_gf4096():
+    # 4095 units, one self-inverse: the complement of K1 + 2047 K2
+    g = complement(upg_of("gf:2^12"))
+    assert g.n == 4095
+    assert g.edge_count == 4095 * 4094 // 2 - 2047
+    assert recognize_complete_multipartite(g).part_sizes == (1,) + (2,) * 2047
 
 
 def test_export_dot_golden():

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from upg.rings import (
+    MAX_PROD_NESTING,
     FiniteRing,
     NoUnityError,
     OrderCapError,
@@ -23,9 +24,12 @@ from upg.rings import (
     parse_ring_spec,
     self_inverse_count,
     table_ring,
+    table_ring_from_json,
     units,
     zmod,
 )
+
+from oracles import reference_units
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,6 +317,7 @@ def test_parse_ring_spec():
         "table:@/nonexistent/path.json",
         "mystery:3",
         "",
+        "prod:(" * (MAX_PROD_NESTING + 1) + "zmod:2" + ")" * (MAX_PROD_NESTING + 1),
     ],
 )
 def test_parse_ring_spec_rejects(spec):
@@ -337,3 +342,106 @@ def test_labels_have_no_commas():
     ]
     for ring in rings:
         assert "," not in ring.label
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mul", [[0, 0], [0, True]]), ("add", [[0, 1], [True, 0]]), ("order", True), ("zero", False)],
+)
+def test_table_ring_rejects_json_booleans(key, value):
+    doc = {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0}
+    table_ring_from_json(doc)  # the Z/2 tables themselves are fine
+    if key == "order":
+        doc = {**doc, "order": value, "add": [[0]], "mul": [[0]]}
+    else:
+        doc = {**doc, key: value}
+    with pytest.raises(RingSpecError):
+        table_ring_from_json(doc)
+
+
+def _prime_powers(limit):
+    return [
+        (p, k)
+        for p in range(2, limit + 1)
+        if is_prime(p)
+        for k in range(1, limit.bit_length() + 1)
+        if p**k <= limit
+    ]
+
+
+def _random_product_spec(rng, depth=0):
+    leaves = [
+        f"zmod:{rng.randint(1, 12)}",
+        f"gf:{rng.choice(['2^2', '2^3', '3^2', '5', '7'])}",
+        f"bool:{rng.randint(1, 3)}",
+        f"table:@{DATA / 'table_z4.json'}",
+    ]
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 2 and rng.random() < 0.3:
+            parts.append(_random_product_spec(rng, depth + 1))
+        else:
+            parts.append(rng.choice(leaves))
+    return "prod:(" + ",".join(parts) + ")"
+
+
+def _random_product_specs(count):
+    rng = Random(2024)
+    out = []
+    while len(out) < count:
+        spec = _random_product_spec(rng)
+        try:
+            parse_ring_spec(spec, order_cap=256)
+        except OrderCapError:
+            continue
+        out.append(spec)
+    return out
+
+
+def test_units_match_scan_reference():
+    # the per-family inverse hooks against the former all-products scan
+    specs = _random_product_specs(60)
+    assert sum("table:" in spec for spec in specs) >= 20
+    assert sum(spec.count("prod:") > 1 for spec in specs) >= 10
+    rings = [
+        *(zmod(n) for n in range(1, 301)),
+        *(gf(p, k) for p, k in _prime_powers(729)),
+        *(boolean_ring(k) for k in range(1, 9)),
+        *(parse_ring_spec(spec, order_cap=256) for spec in specs),
+    ]
+    for ring in rings:
+        got, want = units(ring), reference_units(ring)
+        assert got.units == want.units, ring.label
+        assert dict(got.inverse_of) == dict(want.inverse_of), ring.label
+
+
+def _euler_phi(n):
+    return sum(1 for x in range(1, n + 1) if math.gcd(x, n) == 1)
+
+
+@pytest.mark.parametrize(
+    "spec, unit_count",
+    [
+        ("gf:2^12", 2**12 - 1),
+        ("gf:3^7", 3**7 - 1),
+        ("bool:12", 1),
+        ("zmod:4093", _euler_phi(4093)),
+        ("gf:4093", 4093 - 1),
+        ("prod:(gf:2^6,zmod:64)", (2**6 - 1) * _euler_phi(64)),
+    ],
+)
+def test_units_at_order_cap(spec, unit_count):
+    ring = parse_ring_spec(spec)
+    ug = units(ring)
+    assert len(ug) == unit_count
+    assert len(ug.inverse_of) == unit_count
+    for x in ug.units:
+        assert ring.mul(x, ug.inverse(x)) == ring.unity
+
+
+@pytest.mark.parametrize(
+    "spec", ["zmod:12", "gf:7", "gf:3^4", "bool:1", "bool:5", "prod:(zmod:4,gf:2^3)"]
+)
+def test_structured_families_have_inverse_hook(spec):
+    # a family without the hook falls back to the O(order^2) scan
+    assert parse_ring_spec(spec).inverses is not None
