@@ -740,7 +740,7 @@ def default_rings(
     rings: list[FiniteRing] = []
     rings.extend(zmod(n, order_cap=order_cap) for n in range(2, zmod_max + 1))
     for q in _DEFAULT_GF_ORDERS:
-        p, k = _prime_power(q)
+        p, k = prime_power(q)
         rings.append(gf(p, k, order_cap=order_cap))
     rings.extend(boolean_ring(n, order_cap=order_cap) for n in range(1, DEFAULT_BOOL_MAX + 1))
     rings.extend(parse_ring_spec(s, order_cap=order_cap) for s in _DEFAULT_PRODUCT_SPECS)
@@ -754,7 +754,8 @@ def default_rings(
     return unique
 
 
-def _prime_power(q: int) -> tuple[int, int]:
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

@@ -7,9 +7,9 @@ Subcommands:
   survey   one CSV row of invariants per ring in a family
 
 Exit codes: 0 success (verify: no failing verdict), 1 verify found at
-least one fail, 2 usage error, bad ring spec, unknown claim id or an
---out file that cannot be written, 3 ring has no unity element,
-4 exhaustive search bound exceeded.
+least one fail, 2 usage error, bad ring spec, unknown claim id, an
+--out file that cannot be written or a closed stdout, 3 ring has no
+unity element, 4 exhaustive search bound exceeded.
 
 Output is deterministic: rerunning a command byte-identically reproduces
 it.  Everything ends with a newline; CSV fields never contain commas.
@@ -18,8 +18,9 @@ it.  Everything ends with a newline; CSV fields never contain commas.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from . import claims as claims_mod
 from . import invariants as inv
@@ -37,8 +38,8 @@ from .claims import (
 from .graphs import (
     complement,
     decompose_matching_structure,
-    export_dot,
-    export_json,
+    dot_chunks,
+    json_chunks,
     unity_product_graph,
 )
 from .invariants import full_report
@@ -48,9 +49,9 @@ from .rings import (
     NoUnityError,
     OrderCapError,
     RingError,
-    _split_top_level,
     boolean_ring,
     parse_ring_spec,
+    split_top_level,
     units,
     zmod,
 )
@@ -69,12 +70,26 @@ class _CliError(Exception):
         self.message = message
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(output: str | Iterable[str], out: str | None) -> None:
+    """Write one text, or its chunks as they come, to stdout or the --out file."""
+    chunks = (output,) if isinstance(output, str) else output
     if out is None:
-        sys.stdout.write(text)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away; point the descriptor at devnull, so
+            # the interpreter's final flush of what is left raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _CliError(EXIT_USAGE, "cannot write to stdout: Broken pipe") from None
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {exc.strerror}") from None
 
@@ -111,8 +126,8 @@ def _ring_graph(ring: FiniteRing, which: str):
 def cmd_build(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
     g = _ring_graph(ring, args.graph)
-    text = export_dot(g) if args.format == "dot" else export_json(g)
-    _emit(text, args.out)
+    # streamed, so a cap-size graph is never held as one document
+    _emit(dot_chunks(g) if args.format == "dot" else json_chunks(g), args.out)
     return EXIT_OK
 
 
@@ -143,7 +158,7 @@ def _selected_claims(claims_arg: str):
     if claims_arg == "all":
         return builtin_claims()
     selected = []
-    for claim_id in _split_top_level(claims_arg):
+    for claim_id in split_top_level(claims_arg):
         try:
             selected.append(lookup(claim_id))
         except UnknownClaimError:
@@ -156,7 +171,7 @@ def _selected_claims(claims_arg: str):
 def _include_specs(values) -> list[str]:
     specs: list[str] = []
     for value in values or ():
-        specs.extend(s for s in _split_top_level(value) if s)
+        specs.extend(s for s in split_top_level(value) if s)
     return specs
 
 
@@ -209,7 +224,7 @@ def _survey_family(family: str, maximum: int, order_cap: int) -> list[FiniteRing
         rings = []
         for q in range(2, maximum + 1):
             try:
-                p, k = claims_mod._prime_power(q)
+                p, k = claims_mod.prime_power(q)
             except ValueError:
                 continue
             rings.append(parse_ring_spec(f"gf:{p}^{k}", order_cap=order_cap))

@@ -3,12 +3,18 @@
 Row ``adj[v]`` is an int whose set bits are the neighbors of ``v``.
 Includes the unity product graph construction, complement, the two
 structure recognizers the claim checks rely on, and DOT/JSON export.
+
+Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece
+per adjacency row, decoding the row's later neighbors in C (its binary
+digits select precomputed per-vertex strings), so no Python object is
+made per edge.  ``export_dot`` and ``export_json`` join those pieces.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 from .rings import UnitGroup
 
@@ -193,29 +199,69 @@ def recognize_complete_multipartite(g: SimpleGraph) -> MultipartiteProfile:
     return MultipartiteProfile(part_sizes=tuple(sorted(sizes)), valid=True)
 
 
+# maps the ASCII digits of format(row, "b") to selector bytes for compress
+_BIT_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _later_neighbor_tails(g: SimpleGraph, tails: list[str]):
+    """Yield (u, tails[v] for each neighbor v > u, ascending) per row with one.
+
+    A row with several is decoded in C: its binary digits, reversed,
+    select from ``tails[u + 1:]``; compress stops at the highest set bit.
+    """
+    for u, row in enumerate(g.adj):
+        later = row >> (u + 1)
+        if not later:
+            continue
+        if later & (later - 1) == 0:
+            # one later neighbor, as in every unity product graph row,
+            # is cheaper to index than to decode
+            yield u, (tails[u + later.bit_length()],)
+        else:
+            selector = format(later, "b").encode().translate(_BIT_SELECTOR)[::-1]
+            yield u, compress(tails[u + 1 :], selector)
+
+
+def dot_chunks(g: SimpleGraph):
+    """Yield export_dot's text in pieces: the vertex lines, then one per row."""
+    quoted = [f'"{_dot_escape(label)}"' for label in g.labels]
+    yield "graph {\n" + "".join(f"  {q};\n" for q in quoted)
+    tails = [f" -- {q};\n" for q in quoted]
+    for u, later in _later_neighbor_tails(g, tails):
+        head = f"  {quoted[u]}"
+        yield head + head.join(later)
+    yield "}\n"
+
+
 def export_dot(g: SimpleGraph) -> str:
     """Deterministic DOT rendering: vertex lines first, then sorted edges."""
-    lines = ["graph {"]
-    for v in range(g.n):
-        lines.append(f'  "{_dot_escape(g.labels[v])}";')
-    for u, v in g.edges():
-        lines.append(f'  "{_dot_escape(g.labels[u])}" -- "{_dot_escape(g.labels[v])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(g))
 
 
 def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def json_chunks(g: SimpleGraph):
+    """Yield export_json's text in pieces, byte for byte json.dumps(indent=2).
+
+    The labels go through json.dumps; n, the edge pairs and the braces
+    are written in that layout, one piece per adjacency row.
+    """
+    labels = json.dumps(list(g.labels), indent=2).replace("\n", "\n  ")
+    yield f'{{\n  "n": {g.n},\n  "labels": {labels},\n  "edges": ['
+    tails = [f"{v}\n    ]" for v in range(g.n)]
+    sep = "\n"  # before the first pair; ",\n" before every later one
+    for u, later in _later_neighbor_tails(g, tails):
+        head = f"    [\n      {u},\n      "
+        yield sep + head + (",\n" + head).join(later)
+        sep = ",\n"
+    yield "\n  ]\n}\n" if sep == ",\n" else "]\n}\n"
+
+
 def export_json(g: SimpleGraph) -> str:
     """JSON document {n, labels, edges} with edges ascending, u < v."""
-    doc = {
-        "n": g.n,
-        "labels": list(g.labels),
-        "edges": [[u, v] for u, v in g.edges()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(json_chunks(g))
 
 
 def graph_from_json(text: str) -> SimpleGraph:

@@ -578,7 +578,8 @@ def is_cyclic(ring: FiniteRing) -> bool:
     return cyclic_residues(ring) is not None
 
 
-def _split_top_level(text: str) -> list[str]:
+def split_top_level(text: str) -> list[str]:
+    """Split text at the commas outside parentheses; unbalanced ones raise."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -640,7 +641,7 @@ def _parse_spec(text: str, order_cap: int, nesting: int) -> FiniteRing:
         inner = arg[1:-1]
         if not inner.strip():
             raise RingSpecError("prod: empty component list")
-        comps = [_parse_spec(c, order_cap, nesting + 1) for c in _split_top_level(inner)]
+        comps = [_parse_spec(c, order_cap, nesting + 1) for c in split_top_level(inner)]
         return direct_product(comps, order_cap=order_cap)
     if family == "table":
         if not arg.startswith("@"):

@@ -6,9 +6,12 @@ usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
 kept as the differential reference for the bit-parallel ones, and
 ``reference_units`` is the former unit-group scan, the reference for the
-per-family inverse hooks.
+per-family inverse hooks.  ``reference_export_dot`` and
+``reference_export_json`` are the former exporters, built from one
+Python object per edge, the reference for the streamed row-wise ones.
 """
 
+import json
 import math
 from itertools import combinations, permutations
 from random import Random
@@ -234,6 +237,31 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
                 break
     members = tuple(sorted(inverse_of))
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
+
+
+def reference_export_dot(g: SimpleGraph) -> str:
+    """Deterministic DOT rendering: vertex lines first, then sorted edges."""
+    lines = ["graph {"]
+    for v in range(g.n):
+        lines.append(f'  "{_dot_escape(g.labels[v])}";')
+    for u, v in g.edges():
+        lines.append(f'  "{_dot_escape(g.labels[u])}" -- "{_dot_escape(g.labels[v])}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def reference_export_json(g: SimpleGraph) -> str:
+    """JSON document {n, labels, edges} with edges ascending, u < v."""
+    doc = {
+        "n": g.n,
+        "labels": list(g.labels),
+        "edges": [[u, v] for u, v in g.edges()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_graph(n: int, p: float, rng: Random) -> SimpleGraph:

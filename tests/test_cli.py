@@ -146,6 +146,42 @@ def test_build_at_order_cap_gf4096():
     assert len(doc["edges"]) == 2047
 
 
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_build_complement_at_order_cap_gf4096_in_1gib(fmt):
+    # 8.4 M edges; the export is streamed row by row, so it fits in an
+    # address space far smaller than the document (~297 MB JSON, ~470 MB DOT)
+    pytest.importorskip("resource")
+    argv = ["build", "--ring", "gf:2^12", "--graph", "complement", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "upg", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CLI_ENV,
+        preexec_fn=_limit_address_space,
+    )
+    newlines, last = 0, b""
+    while chunk := proc.stdout.read(1 << 20):
+        newlines += chunk.count(b"\n")
+        last = chunk
+    stderr = proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""
+    n, m = 4095, 4095 * 4094 // 2 - 2047
+    assert newlines == (n + 4 * m + 7 if fmt == "json" else n + m + 2)
+    assert last.endswith(b"}\n")
+
+
 def test_over_cap_exit_2():
     res = run_cli("build", "--ring", "zmod:9999")
     assert res.returncode == 2
@@ -310,6 +346,40 @@ def test_out_into_missing_directory_exit_2(tmp_path):
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert str(target) in res.stderr and "No such file or directory" in res.stderr
     assert not target.parent.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_out_to_full_device_exit_2():
+    # the write error may only surface when the file is closed
+    res = run_cli("build", "--ring", "zmod:7", "--out", "/dev/full")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("build", "--ring", "zmod:7"),
+        ("build", "--ring", "gf:2^10", "--graph", "complement", "--format", "json"),
+    ],
+)
+def test_closed_stdout_exit_2(args):
+    # small output fails at the final flush, large output mid-stream
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "upg", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=CLI_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write to stdout: Broken pipe\n"
 
 
 def test_negative_zmod_max_exit_2():

@@ -1,3 +1,5 @@
+from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,7 +19,9 @@ from upg.graphs import (
 )
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
-from oracles import random_graph
+from oracles import random_graph, reference_export_dot, reference_export_json
+
+TABLE_Z4 = Path(__file__).parent / "data" / "table_z4.json"
 
 
 def labeled_edges(g: SimpleGraph) -> set[frozenset[str]]:
@@ -212,6 +216,48 @@ def test_export_dot_golden():
 def test_export_dot_escapes_quotes():
     g = graph_from_edges(1, [], labels=('sa"y',))
     assert '\\"' in export_dot(g)
+
+
+# characters the escaping and the JSON encoder treat specially
+LABEL_ALPHABET = ('"', "\\", "\u00e9", "\n", "{", "}", ",", " ", "a", "7", "\U0001f600", "]")
+
+
+def _random_label(rng: Random) -> str:
+    return "".join(rng.choice(LABEL_ALPHABET) for _ in range(rng.randrange(0, 5)))
+
+
+def _export_cases():
+    rng = Random(55)
+    for n in range(15):
+        yield graph_from_edges(n, [])
+        yield complement(graph_from_edges(n, []))
+    for _ in range(300):
+        n = rng.randrange(0, 15)
+        g = random_graph(n, rng.random(), rng)
+        labels = [_random_label(rng) for _ in range(n)]
+        yield SimpleGraph(n=n, labels=tuple(labels), adj=g.adj)
+    specs = [f"zmod:{n}" for n in range(1, 201)]
+    specs += ["gf:2^5", "gf:3^3", "gf:7^2", "bool:1", "bool:5", f"table:@{TABLE_Z4}"]
+    for spec in specs:
+        g = upg_of(spec)
+        yield g
+        yield complement(g)
+
+
+def test_streamed_export_matches_reference():
+    # byte equality with the former per-edge exporters, over edgeless,
+    # complete, random and ring graphs, with labels that need escaping
+    seen = Counter()
+    for g in _export_cases():
+        doc = export_json(g)
+        assert export_dot(g) == reference_export_dot(g), g
+        assert doc == reference_export_json(g), g
+        assert graph_from_json(doc) == g
+        seen["edgeless"] += g.edge_count == 0
+        seen["complete"] += g.n > 1 and is_complete(g)
+        seen["empty label"] += "" in g.labels
+        seen.update(c for c in '"\\\n\u00e9' if any(c in label for label in g.labels))
+    assert len(seen) == 7 and min(seen.values()) >= 30, seen
 
 
 def test_json_round_trip():
