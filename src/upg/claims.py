@@ -67,16 +67,8 @@ class RingContext:
     claims never trigger the NP-hard solvers.
     """
 
-    def __init__(
-        self,
-        ring: FiniteRing,
-        *,
-        planarity_limit: int = inv.DEFAULT_PLANARITY_LIMIT,
-        hamiltonian_limit: int = inv.DEFAULT_HAMILTONIAN_LIMIT,
-    ):
+    def __init__(self, ring: FiniteRing):
         self.ring = ring
-        self.planarity_limit = planarity_limit
-        self.hamiltonian_limit = hamiltonian_limit
 
     @cached_property
     def unit_group(self) -> UnitGroup:
@@ -140,13 +132,11 @@ class RingContext:
 
     @cached_property
     def upg_diameter_radius(self):
-        diameter, radius, _ = inv.eccentricity_profile(self.upg)
-        return diameter, radius
+        return inv.eccentricity_profile(self.upg)
 
     @cached_property
     def comp_diameter_radius(self):
-        diameter, radius, _ = inv.eccentricity_profile(self.comp)
-        return diameter, radius
+        return inv.eccentricity_profile(self.comp)
 
     @cached_property
     def upg_domination(self) -> int:
@@ -174,19 +164,19 @@ class RingContext:
 
     @cached_property
     def upg_planar(self) -> bool:
-        return inv.is_planar(self.upg, search_limit=self.planarity_limit)
+        return inv.is_planar(self.upg)
 
     @cached_property
     def comp_planar(self) -> bool:
-        return inv.is_planar(self.comp, search_limit=self.planarity_limit)
+        return inv.is_planar(self.comp)
 
     @cached_property
     def upg_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.upg, search_limit=self.hamiltonian_limit)
+        return inv.is_hamiltonian(self.upg)
 
     @cached_property
     def comp_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.comp, search_limit=self.hamiltonian_limit)
+        return inv.is_hamiltonian(self.comp)
 
     def unit_residues(self) -> tuple[int, ...]:
         """Canonical residues of the units, for rings isomorphic to Z/n."""
@@ -758,11 +748,11 @@ def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
     for p in range(2, q + 1):
         if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
+            rest, k = q, 0
+            while rest % p == 0:
+                rest //= p
                 k += 1
-            if q != 1:
+            if rest != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p, k
     raise ValueError(f"{q} is not a prime power")
@@ -771,23 +761,17 @@ def prime_power(q: int) -> tuple[int, int]:
 def run_sweep(
     claims: Sequence[Claim],
     rings: Sequence[FiniteRing],
-    *,
-    planarity_limit: int = inv.DEFAULT_PLANARITY_LIMIT,
-    hamiltonian_limit: int = inv.DEFAULT_HAMILTONIAN_LIMIT,
 ) -> list[ClaimVerdict]:
     """Evaluate every claim against every ring.
 
-    Rings without unity and solver refusals (vertex bounds) yield skipped
-    verdicts with a reason; everything else is pass, fail, hypothesis_gap
-    or not_applicable.  Result is sorted by (claim id, ring label).
+    Rings without unity and solver refusals (a graph outside the classes
+    decided in closed form) yield skipped verdicts with a reason;
+    everything else is pass, fail, hypothesis_gap or not_applicable.
+    Result is sorted by (claim id, ring label).
     """
     verdicts: list[ClaimVerdict] = []
     for ring in rings:
-        ctx = RingContext(
-            ring,
-            planarity_limit=planarity_limit,
-            hamiltonian_limit=hamiltonian_limit,
-        )
+        ctx = RingContext(ring)
         for claim in claims:
             verdicts.append(_evaluate(claim, ctx))
     verdicts.sort(key=lambda v: (v.claim_id, v.ring_label))
@@ -809,7 +793,7 @@ def _evaluate(claim: Claim, ctx: RingContext) -> ClaimVerdict:
             claim.claim_id,
             label,
             SKIPPED,
-            {"reason": f"{exc.invariant} refused beyond {exc.bound} vertices"},
+            {"reason": f"{exc.invariant} refused: graph outside the closed-form classes"},
         )
     return ClaimVerdict(claim.claim_id, label, outcome, witness)
 

@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success (verify: no failing verdict), 1 verify found at
 least one fail, 2 usage error, bad ring spec, unknown claim id, an
 --out file that cannot be written or a closed stdout, 3 ring has no
-unity element, 4 exhaustive search bound exceeded.
+unity element, 4 a graph outside the classes an invariant decides in
+closed form, or a survey family over the order cap.
 
 Output is deterministic: rerunning a command byte-identically reproduces
 it.  Everything ends with a newline; CSV fields never contain commas.
@@ -131,23 +132,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(
-    args: argparse.Namespace,
-    *,
-    planarity_limit: int = inv.DEFAULT_PLANARITY_LIMIT,
-    hamiltonian_limit: int = inv.DEFAULT_HAMILTONIAN_LIMIT,
-) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
     g = _ring_graph(ring, args.graph)
     try:
-        report = full_report(
-            g, planarity_limit=planarity_limit, hamiltonian_limit=hamiltonian_limit
-        )
+        report = full_report(g)
     except inv.VertexBoundError as exc:
         raise _CliError(
             EXIT_BOUND,
-            f"{exc.invariant} on ring {ring.label}: {exc.n} vertices exceeds "
-            f"search bound {exc.bound}",
+            f"{exc.invariant} on ring {ring.label}: graph on {exc.n} vertices "
+            "is outside the classes decided in closed form",
         ) from None
     text = report.to_text() if args.format == "text" else report.to_json()
     _emit(text, args.out)
@@ -175,12 +169,7 @@ def _include_specs(values) -> list[str]:
     return specs
 
 
-def cmd_verify(
-    args: argparse.Namespace,
-    *,
-    planarity_limit: int = inv.DEFAULT_PLANARITY_LIMIT,
-    hamiltonian_limit: int = inv.DEFAULT_HAMILTONIAN_LIMIT,
-) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     selected = _selected_claims(args.claims)
     try:
         rings = default_rings(
@@ -190,12 +179,7 @@ def cmd_verify(
         )
     except RingError as exc:
         raise _CliError(EXIT_USAGE, f"bad ring spec: {exc}") from None
-    verdicts = run_sweep(
-        selected,
-        rings,
-        planarity_limit=planarity_limit,
-        hamiltonian_limit=hamiltonian_limit,
-    )
+    verdicts = run_sweep(selected, rings)
     renderer = {"text": render_text, "json": render_json, "csv": render_csv}[args.format]
     _emit(renderer(verdicts), args.out)
     failed = any(v.outcome == FAIL for v in verdicts)
@@ -239,12 +223,7 @@ def _fmt_cell(value) -> str:
     return inv.fmt_extended(value) if isinstance(value, float) else str(value)
 
 
-def cmd_survey(
-    args: argparse.Namespace,
-    *,
-    planarity_limit: int = inv.DEFAULT_PLANARITY_LIMIT,
-    hamiltonian_limit: int = inv.DEFAULT_HAMILTONIAN_LIMIT,
-) -> int:
+def cmd_survey(args: argparse.Namespace) -> int:
     rings = _survey_family(args.family, args.max, args.order_cap)
     header = ["ring", "order", "units", "isolated", "pairs"]
     header += [f"upg_{c}" for c in _SURVEY_COLUMNS]
@@ -255,19 +234,13 @@ def cmd_survey(
         c = complement(g)
         deco = decompose_matching_structure(g)
         try:
-            reports = [
-                full_report(
-                    h,
-                    planarity_limit=planarity_limit,
-                    hamiltonian_limit=hamiltonian_limit,
-                )
-                for h in (g, c)
-            ]
+            reports = [full_report(h) for h in (g, c)]
         except inv.VertexBoundError as exc:
             raise _CliError(
                 EXIT_BOUND,
                 f"survey bound violation: {exc.invariant} on ring {ring.label}: "
-                f"{exc.n} vertices exceeds search bound {exc.bound}",
+                f"graph on {exc.n} vertices is outside the classes decided in "
+                "closed form",
             ) from None
         row = [ring.label, str(ring.order), str(g.n), str(deco.isolated), str(deco.pairs)]
         for report in reports:

@@ -1,15 +1,18 @@
 """Exact graph invariants.
 
-All solvers are exact; the NP-hard ones (domination, clique, chromatic,
-hamiltonicity) use branch and bound over bitmask vertex sets and are
-meant for the graph sizes unit groups produce, not for general instances.
+All solvers are exact; the NP-hard ones (domination, clique, chromatic)
+use branch and bound over bitmask vertex sets and are meant for the
+graph sizes unit groups produce, not for general instances.
 Girth and eccentricity work on whole adjacency rows: girth settles
 forests by their edge count and cyclic graphs with a triangle by one row
 AND per edge, and runs a per-root BFS only on triangle-free cyclic
 graphs; eccentricities come from a direction-switching BFS over vertex
 masks that stops after its first root when the graph is disconnected.
-Planarity and hamiltonicity fall back to bounded exhaustive searches and
-refuse (VertexBoundError) beyond their vertex limits.
+Planarity and hamiltonicity are decided in closed form for the two shapes
+ring graphs take, forests (every unity product graph) and complete
+multipartite graphs (every complement), plus graphs that small size or
+an edge or degree count settles; any other graph is refused with
+VertexBoundError.
 
 Values that can be infinite (girth, diameter, radius) use ``math.inf``;
 ``fmt_extended`` renders them as ``"inf"``.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import (
     SimpleGraph,
@@ -34,33 +36,21 @@ INFINITY = math.inf
 # Extended natural number: a nonnegative int, or INFINITY.
 ExtendedNat = int | float
 
-DEFAULT_PLANARITY_LIMIT = 24
-DEFAULT_HAMILTONIAN_LIMIT = 64
-
 
 class VertexBoundError(Exception):
-    """An exhaustive search was refused because the graph is too large."""
+    """The graph is outside the classes an invariant decides in closed form."""
 
-    def __init__(self, invariant: str, n: int, bound: int):
+    def __init__(self, invariant: str, n: int):
         super().__init__(
-            f"{invariant}: graph has {n} vertices, exhaustive search bounded at {bound}"
+            f"{invariant}: graph on {n} vertices is outside the classes "
+            "decided in closed form"
         )
         self.invariant = invariant
         self.n = n
-        self.bound = bound
 
 
 def fmt_extended(value: ExtendedNat) -> str:
     return "inf" if value == INFINITY else str(int(value))
-
-
-def components(g: SimpleGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    return [list(bit_indices(mask)) for mask in component_masks(g)]
-
-
-def isolated_vertices(g: SimpleGraph) -> list[int]:
-    return [v for v in range(g.n) if g.adj[v] == 0]
 
 
 def girth(g: SimpleGraph) -> ExtendedNat:
@@ -106,13 +96,11 @@ def girth(g: SimpleGraph) -> ExtendedNat:
     return best
 
 
-def eccentricity_profile(
-    g: SimpleGraph,
-) -> tuple[ExtendedNat, ExtendedNat, list[ExtendedNat]]:
-    """(diameter, radius, eccentricities).
+def eccentricity_profile(g: SimpleGraph) -> tuple[ExtendedNat, ExtendedNat]:
+    """(diameter, radius).
 
-    In a disconnected graph every eccentricity is INFINITY.  A single
-    vertex has eccentricity 0.
+    A disconnected graph has both INFINITY.  A single vertex has
+    eccentricity 0.
 
     One BFS per root with the frontier and the visited set as masks
     (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC'12).
@@ -123,7 +111,7 @@ def eccentricity_profile(
     graph costs one BFS.
     """
     if g.n == 0:
-        return 0, 0, []
+        return 0, 0
     adj = g.adj
     full = (1 << g.n) - 1
     ecc: list[ExtendedNat] = []
@@ -147,9 +135,9 @@ def eccentricity_profile(
             frontier = nxt
             depth += 1
         if seen != full:
-            return INFINITY, INFINITY, [INFINITY] * g.n
+            return INFINITY, INFINITY
         ecc.append(depth)
-    return max(ecc), min(ecc), ecc
+    return max(ecc), min(ecc)
 
 
 def domination_number(g: SimpleGraph) -> int:
@@ -355,69 +343,13 @@ def multipartite_hamiltonian(part_sizes: tuple[int, ...]) -> bool:
     return n >= 3 and 2 * max(part_sizes) <= n
 
 
-def _find_paths(
-    g: SimpleGraph, a: int, b: int, blocked: int
-):
-    """Yield masks of internal vertices of simple a-b paths avoiding blocked."""
-    if g.has_edge(a, b):
-        yield 0
+def is_planar(g: SimpleGraph) -> bool:
+    """Exact planarity of a ring graph.
 
-    def walk(u: int, used: int):
-        for v in bit_indices(g.adj[u] & ~blocked & ~used):
-            if g.has_edge(v, b):
-                yield used | (1 << v)
-            yield from walk(v, used | (1 << v))
-
-    yield from walk(a, 0)
-
-
-def _embed_pairs(g: SimpleGraph, pairs: list[tuple[int, int]], blocked: int) -> bool:
-    """Pack internally disjoint paths joining each pair, internal vertices
-    outside blocked and outside each other."""
-    if not pairs:
-        return True
-    (a, b), rest = pairs[0], pairs[1:]
-    for internal in _find_paths(g, a, b, blocked):
-        if _embed_pairs(g, rest, blocked | internal):
-            return True
-    return False
-
-
-def _has_k5_subdivision(g: SimpleGraph) -> bool:
-    nodes = [v for v in range(g.n) if g.degree(v) >= 4]
-    for branch in combinations(nodes, 5):
-        blocked = 0
-        for v in branch:
-            blocked |= 1 << v
-        pairs = [(a, b) for a, b in combinations(branch, 2)]
-        if _embed_pairs(g, pairs, blocked):
-            return True
-    return False
-
-
-def _has_k33_subdivision(g: SimpleGraph) -> bool:
-    nodes = [v for v in range(g.n) if g.degree(v) >= 3]
-    for branch in combinations(nodes, 6):
-        blocked = 0
-        for v in branch:
-            blocked |= 1 << v
-        # bipartitions of 6 branch vertices into two triples, first fixed
-        for mates in combinations(branch[1:], 2):
-            side_a = (branch[0],) + mates
-            side_b = tuple(v for v in branch if v not in side_a)
-            pairs = [(a, b) for a in side_a for b in side_b]
-            if _embed_pairs(g, pairs, blocked):
-                return True
-    return False
-
-
-def is_planar(g: SimpleGraph, *, search_limit: int = DEFAULT_PLANARITY_LIMIT) -> bool:
-    """Exact planarity.
-
-    Pipeline: forests and graphs on at most 4 vertices are planar; the
-    edge bound 3n - 6 rejects; complete multipartite graphs use the
-    classification; otherwise an exhaustive search for K5 and K3,3
-    subdivisions decides, refused above search_limit vertices.
+    Pipeline: graphs on at most 4 vertices and forests (every unity
+    product graph) are planar; the edge bound 3n - 6 rejects; complete
+    multipartite graphs (every complement) use the classification.  Any
+    other graph is refused with VertexBoundError.
     """
     m = g.edge_count
     if g.n <= 4:
@@ -429,20 +361,17 @@ def is_planar(g: SimpleGraph, *, search_limit: int = DEFAULT_PLANARITY_LIMIT) ->
     profile = recognize_complete_multipartite(g)
     if profile.valid:
         return multipartite_planar(profile.part_sizes)
-    if g.n > search_limit:
-        raise VertexBoundError("planarity", g.n, search_limit)
-    return not _has_k5_subdivision(g) and not _has_k33_subdivision(g)
+    raise VertexBoundError("planarity", g.n)
 
 
-def is_hamiltonian(
-    g: SimpleGraph, *, search_limit: int = DEFAULT_HAMILTONIAN_LIMIT
-) -> bool:
-    """Exact hamiltonicity.
+def is_hamiltonian(g: SimpleGraph) -> bool:
+    """Exact hamiltonicity of a ring graph.
 
     Graphs on fewer than 3 vertices, disconnected graphs, and graphs
-    with a vertex of degree below 2 or fewer than n edges are refused
-    outright; complete multipartite graphs use the closed form; the rest
-    fall to backtracking, refused above search_limit vertices.
+    with a vertex of degree below 2 or fewer than n edges (every unity
+    product graph) are not Hamiltonian; complete multipartite graphs
+    (every complement) use the closed form.  Any other graph is refused
+    with VertexBoundError.
     """
     if g.n < 3:
         return False
@@ -453,30 +382,7 @@ def is_hamiltonian(
     profile = recognize_complete_multipartite(g)
     if profile.valid:
         return multipartite_hamiltonian(profile.part_sizes)
-    if g.n > search_limit:
-        raise VertexBoundError("hamiltonicity", g.n, search_limit)
-
-    full = (1 << g.n) - 1
-
-    def extend(u: int, visited: int) -> bool:
-        if visited == full:
-            return g.has_edge(u, 0)
-        for v in bit_indices(g.adj[u] & ~visited):
-            nxt = visited | (1 << v)
-            rem = full & ~nxt
-            ok = True
-            for w in bit_indices(rem):
-                anchors = (g.adj[w] & rem).bit_count()
-                anchors += g.adj[w] >> v & 1
-                anchors += g.adj[w] & 1
-                if anchors < 2:
-                    ok = False
-                    break
-            if ok and extend(v, nxt):
-                return True
-        return False
-
-    return extend(0, 1)
+    raise VertexBoundError("hamiltonicity", g.n)
 
 
 @dataclass(frozen=True)
@@ -546,20 +452,15 @@ class InvariantReport:
         return "\n".join(lines) + "\n"
 
 
-def full_report(
-    g: SimpleGraph,
-    *,
-    planarity_limit: int = DEFAULT_PLANARITY_LIMIT,
-    hamiltonian_limit: int = DEFAULT_HAMILTONIAN_LIMIT,
-) -> InvariantReport:
+def full_report(g: SimpleGraph) -> InvariantReport:
     """Compute every invariant of the report for one graph."""
     comp_count = len(component_masks(g))
-    diameter, radius, _ = eccentricity_profile(g)
+    diameter, radius = eccentricity_profile(g)
     return InvariantReport(
         n=g.n,
         edge_count=g.edge_count,
         component_count=comp_count,
-        isolated_count=len(isolated_vertices(g)),
+        isolated_count=g.adj.count(0),
         connected=comp_count <= 1,
         girth=girth(g),
         diameter=diameter,
@@ -567,6 +468,6 @@ def full_report(
         domination_number=domination_number(g),
         chromatic_number=chromatic_number(g),
         clique_number=clique_number(g),
-        planar=is_planar(g, search_limit=planarity_limit),
-        hamiltonian=is_hamiltonian(g, search_limit=hamiltonian_limit),
+        planar=is_planar(g),
+        hamiltonian=is_hamiltonian(g),
     )

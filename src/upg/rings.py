@@ -83,13 +83,6 @@ class FiniteRing:
     def element_name(self, x: int) -> str:
         return self.element_names[x]
 
-    def neg(self, x: int) -> int:
-        """Additive inverse, found by scan."""
-        for y in range(self.order):
-            if self.add(x, y) == self.zero:
-                return y
-        raise RingAxiomError("additive-inverse", (x,))
-
 
 @dataclass(frozen=True)
 class UnitGroup:

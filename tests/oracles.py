@@ -6,7 +6,9 @@ usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
 kept as the differential reference for the bit-parallel ones, and
 ``reference_units`` is the former unit-group scan, the reference for the
-per-family inverse hooks.  ``reference_export_dot`` and
+per-family inverse hooks.  ``reference_is_planar`` is the former K5/K3,3
+subdivision search, the reference for the closed-form planarity of forests
+and complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
 Python object per edge, the reference for the streamed row-wise ones.
 """
@@ -219,6 +221,70 @@ def reference_eccentricity_profile(g: SimpleGraph):
         dist = _bfs_dist(g, v)
         ecc.append(INFINITY if -1 in dist else max(dist))
     return max(ecc), min(ecc), ecc
+
+
+def reference_is_planar(g: SimpleGraph) -> bool:
+    """Planarity by Kuratowski's theorem: no subdivided K5 and no
+    subdivided K3,3, found by exhaustive search over branch vertices and
+    internally disjoint paths.  The former fallback of ``is_planar``,
+    kept as the reference for its closed forms; small graphs only."""
+    return not _has_k5_subdivision(g) and not _has_k33_subdivision(g)
+
+
+def _find_paths(
+    g: SimpleGraph, a: int, b: int, blocked: int
+):
+    """Yield masks of internal vertices of simple a-b paths avoiding blocked."""
+    if g.has_edge(a, b):
+        yield 0
+
+    def walk(u: int, used: int):
+        for v in bit_indices(g.adj[u] & ~blocked & ~used):
+            if g.has_edge(v, b):
+                yield used | (1 << v)
+            yield from walk(v, used | (1 << v))
+
+    yield from walk(a, 0)
+
+
+def _embed_pairs(g: SimpleGraph, pairs: list[tuple[int, int]], blocked: int) -> bool:
+    """Pack internally disjoint paths joining each pair, internal vertices
+    outside blocked and outside each other."""
+    if not pairs:
+        return True
+    (a, b), rest = pairs[0], pairs[1:]
+    for internal in _find_paths(g, a, b, blocked):
+        if _embed_pairs(g, rest, blocked | internal):
+            return True
+    return False
+
+
+def _has_k5_subdivision(g: SimpleGraph) -> bool:
+    nodes = [v for v in range(g.n) if g.degree(v) >= 4]
+    for branch in combinations(nodes, 5):
+        blocked = 0
+        for v in branch:
+            blocked |= 1 << v
+        pairs = [(a, b) for a, b in combinations(branch, 2)]
+        if _embed_pairs(g, pairs, blocked):
+            return True
+    return False
+
+
+def _has_k33_subdivision(g: SimpleGraph) -> bool:
+    nodes = [v for v in range(g.n) if g.degree(v) >= 3]
+    for branch in combinations(nodes, 6):
+        blocked = 0
+        for v in branch:
+            blocked |= 1 << v
+        # bipartitions of 6 branch vertices into two triples, first fixed
+        for mates in combinations(branch[1:], 2):
+            side_a = (branch[0],) + mates
+            side_b = tuple(v for v in branch if v not in side_a)
+            pairs = [(a, b) for a in side_a for b in side_b]
+            if _embed_pairs(g, pairs, blocked):
+                return True
+    return False
 
 
 def reference_units(ring: FiniteRing) -> UnitGroup:

@@ -17,6 +17,7 @@ from upg.claims import (
     claims_by_id,
     default_rings,
     lookup,
+    prime_power,
     render_csv,
     render_json,
     render_text,
@@ -198,12 +199,20 @@ def test_no_unity_ring_skipped():
 
 def test_vertex_bound_skipped():
     def refuse(ctx):
-        raise VertexBoundError("hamiltonicity", 99, 10)
+        raise VertexBoundError("hamiltonicity", 99)
 
     claim = Claim("custom-refuse", "always refuses", lambda ctx: True, refuse)
     verdicts = run_sweep([claim], [zmod(5)])
     assert verdicts[0].outcome == SKIPPED
-    assert "hamiltonicity" in verdicts[0].witness["reason"]
+    reason = verdicts[0].witness["reason"]
+    assert "hamiltonicity" in reason and "closed-form" in reason
+    assert "bound" not in reason
+
+
+@pytest.mark.parametrize("q", [12, 18, 6, 0, 1])
+def test_prime_power_rejection_names_input(q):
+    with pytest.raises(ValueError, match=rf"^{q} is not a prime power$"):
+        prime_power(q)
 
 
 def test_render_text():

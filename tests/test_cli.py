@@ -432,14 +432,15 @@ def test_installed_console_script_matches_module():
 
 
 def test_analyze_vertex_bound_exit_4(monkeypatch, capsys):
-    def refuse(g, **kw):
-        raise VertexBoundError("planarity", g.n, 4)
+    def refuse(g):
+        raise VertexBoundError("planarity", g.n)
 
     monkeypatch.setattr(cli, "full_report", refuse)
     code = cli.main(["analyze", "--ring", "zmod:16"])
     assert code == 4
     err = capsys.readouterr().err
     assert "planarity" in err and "Z/16" in err
+    assert "closed form" in err and "bound" not in err
 
 
 def test_main_in_process_smoke(capsys):

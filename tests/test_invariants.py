@@ -1,8 +1,15 @@
+import importlib.util
+import sys
+import types
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import upg.cli
+import upg.invariants
 from upg.graphs import complement, component_masks, graph_from_edges, unity_product_graph
 from upg.invariants import (
     INFINITY,
@@ -20,7 +27,6 @@ from upg.invariants import (
     multipartite_hamiltonian,
     multipartite_planar,
 )
-from upg.invariants import _has_k33_subdivision, _has_k5_subdivision
 from upg.rings import parse_ring_spec, units
 
 from oracles import (
@@ -33,7 +39,9 @@ from oracles import (
     random_graph,
     reference_eccentricity_profile,
     reference_girth,
+    reference_is_planar,
 )
+from oracles import _has_k33_subdivision, _has_k5_subdivision
 
 
 def cycle(n):
@@ -69,6 +77,14 @@ PETERSEN = graph_from_edges(
 )
 
 
+def decided(decider, g):
+    """decider(g), or None when the graph is outside its closed forms."""
+    try:
+        return decider(g)
+    except VertexBoundError:
+        return None
+
+
 def subdivide_all(g):
     """Replace every edge by a length-2 path through a fresh vertex."""
     edges = []
@@ -95,16 +111,13 @@ def test_girth_known():
 
 
 def test_eccentricity_known():
-    assert eccentricity_profile(cycle(6))[:2] == (3, 3)
-    assert eccentricity_profile(path(4))[:2] == (3, 2)
-    assert eccentricity_profile(complete(5))[:2] == (1, 1)
-    assert eccentricity_profile(graph_from_edges(1, []))[:2] == (0, 0)
+    assert eccentricity_profile(cycle(6)) == (3, 3)
+    assert eccentricity_profile(path(4)) == (3, 2)
+    assert eccentricity_profile(complete(5)) == (1, 1)
+    assert eccentricity_profile(graph_from_edges(1, [])) == (0, 0)
     star = graph_from_edges(6, [(0, i) for i in range(1, 6)])
-    assert eccentricity_profile(star)[:2] == (2, 1)
-
-    diameter, radius, ecc = eccentricity_profile(graph_from_edges(3, [(0, 1)]))
-    assert diameter == INFINITY and radius == INFINITY
-    assert ecc == [INFINITY, INFINITY, INFINITY]
+    assert eccentricity_profile(star) == (2, 1)
+    assert eccentricity_profile(graph_from_edges(3, [(0, 1)])) == (INFINITY, INFINITY)
 
 
 def test_domination_known():
@@ -148,27 +161,38 @@ def test_chromatic_known():
 
 
 def test_planarity_known():
-    assert is_planar(complete(4))
-    assert not is_planar(complete(5))
-    assert not is_planar(complete(6))
-    assert not is_planar(complete_multipartite(3, 3))
-    assert is_planar(complete_multipartite(2, 3))
-    assert is_planar(cycle(12))
-    assert is_planar(path(20))
-    # K5 minus an edge and the octahedron are planar
+    # K5 minus an edge (K_{2,1,1,1}) and the octahedron are planar
     k5e = graph_from_edges(5, [e for e in combinations(range(5), 2) if e != (3, 4)])
-    assert is_planar(k5e)
-    assert is_planar(complete_multipartite(2, 2, 2))
+    closed_form = [
+        (complete(4), True),
+        (complete(5), False),
+        (complete(6), False),
+        (complete_multipartite(3, 3), False),
+        (complete_multipartite(2, 3), True),
+        (path(20), True),
+        (k5e, True),
+        (complete_multipartite(2, 2, 2), True),
+    ]
+    for g, expected in closed_form:
+        assert is_planar(g) == reference_is_planar(g) == expected, g
+    # a cycle is neither a forest nor complete multipartite
+    assert reference_is_planar(cycle(12))
+    assert decided(is_planar, cycle(12)) is None
 
 
 def test_planarity_subdivisions():
-    assert not is_planar(subdivide_all(complete(5)))
-    assert not is_planar(subdivide_all(complete_multipartite(3, 3)))
-    assert is_planar(subdivide_all(complete(4)))
+    cases = [
+        (subdivide_all(complete(5)), False),
+        (subdivide_all(complete_multipartite(3, 3)), False),
+        (subdivide_all(complete(4)), True),
+        (PETERSEN, False),
+    ]
+    for g, expected in cases:
+        assert reference_is_planar(g) == expected, g
+        assert decided(is_planar, g) in (expected, None), g
     # Petersen has no K5 subdivision (3-regular) but has a K33 subdivision
     assert not _has_k5_subdivision(PETERSEN)
     assert _has_k33_subdivision(PETERSEN)
-    assert not is_planar(PETERSEN)
 
 
 def test_planarity_multipartite_closed_form_matches_search():
@@ -184,7 +208,7 @@ def test_planarity_multipartite_closed_form_matches_search():
     for n in range(1, 10):
         for parts in profiles(n, 1):
             g = complete_multipartite(*parts)
-            expected = not (_has_k5_subdivision(g) or _has_k33_subdivision(g))
+            expected = reference_is_planar(g)
             assert multipartite_planar(tuple(sorted(parts))) == expected, parts
 
 
@@ -204,34 +228,44 @@ def test_hamiltonian_multipartite_closed_form_matches_brute():
 
 
 def test_hamiltonian_known():
-    assert is_hamiltonian(cycle(5))
-    assert is_hamiltonian(complete(4))
-    assert is_hamiltonian(complete_multipartite(3, 3))
-    assert not is_hamiltonian(complete_multipartite(4, 3))
-    assert not is_hamiltonian(path(5))
-    assert not is_hamiltonian(PETERSEN)  # classic non-hamiltonian 3-regular graph
-    assert not is_hamiltonian(complete(2))
-    assert not is_hamiltonian(graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
     # 3x3 grid is bipartite with odd order
     grid = graph_from_edges(
         9,
         [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
         + [(r * 3 + c, (r + 1) * 3 + c) for r in range(2) for c in range(3)],
     )
-    assert not is_hamiltonian(grid)
-    assert is_hamiltonian(subdivide_all(complete(3)))  # C6
+    closed_form = [
+        (complete(4), True),
+        (complete_multipartite(3, 3), True),
+        (complete_multipartite(4, 3), False),
+        (path(5), False),
+        (complete(2), False),
+        (graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), False),
+    ]
+    for g, expected in closed_form:
+        assert is_hamiltonian(g) == brute_hamiltonian(g) == expected, g
+    others = [
+        (cycle(5), True),
+        (PETERSEN, False),  # classic non-hamiltonian 3-regular graph
+        (grid, False),
+        (subdivide_all(complete(3)), True),  # C6
+    ]
+    for g, expected in others:
+        assert brute_hamiltonian(g) == expected, g
+        assert decided(is_hamiltonian, g) in (expected, None), g
 
 
 def test_vertex_bounds():
+    # outside the closed-form classes a graph is refused at any size
     with pytest.raises(VertexBoundError) as exc:
         is_planar(cycle(30))
-    assert exc.value.invariant == "planarity"
-    assert is_planar(cycle(30), search_limit=40)
+    assert exc.value.invariant == "planarity" and exc.value.n == 30
+    assert "closed form" in str(exc.value)
 
     with pytest.raises(VertexBoundError) as exc:
         is_hamiltonian(cycle(70))
-    assert exc.value.invariant == "hamiltonicity"
-    assert is_hamiltonian(cycle(70), search_limit=80)
+    assert exc.value.invariant == "hamiltonicity" and exc.value.n == 70
+    assert "closed form" in str(exc.value)
 
 
 def test_solvers_match_oracles_randomized():
@@ -242,9 +276,39 @@ def test_solvers_match_oracles_randomized():
         assert domination_number(g) == brute_domination(g), (trial, g)
         assert clique_number(g) == brute_clique(g), (trial, g)
         assert chromatic_number(g) == brute_chromatic(g), (trial, g)
-        if n >= 3:
-            assert is_hamiltonian(g) == brute_hamiltonian(g), (trial, g)
         assert girth(g) == brute_girth(g), (trial, g)
+
+
+def random_forest(n, rng):
+    """Random forest: each later vertex hangs off an earlier one or starts a tree."""
+    return graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8])
+
+
+def random_complete_multipartite(n, rng):
+    """Complete multipartite graph over a random partition, parts interleaved."""
+    part = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+    return graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+def test_planarity_and_hamiltonicity_refuse_or_agree_randomized():
+    # Each decider either refuses or matches its exhaustive reference;
+    # forests and complete multipartite graphs, the two ring graph
+    # shapes, are never refused.
+    rng = Random(20261106)
+    cases = [("random", random_graph(rng.randrange(1, 11), rng.random(), rng)) for _ in range(1200)]
+    cases += [("forest", random_forest(rng.randrange(1, 11), rng)) for _ in range(200)]
+    cases += [("multipartite", random_complete_multipartite(rng.randrange(1, 11), rng)) for _ in range(200)]
+    tally = Counter()
+    for kind, g in cases:
+        for decider, reference in ((is_planar, reference_is_planar), (is_hamiltonian, brute_hamiltonian)):
+            answer = decided(decider, g)
+            if answer is None:
+                assert kind == "random", (decider.__name__, kind, g)
+            else:
+                assert answer == reference(g), (decider.__name__, kind, g)
+            tally[decider.__name__, answer is not None] += 1
+    for name in ("is_planar", "is_hamiltonian"):
+        assert min(tally[name, True], tally[name, False]) >= 100, tally
 
 
 def random_bipartite_graph(n, p, rng):
@@ -272,7 +336,7 @@ def test_girth_and_eccentricity_match_bfs_reference_randomized():
             g = random_graph(n, density, rng)
         expected = reference_girth(g)
         assert girth(g) == expected == brute_girth(g), (trial, g)
-        assert eccentricity_profile(g) == reference_eccentricity_profile(g), (trial, g)
+        assert eccentricity_profile(g) == reference_eccentricity_profile(g)[:2], (trial, g)
         forests += expected == INFINITY
         disconnected += len(component_masks(g)) > 1
         triangle_free_cyclic += 3 < expected < INFINITY
@@ -292,10 +356,10 @@ def test_metrics_at_order_cap_shapes(singles, pairs):
         [(singles + 2 * i, singles + 2 * i + 1) for i in range(pairs)],
     )
     assert girth(g) == INFINITY
-    assert eccentricity_profile(g)[:2] == (INFINITY, INFINITY)
+    assert eccentricity_profile(g) == (INFINITY, INFINITY)
     comp = complement(g)
     assert girth(comp) == 3
-    assert eccentricity_profile(comp)[:2] == (2, 1)
+    assert eccentricity_profile(comp) == (2, 1)
 
 
 def test_chromatic_matches_assignment_search_tiny():
@@ -346,3 +410,30 @@ def test_fmt_extended():
     assert fmt_extended(INFINITY) == "inf"
     assert fmt_extended(7) == "7"
     assert fmt_extended(0) == "0"
+
+
+def test_benchmark_tracer_wraps_and_restores_solvers(capsys):
+    # bench/spans.py wraps the solvers by name; a renamed or deleted one
+    # would break `bench/run.py --trace 1`.
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.SOLVERS:
+        assert isinstance(getattr(upg.invariants, name, None), types.FunctionType), name
+
+    modules = [m for name, m in sys.modules.items() if name == "upg" or name.startswith("upg.")]
+    before = [(m, attr, value) for m in modules for attr, value in vars(m).items()]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = [(m, attr, value) for m, attr, value in before if getattr(m, attr) is not value]
+        assert upg.cli.main(["analyze", "--ring", "zmod:7", "--graph", "complement"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    wrapped = {attr for m, attr, _ in patched if m is upg.invariants}
+    assert set(spans.SOLVERS) <= wrapped
+    assert tracer.counts["invariants.planar_calls"] == tracer.counts["invariants.hamiltonian_calls"] == 1
+    for m, attr, value in patched:
+        assert getattr(m, attr) is value, (m.__name__, attr)

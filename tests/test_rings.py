@@ -325,14 +325,6 @@ def test_parse_ring_spec_rejects(spec):
         parse_ring_spec(spec)
 
 
-def test_neg():
-    ring = zmod(10)
-    for x in range(10):
-        assert ring.add(x, ring.neg(x)) == 0
-    nu = parse_ring_spec(f"table:@{DATA / 'nounity.json'}")
-    assert nu.neg(1) == 1
-
-
 def test_labels_have_no_commas():
     rings = [
         zmod(24),
