@@ -19,6 +19,7 @@ it.  Everything ends with a newline; CSV fields never contain commas.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Iterable
@@ -250,6 +251,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one tree per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="upg",

@@ -129,24 +129,36 @@ def is_complete(g: SimpleGraph) -> bool:
     return g.edge_count == g.n * (g.n - 1) // 2
 
 
+def connected_parts(adj: tuple[int, ...], mask: int, complemented: bool = False) -> list[int]:
+    """Components of the subgraph induced on ``mask``, as vertex masks
+    ordered by least vertex; with ``complemented``, the components of its
+    complement (the co-components), found without building it.
+
+    A mask BFS per part, over the rows ``adj[u]`` or ``~adj[u]``.  A level
+    stops reading rows as soon as it has reached every vertex not yet in
+    the part, so a part that spans the rest of the mask costs a few rows.
+    """
+    flip = -1 if complemented else 0  # row ^ -1 == ~row
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            missing = mask ^ part
+            reach = 0
+            for u in bit_indices(frontier):
+                reach |= adj[u] ^ flip
+                if reach & missing == missing:
+                    break
+            frontier = reach & missing
+            part |= frontier
+        parts.append(part)
+        mask ^= part
+    return parts
+
+
 def component_masks(g: SimpleGraph) -> list[int]:
     """Connected components as vertex bitmasks, ordered by least vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        mask = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bit_indices(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~mask
-            mask |= frontier
-        seen |= mask
-        out.append(mask)
-    return out
+    return connected_parts(g.adj, (1 << g.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -185,17 +197,15 @@ class MultipartiteProfile:
 def recognize_complete_multipartite(g: SimpleGraph) -> MultipartiteProfile:
     """Detect complete multipartite graphs.
 
-    A graph is complete multipartite iff its complement is a disjoint
-    union of cliques; the parts are those cliques.
+    A graph is complete multipartite iff each of its co-components (the
+    components of its complement) is an independent set; the parts are
+    those co-components.  No complement is built.
     """
-    co = complement(g)
     sizes = []
-    for mask in component_masks(co):
-        size = mask.bit_count()
-        for v in bit_indices(mask):
-            if (co.adj[v] & mask).bit_count() != size - 1:
-                return MultipartiteProfile(part_sizes=(), valid=False)
-        sizes.append(size)
+    for part in connected_parts(g.adj, (1 << g.n) - 1, complemented=True):
+        if any(g.adj[v] & part for v in bit_indices(part)):
+            return MultipartiteProfile(part_sizes=(), valid=False)
+        sizes.append(part.bit_count())
     return MultipartiteProfile(part_sizes=tuple(sorted(sizes)), valid=True)
 
 

@@ -259,6 +259,50 @@ def test_verify_multiple_claims_and_includes():
     assert claims == {"thm-4.1", "thm-5.3"}
 
 
+# Rings at the order cap, with (s, p): s self-inverse units and p pairs of
+# mutually inverse ones, so the unity product graph is s*K1 + p*K2 and its
+# complement K_{1^s, 2^p}.
+CAP_RINGS = {
+    "zmod:4093": (2, 2045),
+    "gf:2^12": (1, 2047),
+    "gf:3^7": (2, 1092),
+    "bool:12": (1, 0),
+}
+
+
+@pytest.mark.parametrize("graph", ["upg", "complement"])
+@pytest.mark.parametrize("spec", CAP_RINGS)
+def test_analyze_at_order_cap_closed_forms(spec, graph):
+    s, p = CAP_RINGS[spec]
+    res = run_cli("analyze", "--ring", spec, "--graph", graph, "--format", "json")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert doc["n"] == s + 2 * p
+    if graph == "upg":
+        # omega = chi = 2 with an edge, else 1; one dominator per component
+        expected = (2 if p else 1, 2 if p else 1, s + p)
+    else:
+        # one vertex per part in a clique; a self-inverse unit is adjacent
+        # to every other unit, and without one any two parts dominate
+        expected = (s + p, s + p, 1 if s else 2)
+    assert (doc["clique_number"], doc["chromatic_number"], doc["domination_number"]) == expected
+
+
+def test_verify_includes_at_order_cap():
+    res = run_cli(
+        "verify", "--claims", "all", "--include", "zmod:4093", "--include", "gf:2^12",
+        "--include", "bool:12", "--format", "csv",
+    )
+    # exit 1: the pinned paper fails of the default sweep
+    assert res.returncode == 1
+    assert res.stderr == ""
+    rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+    labels = {rings.parse_ring_spec(spec).label for spec in ("zmod:4093", "gf:2^12", "bool:12")}
+    assert {ring for _, ring, *_ in rows} >= labels
+    assert "skipped" not in {outcome for _, _, outcome, *_ in rows}
+
+
 def test_verify_json_format():
     res = run_cli("verify", "--claims", "thm-5.7", "--zmod-max", "13", "--format", "json")
     assert res.returncode == 0

@@ -8,6 +8,7 @@ from upg.graphs import (
     SimpleGraph,
     complement,
     component_masks,
+    connected_parts,
     decompose_matching_structure,
     export_dot,
     export_json,
@@ -157,6 +158,34 @@ def test_component_masks_order():
     masks = component_masks(g)
     # ordered by least contained vertex
     assert masks == [0b000001, 0b010010, 0b001100, 0b100000]
+
+
+def test_connected_parts_match_union_find_randomized():
+    # parts of an induced subgraph and of its complement against a
+    # union-find over the vertex pairs inside the mask
+    rng = Random(20261020)
+    for _ in range(400):
+        g = random_graph(rng.randrange(1, 13), rng.random(), rng)
+        mask = rng.randrange(1 << g.n)
+        for complemented in (False, True):
+            root = list(range(g.n))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            inside = [v for v in range(g.n) if mask >> v & 1]
+            for i, u in enumerate(inside):
+                for v in inside[i + 1:]:
+                    if g.has_edge(u, v) != complemented:
+                        root[find(u)] = find(v)
+            groups = {}
+            for v in inside:
+                groups[find(v)] = groups.get(find(v), 0) | 1 << v
+            expected = sorted(groups.values(), key=lambda part: part & -part)
+            assert connected_parts(g.adj, mask, complemented) == expected, (g, mask)
+        assert connected_parts(g.adj, (1 << g.n) - 1, True) == component_masks(complement(g))
 
 
 def test_decompose_matching_structure():

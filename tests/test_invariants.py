@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -10,12 +12,24 @@ import pytest
 
 import upg.cli
 import upg.invariants
-from upg.graphs import complement, component_masks, graph_from_edges, unity_product_graph
+from upg.graphs import (
+    SimpleGraph,
+    bit_indices,
+    complement,
+    component_masks,
+    graph_from_edges,
+    unity_product_graph,
+)
 from upg.invariants import (
     INFINITY,
+    JOIN,
+    PRIME,
+    UNION,
     VertexBoundError,
+    _Coloring,
     chromatic_number,
     clique_number,
+    decomposition,
     domination_number,
     eccentricity_profile,
     fmt_extended,
@@ -37,9 +51,12 @@ from oracles import (
     brute_girth,
     brute_hamiltonian,
     random_graph,
+    reference_chromatic_number,
+    reference_domination_number,
     reference_eccentricity_profile,
     reference_girth,
     reference_is_planar,
+    reference_max_clique,
 )
 from oracles import _has_k33_subdivision, _has_k5_subdivision
 
@@ -277,6 +294,171 @@ def test_solvers_match_oracles_randomized():
         assert clique_number(g) == brute_clique(g), (trial, g)
         assert chromatic_number(g) == brute_chromatic(g), (trial, g)
         assert girth(g) == brute_girth(g), (trial, g)
+
+
+def relabeled(g, order):
+    """g with vertex v renamed order[v]."""
+    return graph_from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+
+def disjoint_union(parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(offset + u, offset + v) for u, v in part.edges()]
+        offset += part.n
+    return graph_from_edges(offset, edges)
+
+
+def join(parts):
+    union = disjoint_union(parts)
+    edges, offset = union.edges(), 0
+    for i, part in enumerate(parts):
+        rest = sum(p.n for p in parts[i + 1:])
+        later = range(offset + part.n, offset + part.n + rest)
+        edges += [(u, v) for u in range(offset, offset + part.n) for v in later]
+        offset += part.n
+    return graph_from_edges(offset, edges)
+
+
+def random_nested(depth, combine, rng):
+    """A union or join (alternating by level, ``depth`` levels) of one
+    nested graph and one or two random pieces on one to four vertices."""
+    if depth == 0:
+        return random_graph(rng.randrange(1, 5), rng.random(), rng)
+    parts = [random_nested(depth - 1, join if combine is disjoint_union else disjoint_union, rng)]
+    for _ in range(rng.randrange(1, 3)):
+        parts.append(random_graph(rng.randrange(1, 5), rng.random(), rng))
+    rng.shuffle(parts)
+    return combine(parts)
+
+
+def test_decomposition_solvers_match_references_randomized():
+    # Random graphs, then unions and joins nested three or four levels
+    # deep and relabeled at random, so pieces are not index ranges.  The
+    # former whole-graph solvers check every graph; brute_clique and
+    # brute_chromatic (O(2^n) and O(3^n) steps) those on at most 11
+    # vertices, and brute_domination those on at most 14.
+    rng = Random(20261018)
+    cases = [random_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(1000)]
+    # larger prime pieces, where DSATUR's count is often above the
+    # chromatic number and the exact search must open classes and backtrack
+    cases += [random_graph(rng.randrange(15, 23), rng.uniform(0.2, 0.8), rng) for _ in range(400)]
+    while len(cases) < 1800:
+        g = random_nested(rng.choice((3, 4)), rng.choice((disjoint_union, join)), rng)
+        if g.n <= 14:
+            order = list(range(g.n))
+            rng.shuffle(order)
+            cases.append(relabeled(g, order))
+    paths = Counter()
+    for trial, g in enumerate(cases):
+        omega, clique = max_clique(g)
+        assert clique.bit_count() == omega, (trial, g)
+        assert all(g.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique)), (trial, g)
+        assert omega == clique_number(g) == reference_max_clique(g)[0], (trial, g)
+        chi = chromatic_number(g)
+        assert chi == reference_chromatic_number(g), (trial, g)
+        if g.n <= 11:
+            assert omega == brute_clique(g) and chi == brute_chromatic(g), (trial, g)
+        gamma = domination_number(g)
+        assert gamma == reference_domination_number(g), (trial, g)
+        if g.n <= 14:
+            assert gamma == brute_domination(g), (trial, g)
+        paths.update(set(decomposition(g).kinds))
+        paths["chi > omega"] += chi > omega
+    # every path of the decomposition ran, in at least 100 graphs each,
+    # and the exact coloring search refuted the clique bound as often
+    assert min(paths[PRIME], paths[UNION], paths[JOIN], paths["chi > omega"]) >= 100, paths
+
+
+def test_coloring_state_assign_and_undo_randomized():
+    # DSATUR's state: the buckets hold exactly the uncolored vertices, each
+    # under its count of neighboring classes, and undo restores everything
+    rng = Random(20261019)
+    for _ in range(200):
+        g = random_graph(rng.randrange(1, 16), rng.random(), rng)
+        state = _Coloring(list(g.adj))
+
+        def snapshot():
+            buckets = list(state.buckets)
+            while buckets and not buckets[-1]:
+                buckets.pop()
+            return state.classes[:], state.near[:], state.saturation[:], state.uncolored, buckets
+
+        tokens, snapshots = [], []
+        while rng.random() < 0.9 and state.pick() >= 0:
+            for v in bit_indices(state.uncolored):
+                seen = sum(1 for members in state.classes if g.adj[v] & members)
+                assert state.buckets[state.saturation[v]] >> v & 1 and state.saturation[v] == seen
+            assert sum(b.bit_count() for b in state.buckets) == state.uncolored.bit_count()
+            v = rng.choice(list(bit_indices(state.uncolored)))
+            colors = [c for c in range(len(state.classes) + 1) if state.admissible(v, c)]
+            snapshots.append(snapshot())
+            tokens.append(state.assign(v, rng.choice(colors)))
+        while tokens:
+            state.undo(tokens.pop())
+            assert snapshot() == snapshots.pop()
+
+
+def test_clique_and_chromatic_of_matching_complement_at_2100_vertices():
+    # K_{2,...,2} with 1050 parts: the former recursive clique search
+    # raised RecursionError past about 1000 clique vertices
+    g = complement(graph_from_edges(2100, [(2 * i, 2 * i + 1) for i in range(1050)]))
+    assert max_clique(g)[0] == clique_number(g) == chromatic_number(g) == 1050
+    assert domination_number(g) == 2
+
+
+def threshold_graph(n):
+    """Vertex 0, then each vertex v > 0 joined to every earlier vertex
+    when v is odd and to none when v is even: the cotree alternates a
+    union and a join at every level, so it is about n levels deep."""
+    dominating = sum(1 << v for v in range(1, n, 2))
+    rows = [
+        (((1 << v) - 1) if dominating >> v & 1 else 0) | (dominating >> (v + 1) << (v + 1))
+        for v in range(n)
+    ]
+    return SimpleGraph(n=n, labels=tuple(map(str, range(n))), adj=tuple(rows))
+
+
+@pytest.mark.parametrize("n", [2001, 2002])
+def test_threshold_graph_cotree_thousands_deep(n):
+    g = threshold_graph(n)
+    assert g.edge_count == sum(range(1, n, 2))  # v odd: one edge to each earlier vertex
+    deco = decomposition(g)
+    depth = [0] * len(deco.kinds)
+    for i, parts in enumerate(deco.parts):
+        for j in parts:
+            depth[j] = depth[i] + 1
+    assert max(depth) >= n - 2
+    # closed forms: the dominating vertices and vertex 0 form a maximum
+    # clique, and threshold graphs are perfect; the last dominating vertex
+    # dominates everything before it, and later vertices are isolated
+    dominating = len(range(1, n, 2))
+    last = max(range(1, n, 2))
+    assert clique_number(g) == chromatic_number(g) == dominating + 1
+    assert domination_number(g) == 1 + (n - 1 - last)
+
+
+def test_full_report_at_order_cap_under_low_recursion_limit():
+    # A solver that recursed once per vertex or clique member would fail
+    # here: the gf:2^12 complement has a 2048-vertex maximum clique.
+    script = (
+        "import sys\n"
+        "from upg.graphs import complement, unity_product_graph\n"
+        "from upg.invariants import full_report\n"
+        "from upg.rings import parse_ring_spec, units\n"
+        "sys.setrecursionlimit(200)\n"
+        "g = unity_product_graph(units(parse_ring_spec('gf:2^12')))\n"
+        "for h in (g, complement(g)):\n"
+        "    r = full_report(h)\n"
+        "    print(r.clique_number, r.chromatic_number, r.domination_number)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.stderr == ""
+    assert res.returncode == 0
+    assert res.stdout == "2 2 2048\n2048 2048 1\n"
 
 
 def random_forest(n, rng):
