@@ -23,7 +23,6 @@ from . import invariants as inv
 from .graphs import (
     SimpleGraph,
     complement,
-    component_masks,
     decompose_matching_structure,
     is_complete,
     recognize_complete_multipartite,
@@ -111,12 +110,20 @@ class RingContext:
         return is_boolean(self.ring)
 
     @cached_property
-    def upg_components(self) -> int:
-        return len(component_masks(self.upg))
+    def upg_split(self) -> inv.Decomposition:
+        return inv.Decomposition(self.upg)
 
     @cached_property
+    def comp_split(self) -> inv.Decomposition:
+        return inv.Decomposition(self.comp)
+
+    @property
+    def upg_components(self) -> int:
+        return len(self.upg_split.components)
+
+    @property
     def comp_connected(self) -> bool:
-        return len(component_masks(self.comp)) <= 1
+        return len(self.comp_split.components) <= 1
 
     @cached_property
     def comp_complete(self) -> bool:
@@ -124,11 +131,11 @@ class RingContext:
 
     @cached_property
     def upg_girth(self):
-        return inv.girth(self.upg)
+        return inv.girth(self.upg, self.upg_split)
 
     @cached_property
     def comp_girth(self):
-        return inv.girth(self.comp)
+        return inv.girth(self.comp, self.comp_split)
 
     @cached_property
     def upg_diameter_radius(self):
@@ -140,43 +147,43 @@ class RingContext:
 
     @cached_property
     def upg_domination(self) -> int:
-        return inv.domination_number(self.upg)
+        return inv.domination_number(self.upg, self.upg_split)
 
     @cached_property
     def comp_domination(self) -> int:
-        return inv.domination_number(self.comp)
+        return inv.domination_number(self.comp, self.comp_split)
 
     @cached_property
     def upg_clique(self) -> int:
-        return inv.clique_number(self.upg)
+        return inv.clique_number(self.upg, self.upg_split)
 
     @cached_property
     def comp_clique(self) -> int:
-        return inv.clique_number(self.comp)
+        return inv.clique_number(self.comp, self.comp_split)
 
     @cached_property
     def upg_chromatic(self) -> int:
-        return inv.chromatic_number(self.upg)
+        return inv.chromatic_number(self.upg, self.upg_split)
 
     @cached_property
     def comp_chromatic(self) -> int:
-        return inv.chromatic_number(self.comp)
+        return inv.chromatic_number(self.comp, self.comp_split)
 
     @cached_property
     def upg_planar(self) -> bool:
-        return inv.is_planar(self.upg)
+        return inv.is_planar(self.upg, self.upg_split)
 
     @cached_property
     def comp_planar(self) -> bool:
-        return inv.is_planar(self.comp)
+        return inv.is_planar(self.comp, self.comp_split)
 
     @cached_property
     def upg_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.upg)
+        return inv.is_hamiltonian(self.upg, self.upg_split)
 
     @cached_property
     def comp_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.comp)
+        return inv.is_hamiltonian(self.comp, self.comp_split)
 
     def unit_residues(self) -> tuple[int, ...]:
         """Canonical residues of the units, for rings isomorphic to Z/n."""
@@ -280,7 +287,7 @@ def _check_trichotomy(ctx: RingContext):
 
 
 def _check_multipartite_form(ctx: RingContext):
-    profile = recognize_complete_multipartite(ctx.comp)
+    profile = recognize_complete_multipartite(ctx.comp, ctx.comp_split.co_components)
     expected = tuple(sorted([1] * ctx.isolated + [2] * ctx.pairs))
     if not profile.valid or profile.part_sizes != expected:
         return _fail(

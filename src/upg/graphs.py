@@ -194,15 +194,20 @@ class MultipartiteProfile:
     valid: bool
 
 
-def recognize_complete_multipartite(g: SimpleGraph) -> MultipartiteProfile:
+def recognize_complete_multipartite(
+    g: SimpleGraph, co_components: list[int] | None = None
+) -> MultipartiteProfile:
     """Detect complete multipartite graphs.
 
     A graph is complete multipartite iff each of its co-components (the
     components of its complement) is an independent set; the parts are
-    those co-components.  No complement is built.
+    those co-components.  No complement is built, and none is searched
+    when the caller passes the co-components as vertex masks.
     """
+    if co_components is None:
+        co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
     sizes = []
-    for part in connected_parts(g.adj, (1 << g.n) - 1, complemented=True):
+    for part in co_components:
         if any(g.adj[v] & part for v in bit_indices(part)):
             return MultipartiteProfile(part_sizes=(), valid=False)
         sizes.append(part.bit_count())

@@ -1,17 +1,18 @@
 """Exact graph invariants.
 
-All solvers are exact.  Domination, clique and chromatic numbers first
-split the graph into components and co-components (the components of
-the complement, found by a mask BFS over ``~adj[u]``), the cograph frame
-of Corneil, Perl and Stewart (1985), once per graph: over a union the
-parts' values combine by maximum or sum, over a join by sum, and a join
-is dominated by one vertex or two.  Only prime pieces, connected and
-co-connected, reach a search: bit-parallel branch and bound for the
-clique, DSATUR over color-class masks for a coloring, an exact
-k-colorability search on the same state, and branch and bound for
-domination.  The split and the searches keep their state on explicit
-stacks, so none recurses once per vertex.  Every ring graph splits into
-pieces of at most two vertices and never reaches a search.
+All solvers are exact.  A Decomposition splits a graph into components
+and co-components (the components of the complement, found by a mask
+BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
+(1985), on an explicit stack, so it never recurses once per vertex.
+Domination, clique and chromatic numbers combine over its pieces: over
+a union by maximum or sum, over a join by sum, and a join is dominated
+by one vertex or two.  Only prime pieces, connected and co-connected,
+reach a search, the recursive branch and bound searches for clique,
+coloring (DSATUR bound, then exact k-colorability) and domination, each
+meant for small pieces.  Every ring graph splits into pieces of at most
+two vertices and never reaches a search.  The component count and the
+complete multipartite test read the same split, and every function that
+needs it takes an optional ``split`` so callers that hold one share it.
 
 Girth and eccentricity work on whole adjacency rows: girth settles
 forests by their edge count and cyclic graphs with a triangle by one row
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,7 +66,7 @@ def fmt_extended(value: ExtendedNat) -> str:
     return "inf" if value == INFINITY else str(int(value))
 
 
-def girth(g: SimpleGraph) -> ExtendedNat:
+def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
     """Length of a shortest cycle, INFINITY for forests.
 
     A graph is a forest iff it has n - (component count) edges.  Otherwise
@@ -77,7 +77,7 @@ def girth(g: SimpleGraph) -> ExtendedNat:
     cycle no longer than itself, and for r on a shortest cycle the bound
     is attained.
     """
-    if g.edge_count == g.n - len(component_masks(g)):
+    if g.edge_count == g.n - len((split or Decomposition(g)).components):
         return INFINITY
     adj = g.adj
     for u in range(g.n):
@@ -163,11 +163,13 @@ class Decomposition:
     """A graph split into components and co-components, down to pieces
     that split no further.
 
-    Piece 0 is the whole graph.  A disconnected piece is a ``union`` of its
-    components; a connected piece whose complement is disconnected is a
-    ``join`` of its co-components (the components of the complement).  A
-    piece of at most two vertices is ``small``, and a larger piece that
-    neither split divides is ``prime``.  A component is connected and a
+    ``components`` and ``co_components`` are the graph's own, as vertex
+    masks; a disconnected graph has one co-component, all of it, since its
+    complement is connected.  Piece 0 is the whole graph.  A disconnected
+    piece is a ``union`` of its components; a connected piece whose
+    complement is disconnected is a ``join`` of its co-components.  A piece
+    of at most two vertices is ``small``, and a larger piece that neither
+    split divides is ``prime``.  A component is connected and a
     co-component co-connected, so each child tries only the other split.
     Children come after their parent, so a reverse pass over the pieces
     meets every child before its parent.
@@ -177,38 +179,53 @@ class Decomposition:
     components; a join is dominated by one vertex iff some part is a
     single vertex (a co-connected part of two or more vertices has no
     vertex adjacent to all of it), and otherwise by one vertex from each
-    of two parts.  Only prime pieces reach a search, each computed once.
+    of two parts.  Only prime pieces reach a search, run on the piece as a
+    graph of its own.
     """
 
     def __init__(self, g: SimpleGraph):
-        self.adj = g.adj
+        adj = g.adj
+        full = (1 << g.n) - 1
+        self.adj = adj
+        self.components = connected_parts(adj, full)
+        self.co_components = (
+            connected_parts(adj, full, complemented=True) if len(self.components) <= 1 else [full]
+        )
         self.kinds: list[str] = [SMALL]
-        self.masks: list[int] = [(1 << g.n) - 1]
+        self.masks: list[int] = [full]
         self.parts: list[tuple[int, ...]] = [()]
-        self.primes: dict[int, _PrimePiece] = {}
+        top = {UNION: self.components, JOIN: self.co_components}
         # an explicit stack: a threshold graph's tree is n levels deep
-        stack = [(0, (False, True))]
+        stack = [(0, (UNION, JOIN))]
         while stack:
-            i, splits = stack.pop()
+            i, tries = stack.pop()
             mask = self.masks[i]
             if mask.bit_count() <= 2:
                 continue
-            for complemented in splits:
-                split = connected_parts(self.adj, mask, complemented)
+            for kind in tries:
+                split = top[kind] if i == 0 else connected_parts(adj, mask, kind == JOIN)
                 if len(split) > 1:
                     break
             else:
                 self.kinds[i] = PRIME
-                self.primes[i] = _PrimePiece(self.adj, mask)
                 continue
-            self.kinds[i] = JOIN if complemented else UNION
+            self.kinds[i] = kind
+            other = (JOIN,) if kind == UNION else (UNION,)
             first = len(self.masks)
             self.parts[i] = tuple(range(first, first + len(split)))
             for part in split:
-                stack.append((len(self.masks), (not complemented,)))
+                stack.append((len(self.masks), other))
                 self.kinds.append(SMALL)
                 self.masks.append(part)
                 self.parts.append(())
+
+    @cached_property
+    def _primes(self) -> dict[int, _PrimePiece]:
+        return {
+            i: _PrimePiece(self.adj, self.masks[i])
+            for i, kind in enumerate(self.kinds)
+            if kind == PRIME
+        }
 
     def _small_clique(self, mask: int) -> tuple[int, int]:
         """(order, mask) of a maximum clique of at most two vertices."""
@@ -225,7 +242,7 @@ class Decomposition:
             if kind == SMALL:
                 out[i] = self._small_clique(self.masks[i])
             elif kind == PRIME:
-                out[i] = self.primes[i].clique
+                out[i] = self._primes[i].clique
             elif kind == UNION:
                 out[i] = max((out[j] for j in self.parts[i]), key=lambda c: c[0])
             else:
@@ -249,7 +266,7 @@ class Decomposition:
             if kind == SMALL:
                 colors[i] = cliques[i][0]
             elif kind == PRIME:
-                colors[i] = self.primes[i].chromatic
+                colors[i] = self._primes[i].chromatic
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
             else:
@@ -270,275 +287,232 @@ class Decomposition:
             return 1 if self._small_clique(mask)[0] == mask.bit_count() else 2
         if kind == JOIN:
             return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
-        return self.primes[i].domination
+        return self._primes[i].domination
 
 
 class _PrimePiece:
-    """A prime piece as a graph of its own, relabeled 0..k-1 by
-    non-increasing degree, ties by index: the lowest vertex of any mask is
-    then its highest-degree one, the order BBMC and DSATUR want."""
+    """A prime piece as a graph of its own, its vertices renumbered in order."""
 
     def __init__(self, adj: tuple[int, ...], mask: int):
-        self.vertices = sorted(bit_indices(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v))
-        position = {v: i for i, v in enumerate(self.vertices)}
-        self.rows = [
+        self.vertices = list(bit_indices(mask))
+        position = {v: k for k, v in enumerate(self.vertices)}
+        rows = tuple(
             sum(1 << position[u] for u in bit_indices(adj[v] & mask)) for v in self.vertices
-        ]
+        )
+        self.graph = SimpleGraph(n=len(rows), labels=tuple(map(str, range(len(rows)))), adj=rows)
 
     @cached_property
     def _local_clique(self) -> tuple[int, int]:
-        return _max_clique_rows(self.rows)
+        return _clique_search(self.graph)
 
     @property
     def clique(self) -> tuple[int, int]:
         order, local = self._local_clique
-        return order, sum(1 << self.vertices[i] for i in bit_indices(local))
+        return order, sum(1 << self.vertices[k] for k in bit_indices(local))
 
     @cached_property
     def chromatic(self) -> int:
-        """Exact: the first k from the clique order up that the search
-        colors, or DSATUR's count if none below it does."""
-        order, clique = self._local_clique
-        upper = _dsatur_colors(self.rows, clique)
-        return next((k for k in range(order, upper) if _k_colorable(self.rows, k, clique)), upper)
+        return _chromatic_search(self.graph, self._local_clique)
 
     @cached_property
     def domination(self) -> int:
-        return _domination_rows([row | 1 << v for v, row in enumerate(self.rows)])
+        return _domination_search(self.graph)
 
 
-def _color_order(rows: list[int], cands: int, floor: int) -> list[tuple[int, int]]:
-    """(vertex, color) for the vertices of cands colored above floor.
+def _domination_search(g: SimpleGraph) -> int:
+    """Minimum size of a set whose closed neighborhoods cover the graph.
 
-    Greedy coloring one class at a time, each filled in index order; the
-    list ascends by color.  A vertex of color c lies in no clique of cands
-    with more than c vertices among it and the ones listed before it.
+    Dominating sets split over connected components, so each component is
+    solved on its own: greedy upper bound, then branch and bound picking
+    an undominated vertex with the fewest candidate dominators.
     """
-    order = []
-    color = 0
-    while cands:
-        color += 1
-        avail = cands
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~(rows[v] | low)
-            cands ^= low
-            if color > floor:
-                order.append((v, color))
-    return order
+    if g.n == 0:
+        return 0
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    return sum(_dominate_component(closed, mask) for mask in component_masks(g))
 
 
-def _max_clique_rows(rows: list[int]) -> tuple[int, int]:
-    """(order, vertex mask) of a maximum clique, rows indexed 0..k-1.
+def _dominate_component(closed: list[int], comp: int) -> int:
+    vertices = list(bit_indices(comp))
+    if len(vertices) == 1:
+        return 1
 
-    Bit-parallel branch and bound (BBMC: San Segundo, Rodriguez-Losada
-    and Jimenez, 2011) with the greedy-coloring bound of Tomita's MCQ:
-    candidates are branched on in descending color, and a frame ends at
-    the first one whose color cannot lift the clique above the best.  One
-    stack frame per clique vertex: [clique, size, candidates, order].
-    """
-    best_order = best = 0
-    everything = (1 << len(rows)) - 1
-    stack = [[0, 0, everything, _color_order(rows, everything, 0)]]
-    while stack:
-        frame = stack[-1]
-        clique, size, cands, order = frame
-        if not order or size + order[-1][1] <= best_order:
-            stack.pop()
-            continue
-        v, _ = order.pop()
-        bit = 1 << v
-        frame[2] = cands ^ bit
-        sub = cands & rows[v]
-        if sub:
-            floor = best_order - size - 1
-            stack.append([clique | bit, size + 1, sub, _color_order(rows, sub, floor)])
-        elif size + 1 > best_order:
-            best_order, best = size + 1, clique | bit
-    return best_order, best
+    # greedy upper bound
+    dominated = 0
+    greedy = 0
+    while dominated != comp:
+        best_v = max(
+            vertices, key=lambda v: ((closed[v] & comp & ~dominated).bit_count(), -v)
+        )
+        dominated |= closed[best_v]
+        greedy += 1
 
+    best = greedy
 
-class _Coloring:
-    """A partial coloring as one vertex mask per color class (DSATUR state).
+    def lower_bound(undominated: int) -> int:
+        gain = max((closed[v] & undominated).bit_count() for v in vertices)
+        return -(-undominated.bit_count() // gain)
 
-    ``near[c]`` is the union of the rows of class c, so an uncolored
-    vertex's saturation (the number of classes it has a neighbor in) rises
-    exactly when it is in ``row & ~near[c]`` as a neighbor joins class c.
-    ``buckets[s]`` holds the uncolored vertices of saturation s, and the
-    next vertex is the lowest one in the highest nonempty bucket (Brelaz,
-    1979).  ``undo`` reverts the latest ``assign`` that is still in force.
-    """
-
-    def __init__(self, rows: list[int]):
-        self.rows = rows
-        self.classes: list[int] = []
-        self.near: list[int] = []
-        self.saturation = [0] * len(rows)
-        self.uncolored = (1 << len(rows)) - 1
-        self.buckets = [self.uncolored]
-
-    def pick(self) -> int:
-        """The uncolored vertex to color next, -1 when none is left."""
-        for bucket in reversed(self.buckets):
-            if bucket:
-                return (bucket & -bucket).bit_length() - 1
-        return -1
-
-    def admissible(self, v: int, c: int) -> bool:
-        return c == len(self.classes) or not self.near[c] >> v & 1
-
-    def assign(self, v: int, c: int) -> tuple[int, int, int, int]:
-        """Color v with c, opening a class if c is new; returns the undo token."""
-        if c == len(self.classes):
-            self.classes.append(0)
-            self.near.append(0)
-        bit = 1 << v
-        self.buckets[self.saturation[v]] ^= bit
-        self.uncolored ^= bit
-        old_near = self.near[c]
-        raised = self.rows[v] & ~old_near & self.uncolored
-        self.classes[c] |= bit
-        self.near[c] = old_near | self.rows[v]
-        self._shift(raised, 1)
-        return v, c, raised, old_near
-
-    def undo(self, token: tuple[int, int, int, int]) -> None:
-        v, c, raised, old_near = token
-        bit = 1 << v
-        self._shift(raised, -1)
-        self.near[c] = old_near
-        self.classes[c] ^= bit
-        if not self.classes[c]:
-            # classes open and close in stack order: this is the last one
-            self.classes.pop()
-            self.near.pop()
-        self.uncolored |= bit
-        self.buckets[self.saturation[v]] |= bit
-
-    def _shift(self, vertices: int, step: int) -> None:
-        buckets, saturation = self.buckets, self.saturation
-        for u in bit_indices(vertices):
-            s = saturation[u]
-            saturation[u] = s + step
-            if s + step == len(buckets):
-                buckets.append(0)
-            buckets[s] ^= 1 << u
-            buckets[s + step] |= 1 << u
-
-
-def _precolored(rows: list[int], clique: int) -> _Coloring:
-    state = _Coloring(rows)
-    for c, v in enumerate(bit_indices(clique)):
-        state.assign(v, c)
-    return state
-
-
-def _dsatur_colors(rows: list[int], clique: int) -> int:
-    """Colors used by greedy DSATUR, starting from the clique precolored."""
-    state = _precolored(rows, clique)
-    v = state.pick()
-    while v >= 0:
-        c = 0
-        while not state.admissible(v, c):
-            c += 1
-        state.assign(v, c)
-        v = state.pick()
-    return len(state.classes)
-
-
-def _k_colorable(rows: list[int], k: int, clique: int) -> bool:
-    """Exact: whether the precolored clique extends to a k-coloring.
-
-    Depth-first over DSATUR's vertex choice, each vertex trying the
-    classes it is admissible in and at most one new class.  One stack
-    frame per colored vertex: [vertex, next color to try, undo token].
-    """
-    state = _precolored(rows, clique)
-    v = state.pick()
-    if v < 0:
-        return True
-    stack = [[v, 0, None]]
-    while stack:
-        frame = stack[-1]
-        v, c, token = frame
-        if token is not None:
-            state.undo(token)
-        top = min(k, len(state.classes) + 1)
-        while c < top and not state.admissible(v, c):
-            c += 1
-        if c == top:
-            stack.pop()
-            continue
-        frame[1] = c + 1
-        frame[2] = state.assign(v, c)
-        w = state.pick()
-        if w < 0:
-            return True
-        stack.append([w, 0, None])
-    return False
-
-
-def _domination_rows(closed: list[int]) -> int:
-    """Domination number from closed neighborhood rows indexed 0..k-1.
-
-    Greedy upper bound, then depth-first branch and bound on an explicit
-    stack of (dominated mask, set size): each node branches on the
-    dominators of the undominated vertex with the fewest, and dies when
-    the undominated count over the largest single gain cannot beat the
-    best.
-    """
-    full = (1 << len(closed)) - 1
-    best = dominated = 0
-    while dominated != full:
-        dominated |= max(closed, key=lambda row: (row & ~dominated).bit_count())
-        best += 1
-    stack = [(0, 0)]
-    while stack:
-        dominated, size = stack.pop()
-        undominated = full ^ dominated
+    def search(dominated: int, size: int) -> None:
+        nonlocal best
+        undominated = comp & ~dominated
         if not undominated:
-            best = min(best, size)
-            continue
-        gain = max((row & undominated).bit_count() for row in closed)
-        if size + -(-undominated.bit_count() // gain) >= best:
-            continue
+            if size < best:
+                best = size
+            return
+        if size + lower_bound(undominated) >= best:
+            return
         pivot = min(bit_indices(undominated), key=lambda v: closed[v].bit_count())
-        stack.extend((dominated | closed[w], size + 1) for w in bit_indices(closed[pivot]))
+        for w in bit_indices(closed[pivot]):
+            search(dominated | closed[w], size + 1)
+
+    search(0, 0)
     return best
 
 
-# a graph's decomposition lives as long as the graph
-_DECOMPOSITIONS: weakref.WeakKeyDictionary[SimpleGraph, Decomposition] = weakref.WeakKeyDictionary()
+def _clique_search(g: SimpleGraph) -> tuple[int, int]:
+    """(order, vertex mask) of a maximum clique.
+
+    Branch and bound with a greedy-coloring bound: vertices of the
+    candidate set are colored greedily and expanded in reverse color
+    order; a branch dies when size + color bound cannot beat the best.
+    """
+    if g.n == 0:
+        return 0, 0
+    best_size = 0
+    best_mask = 0
+
+    def color_sort(candidates: int) -> list[tuple[int, int]]:
+        order = []
+        color = 0
+        rest = candidates
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                avail &= ~g.adj[v]
+                avail &= ~(1 << v)
+                rest &= ~(1 << v)
+        return order
+
+    def expand(current: int, size: int, candidates: int) -> None:
+        nonlocal best_size, best_mask
+        if not candidates:
+            if size > best_size:
+                best_size = size
+                best_mask = current
+            return
+        order = color_sort(candidates)
+        cands = candidates
+        for v, bound in reversed(order):
+            if size + bound <= best_size:
+                return
+            expand(current | (1 << v), size + 1, cands & g.adj[v])
+            cands &= ~(1 << v)
+
+    expand(0, 0, (1 << g.n) - 1)
+    return best_size, best_mask
 
 
-def decomposition(g: SimpleGraph) -> Decomposition:
-    """g's decomposition, built on first use, so domination, clique and
-    chromatic numbers share one split and one search per prime piece."""
-    deco = _DECOMPOSITIONS.get(g)
-    if deco is None:
-        deco = _DECOMPOSITIONS[g] = Decomposition(g)
-    return deco
+def _dsatur_greedy(g: SimpleGraph) -> tuple[int, list[int]]:
+    """Greedy DSATUR coloring; returns (color count, coloring)."""
+    if g.n == 0:
+        return 0, []
+    color = [-1] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if color[u] == -1),
+            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        color[v] = c
+        for u in bit_indices(g.adj[v]):
+            neighbor_colors[u].add(c)
+    return max(color) + 1, color
 
 
-def domination_number(g: SimpleGraph) -> int:
-    """Minimum size of a set whose closed neighborhoods cover the graph."""
-    return decomposition(g).domination
+def _k_colorable(g: SimpleGraph, k: int, clique_mask: int) -> bool:
+    """Exact backtracking k-colorability with a precolored maximum clique."""
+    color = [-1] * g.n
+    used = 0
+    for v in bit_indices(clique_mask):
+        color[v] = used
+        used += 1
+    if used > k:
+        return False
+
+    def admissible(v: int) -> list[int]:
+        banned = {color[u] for u in bit_indices(g.adj[v]) if color[u] != -1}
+        top = min(k, max([color[u] for u in range(g.n) if color[u] != -1], default=-1) + 2)
+        return [c for c in range(top) if c not in banned]
+
+    def pick() -> int | None:
+        best_v, best_key = None, None
+        for v in range(g.n):
+            if color[v] != -1:
+                continue
+            sat = len({color[u] for u in bit_indices(g.adj[v]) if color[u] != -1})
+            key = (-sat, -g.degree(v), v)
+            if best_key is None or key < best_key:
+                best_v, best_key = v, key
+        return best_v
+
+    def solve() -> bool:
+        v = pick()
+        if v is None:
+            return True
+        for c in admissible(v):
+            color[v] = c
+            if solve():
+                return True
+            color[v] = -1
+        return False
+
+    return solve()
 
 
-def max_clique(g: SimpleGraph) -> tuple[int, int]:
+
+
+def _chromatic_search(g: SimpleGraph, clique: tuple[int, int]) -> int:
+    """Exact chromatic number via the clique lower bound, DSATUR upper
+    bound, and backtracking k-colorability between them; ``clique`` is
+    (order, vertex mask) of a maximum clique of g."""
+    if g.n == 0:
+        return 0
+    lb, clique_mask = clique
+    ub, _ = _dsatur_greedy(g)
+    for k in range(lb, ub):
+        if _k_colorable(g, k, clique_mask):
+            return k
+    return ub
+
+
+def domination_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
+    """Minimum size of a set whose closed neighborhoods cover the graph.
+
+    ``split``, here and below, is g's decomposition when the caller
+    already has one."""
+    return (split or Decomposition(g)).domination
+
+
+def max_clique(g: SimpleGraph, split: Decomposition | None = None) -> tuple[int, int]:
     """(order, vertex mask) of a maximum clique."""
-    return decomposition(g).clique
+    return (split or Decomposition(g)).clique
 
 
-def clique_number(g: SimpleGraph) -> int:
+def clique_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
     """Order of a maximum clique (1 for nonempty edgeless graphs)."""
-    return decomposition(g).clique[0]
+    return (split or Decomposition(g)).clique[0]
 
 
-def chromatic_number(g: SimpleGraph) -> int:
+def chromatic_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
     """Fewest colors of a proper vertex coloring."""
-    return decomposition(g).chromatic
+    return (split or Decomposition(g)).chromatic
 
 
 def multipartite_planar(part_sizes: tuple[int, ...]) -> bool:
@@ -569,7 +543,7 @@ def multipartite_hamiltonian(part_sizes: tuple[int, ...]) -> bool:
     return n >= 3 and 2 * max(part_sizes) <= n
 
 
-def is_planar(g: SimpleGraph) -> bool:
+def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     """Exact planarity of a ring graph.
 
     Pipeline: graphs on at most 4 vertices and forests (every unity
@@ -580,17 +554,18 @@ def is_planar(g: SimpleGraph) -> bool:
     m = g.edge_count
     if g.n <= 4:
         return True
-    if m == g.n - len(component_masks(g)):
+    split = split or Decomposition(g)
+    if m == g.n - len(split.components):
         return True
     if m > 3 * g.n - 6:
         return False
-    profile = recognize_complete_multipartite(g)
+    profile = recognize_complete_multipartite(g, split.co_components)
     if profile.valid:
         return multipartite_planar(profile.part_sizes)
     raise VertexBoundError("planarity", g.n)
 
 
-def is_hamiltonian(g: SimpleGraph) -> bool:
+def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     """Exact hamiltonicity of a ring graph.
 
     Graphs on fewer than 3 vertices, disconnected graphs, and graphs
@@ -601,11 +576,12 @@ def is_hamiltonian(g: SimpleGraph) -> bool:
     """
     if g.n < 3:
         return False
-    if len(component_masks(g)) != 1:
+    split = split or Decomposition(g)
+    if len(split.components) != 1:
         return False
     if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
         return False
-    profile = recognize_complete_multipartite(g)
+    profile = recognize_complete_multipartite(g, split.co_components)
     if profile.valid:
         return multipartite_hamiltonian(profile.part_sizes)
     raise VertexBoundError("hamiltonicity", g.n)
@@ -679,8 +655,10 @@ class InvariantReport:
 
 
 def full_report(g: SimpleGraph) -> InvariantReport:
-    """Compute every invariant of the report for one graph."""
-    comp_count = len(component_masks(g))
+    """Compute every invariant of the report for one graph, all on one
+    decomposition."""
+    split = Decomposition(g)
+    comp_count = len(split.components)
     diameter, radius = eccentricity_profile(g)
     return InvariantReport(
         n=g.n,
@@ -688,12 +666,12 @@ def full_report(g: SimpleGraph) -> InvariantReport:
         component_count=comp_count,
         isolated_count=g.adj.count(0),
         connected=comp_count <= 1,
-        girth=girth(g),
+        girth=girth(g, split),
         diameter=diameter,
         radius=radius,
-        domination_number=domination_number(g),
-        chromatic_number=chromatic_number(g),
-        clique_number=clique_number(g),
-        planar=is_planar(g),
-        hamiltonian=is_hamiltonian(g),
+        domination_number=domination_number(g, split),
+        chromatic_number=chromatic_number(g, split),
+        clique_number=clique_number(g, split),
+        planar=is_planar(g, split),
+        hamiltonian=is_hamiltonian(g, split),
     )

@@ -25,11 +25,13 @@ from upg.invariants import (
     JOIN,
     PRIME,
     UNION,
+    Decomposition,
     VertexBoundError,
-    _Coloring,
+    _chromatic_search,
+    _clique_search,
+    _domination_search,
     chromatic_number,
     clique_number,
-    decomposition,
     domination_number,
     eccentricity_profile,
     fmt_extended,
@@ -51,12 +53,9 @@ from oracles import (
     brute_girth,
     brute_hamiltonian,
     random_graph,
-    reference_chromatic_number,
-    reference_domination_number,
     reference_eccentricity_profile,
     reference_girth,
     reference_is_planar,
-    reference_max_clique,
 )
 from oracles import _has_k33_subdivision, _has_k5_subdivision
 
@@ -335,13 +334,14 @@ def random_nested(depth, combine, rng):
 def test_decomposition_solvers_match_references_randomized():
     # Random graphs, then unions and joins nested three or four levels
     # deep and relabeled at random, so pieces are not index ranges.  The
-    # former whole-graph solvers check every graph; brute_clique and
-    # brute_chromatic (O(2^n) and O(3^n) steps) those on at most 11
-    # vertices, and brute_domination those on at most 14.
+    # searches prime pieces use, run on the whole graph, check every
+    # graph; brute_clique and brute_chromatic (O(2^n) and O(3^n) steps)
+    # those on at most 11 vertices, and brute_domination those on at
+    # most 14.
     rng = Random(20261018)
     cases = [random_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(1000)]
-    # larger prime pieces, where DSATUR's count is often above the
-    # chromatic number and the exact search must open classes and backtrack
+    # larger prime pieces, where the chromatic number is often above the
+    # clique number
     cases += [random_graph(rng.randrange(15, 23), rng.uniform(0.2, 0.8), rng) for _ in range(400)]
     while len(cases) < 1800:
         g = random_nested(rng.choice((3, 4)), rng.choice((disjoint_union, join)), rng)
@@ -354,49 +354,21 @@ def test_decomposition_solvers_match_references_randomized():
         omega, clique = max_clique(g)
         assert clique.bit_count() == omega, (trial, g)
         assert all(g.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique)), (trial, g)
-        assert omega == clique_number(g) == reference_max_clique(g)[0], (trial, g)
+        whole = _clique_search(g)
+        assert omega == clique_number(g) == whole[0], (trial, g)
         chi = chromatic_number(g)
-        assert chi == reference_chromatic_number(g), (trial, g)
+        assert chi == _chromatic_search(g, whole), (trial, g)
         if g.n <= 11:
             assert omega == brute_clique(g) and chi == brute_chromatic(g), (trial, g)
         gamma = domination_number(g)
-        assert gamma == reference_domination_number(g), (trial, g)
+        assert gamma == _domination_search(g), (trial, g)
         if g.n <= 14:
             assert gamma == brute_domination(g), (trial, g)
-        paths.update(set(decomposition(g).kinds))
+        paths.update(set(Decomposition(g).kinds))
         paths["chi > omega"] += chi > omega
     # every path of the decomposition ran, in at least 100 graphs each,
-    # and the exact coloring search refuted the clique bound as often
+    # and as many graphs need more colors than their clique number
     assert min(paths[PRIME], paths[UNION], paths[JOIN], paths["chi > omega"]) >= 100, paths
-
-
-def test_coloring_state_assign_and_undo_randomized():
-    # DSATUR's state: the buckets hold exactly the uncolored vertices, each
-    # under its count of neighboring classes, and undo restores everything
-    rng = Random(20261019)
-    for _ in range(200):
-        g = random_graph(rng.randrange(1, 16), rng.random(), rng)
-        state = _Coloring(list(g.adj))
-
-        def snapshot():
-            buckets = list(state.buckets)
-            while buckets and not buckets[-1]:
-                buckets.pop()
-            return state.classes[:], state.near[:], state.saturation[:], state.uncolored, buckets
-
-        tokens, snapshots = [], []
-        while rng.random() < 0.9 and state.pick() >= 0:
-            for v in bit_indices(state.uncolored):
-                seen = sum(1 for members in state.classes if g.adj[v] & members)
-                assert state.buckets[state.saturation[v]] >> v & 1 and state.saturation[v] == seen
-            assert sum(b.bit_count() for b in state.buckets) == state.uncolored.bit_count()
-            v = rng.choice(list(bit_indices(state.uncolored)))
-            colors = [c for c in range(len(state.classes) + 1) if state.admissible(v, c)]
-            snapshots.append(snapshot())
-            tokens.append(state.assign(v, rng.choice(colors)))
-        while tokens:
-            state.undo(tokens.pop())
-            assert snapshot() == snapshots.pop()
 
 
 def test_clique_and_chromatic_of_matching_complement_at_2100_vertices():
@@ -423,7 +395,7 @@ def threshold_graph(n):
 def test_threshold_graph_cotree_thousands_deep(n):
     g = threshold_graph(n)
     assert g.edge_count == sum(range(1, n, 2))  # v odd: one edge to each earlier vertex
-    deco = decomposition(g)
+    deco = Decomposition(g)
     depth = [0] * len(deco.kinds)
     for i, parts in enumerate(deco.parts):
         for j in parts:
@@ -434,13 +406,15 @@ def test_threshold_graph_cotree_thousands_deep(n):
     # dominates everything before it, and later vertices are isolated
     dominating = len(range(1, n, 2))
     last = max(range(1, n, 2))
-    assert clique_number(g) == chromatic_number(g) == dominating + 1
-    assert domination_number(g) == 1 + (n - 1 - last)
+    assert clique_number(g, deco) == chromatic_number(g, deco) == dominating + 1
+    assert domination_number(g, deco) == 1 + (n - 1 - last)
 
 
 def test_full_report_at_order_cap_under_low_recursion_limit():
-    # A solver that recursed once per vertex or clique member would fail
-    # here: the gf:2^12 complement has a 2048-vertex maximum clique.
+    # Code that recursed once per vertex or clique member would fail here:
+    # the gf:2^12 complement has a 2048-vertex maximum clique.  Ring graphs
+    # never reach a prime-piece search, so this guards the decomposition
+    # and every other invariant of the report.
     script = (
         "import sys\n"
         "from upg.graphs import complement, unity_product_graph\n"
