@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from . import invariants as inv
 from .graphs import (
-    SimpleGraph,
     complement,
     decompose_matching_structure,
     is_complete,
@@ -60,10 +59,12 @@ class UnknownClaimError(KeyError):
 
 
 class RingContext:
-    """Lazy per-ring computation cache shared by all claim checks.
+    """Lazy per-ring state shared by all claim checks.
 
-    Claims touch only the quantities they need, so cheap structural
-    claims never trigger the NP-hard solvers.
+    The unity product graph and its complement each have one
+    InvariantReport, ``upg_report`` and ``comp_report``, whose fields are
+    computed on first read, so a claim touches only the invariants it
+    needs and structural claims never reach a solver.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -78,16 +79,16 @@ class RingContext:
         return len(self.unit_group.units)
 
     @cached_property
-    def upg(self) -> SimpleGraph:
-        return unity_product_graph(self.unit_group)
+    def upg_report(self) -> inv.InvariantReport:
+        return inv.InvariantReport(unity_product_graph(self.unit_group))
 
     @cached_property
-    def comp(self) -> SimpleGraph:
-        return complement(self.upg)
+    def comp_report(self) -> inv.InvariantReport:
+        return inv.InvariantReport(complement(self.upg_report.graph))
 
     @cached_property
     def decomposition(self):
-        return decompose_matching_structure(self.upg)
+        return decompose_matching_structure(self.upg_report.graph)
 
     @property
     def isolated(self) -> int:
@@ -108,82 +109,6 @@ class RingContext:
     @cached_property
     def boolean(self) -> bool:
         return is_boolean(self.ring)
-
-    @cached_property
-    def upg_split(self) -> inv.Decomposition:
-        return inv.Decomposition(self.upg)
-
-    @cached_property
-    def comp_split(self) -> inv.Decomposition:
-        return inv.Decomposition(self.comp)
-
-    @property
-    def upg_components(self) -> int:
-        return len(self.upg_split.components)
-
-    @property
-    def comp_connected(self) -> bool:
-        return len(self.comp_split.components) <= 1
-
-    @cached_property
-    def comp_complete(self) -> bool:
-        return is_complete(self.comp)
-
-    @cached_property
-    def upg_girth(self):
-        return inv.girth(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_girth(self):
-        return inv.girth(self.comp, self.comp_split)
-
-    @cached_property
-    def upg_diameter_radius(self):
-        return inv.eccentricity_profile(self.upg)
-
-    @cached_property
-    def comp_diameter_radius(self):
-        return inv.eccentricity_profile(self.comp)
-
-    @cached_property
-    def upg_domination(self) -> int:
-        return inv.domination_number(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_domination(self) -> int:
-        return inv.domination_number(self.comp, self.comp_split)
-
-    @cached_property
-    def upg_clique(self) -> int:
-        return inv.clique_number(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_clique(self) -> int:
-        return inv.clique_number(self.comp, self.comp_split)
-
-    @cached_property
-    def upg_chromatic(self) -> int:
-        return inv.chromatic_number(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_chromatic(self) -> int:
-        return inv.chromatic_number(self.comp, self.comp_split)
-
-    @cached_property
-    def upg_planar(self) -> bool:
-        return inv.is_planar(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_planar(self) -> bool:
-        return inv.is_planar(self.comp, self.comp_split)
-
-    @cached_property
-    def upg_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.upg, self.upg_split)
-
-    @cached_property
-    def comp_hamiltonian(self) -> bool:
-        return inv.is_hamiltonian(self.comp, self.comp_split)
 
     def unit_residues(self) -> tuple[int, ...]:
         """Canonical residues of the units, for rings isomorphic to Z/n."""
@@ -242,19 +167,20 @@ def _fail(expected: object, computed: object, **extra: object):
 
 
 def _check_boolean_trivial(ctx: RingContext):
-    if ctx.upg.n == 1 and ctx.upg.edge_count == 0:
+    upg = ctx.upg_report
+    if upg.n == 1 and upg.edge_count == 0:
         return PASS, None
-    return _fail("trivial graph K1", f"{ctx.upg.n} vertices {ctx.upg.edge_count} edges")
+    return _fail("trivial graph K1", f"{upg.n} vertices {upg.edge_count} edges")
 
 
 def _check_upg_disconnected(ctx: RingContext):
-    if ctx.upg_components >= 2:
+    if ctx.upg_report.component_count >= 2:
         return PASS, None
-    return _fail("disconnected", "connected", components=ctx.upg_components)
+    return _fail("disconnected", "connected", components=ctx.upg_report.component_count)
 
 
 def _check_comp_connected(ctx: RingContext):
-    if ctx.comp_connected:
+    if ctx.comp_report.connected:
         return PASS, None
     return _fail("connected", "disconnected")
 
@@ -287,7 +213,8 @@ def _check_trichotomy(ctx: RingContext):
 
 
 def _check_multipartite_form(ctx: RingContext):
-    profile = recognize_complete_multipartite(ctx.comp, ctx.comp_split.co_components)
+    comp = ctx.comp_report
+    profile = recognize_complete_multipartite(comp.graph, comp.split.co_components)
     expected = tuple(sorted([1] * ctx.isolated + [2] * ctx.pairs))
     if not profile.valid or profile.part_sizes != expected:
         return _fail(
@@ -320,28 +247,30 @@ def _check_self_inverse_units(ctx: RingContext):
 
 
 def _check_upg_edgeless(ctx: RingContext):
-    if ctx.upg.edge_count == 0:
+    upg = ctx.upg_report.graph
+    if upg.edge_count == 0:
         return PASS, None
-    u, v = ctx.upg.edges()[0]
-    return _fail("edgeless", f"edge {ctx.upg.labels[u]}-{ctx.upg.labels[v]}")
+    u, v = upg.edges()[0]
+    return _fail("edgeless", f"edge {upg.labels[u]}-{upg.labels[v]}")
 
 
 def _check_comp_complete(ctx: RingContext):
-    if ctx.comp_complete:
+    comp = ctx.comp_report.graph
+    if is_complete(comp):
         return PASS, None
-    return _fail("complete graph", f"{ctx.comp.edge_count} edges on {ctx.comp.n} vertices")
+    return _fail("complete graph", f"{comp.edge_count} edges on {comp.n} vertices")
 
 
 def _check_upg_girth_inf(ctx: RingContext):
-    if ctx.upg_girth == inv.INFINITY:
+    if ctx.upg_report.girth == inv.INFINITY:
         return PASS, None
-    return _fail("inf", inv.fmt_extended(ctx.upg_girth), quantity="girth")
+    return _fail("inf", ctx.upg_report.text("girth"), quantity="girth")
 
 
 def _gap_three_units(ctx: RingContext):
     return HYPOTHESIS_GAP, {
         "units": 3,
-        "complement_girth": inv.fmt_extended(ctx.comp_girth),
+        "complement_girth": ctx.comp_report.text("girth"),
         "detail": "no girth statement covers rings with exactly three units",
     }
 
@@ -349,49 +278,43 @@ def _gap_three_units(ctx: RingContext):
 def _check_comp_girth_inf(ctx: RingContext):
     if ctx.unit_count == 3:
         return _gap_three_units(ctx)
-    if ctx.comp_girth == inv.INFINITY:
+    if ctx.comp_report.girth == inv.INFINITY:
         return PASS, None
-    return _fail("inf", inv.fmt_extended(ctx.comp_girth), quantity="complement girth")
+    return _fail("inf", ctx.comp_report.text("girth"), quantity="complement girth")
 
 
 def _check_comp_girth_three(ctx: RingContext):
     if ctx.unit_count == 3:
         return _gap_three_units(ctx)
-    if ctx.comp_girth == 3:
+    if ctx.comp_report.girth == 3:
         return PASS, None
-    return _fail(3, inv.fmt_extended(ctx.comp_girth), quantity="complement girth")
+    return _fail(3, ctx.comp_report.text("girth"), quantity="complement girth")
+
+
+def _diameter_radius(report: inv.InvariantReport) -> str:
+    return f"diameter {report.text('diameter')} radius {report.text('radius')}"
 
 
 def _check_upg_diam_rad_inf(ctx: RingContext):
-    diameter, radius = ctx.upg_diameter_radius
-    if diameter == inv.INFINITY and radius == inv.INFINITY:
+    upg = ctx.upg_report
+    if upg.diameter == inv.INFINITY and upg.radius == inv.INFINITY:
         return PASS, None
-    return _fail(
-        "diameter inf and radius inf",
-        f"diameter {inv.fmt_extended(diameter)} radius {inv.fmt_extended(radius)}",
-    )
+    return _fail("diameter inf and radius inf", _diameter_radius(upg))
 
 
 def _check_comp_diam2_rad1(ctx: RingContext):
-    diameter, radius = ctx.comp_diameter_radius
-    if diameter == 2 and radius == 1:
+    comp = ctx.comp_report
+    if comp.diameter == 2 and comp.radius == 1:
         return PASS, None
-    return _fail(
-        "diameter 2 and radius 1",
-        f"diameter {inv.fmt_extended(diameter)} radius {inv.fmt_extended(radius)}",
-    )
+    return _fail("diameter 2 and radius 1", _diameter_radius(comp))
 
 
 def _check_diam_rad_one_iff_cyclic_24(ctx: RingContext):
-    diameter, radius = ctx.comp_diameter_radius
-    metric_one = diameter == 1 and radius == 1
+    comp = ctx.comp_report
+    metric_one = comp.diameter == 1 and comp.radius == 1
     family = ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order)
     if family and not metric_one:
-        return _fail(
-            "diameter 1 and radius 1",
-            f"diameter {inv.fmt_extended(diameter)} radius {inv.fmt_extended(radius)}",
-            direction="forward",
-        )
+        return _fail("diameter 1 and radius 1", _diameter_radius(comp), direction="forward")
     if metric_one and not family:
         return _fail(
             "ring isomorphic to Z/n with n over 2 dividing 24",
@@ -403,71 +326,74 @@ def _check_diam_rad_one_iff_cyclic_24(ctx: RingContext):
 
 def _check_upg_domination(ctx: RingContext):
     expected = ctx.isolated + ctx.pairs
-    if ctx.upg_domination == expected:
+    if ctx.upg_report.domination_number == expected:
         return PASS, None
-    return _fail(expected, ctx.upg_domination, quantity="domination number")
+    return _fail(expected, ctx.upg_report.domination_number, quantity="domination number")
 
 
 def _check_comp_domination_one(ctx: RingContext):
-    if ctx.comp_domination == 1:
+    if ctx.comp_report.domination_number == 1:
         return PASS, None
-    return _fail(1, ctx.comp_domination, quantity="complement domination number")
+    return _fail(1, ctx.comp_report.domination_number, quantity="complement domination number")
 
 
 def _check_upg_clique(ctx: RingContext):
+    upg = ctx.upg_report
     if ctx.pairs >= 1:
-        if ctx.upg_clique == 2:
+        if upg.clique_number == 2:
             return PASS, None
-        return _fail(2, ctx.upg_clique, quantity="clique number")
+        return _fail(2, upg.clique_number, quantity="clique number")
     # edgeless case: every vertex is its own 1-clique; the stated count m
     # tallies those cliques, while the standard clique number is 1
-    if ctx.upg_clique == 1 and ctx.upg_components == ctx.unit_count:
+    if upg.clique_number == 1 and upg.component_count == ctx.unit_count:
         return PASS, None
     return _fail(
         f"clique number 1 with {ctx.unit_count} one-cliques",
-        f"clique number {ctx.upg_clique} with {ctx.upg_components} components",
+        f"clique number {upg.clique_number} with {upg.component_count} components",
     )
 
 
 def _check_upg_chromatic(ctx: RingContext):
     expected = 1 if ctx.pairs == 0 else 2
-    if ctx.upg_chromatic == expected:
+    if ctx.upg_report.chromatic_number == expected:
         return PASS, None
-    return _fail(expected, ctx.upg_chromatic, quantity="chromatic number")
+    return _fail(expected, ctx.upg_report.chromatic_number, quantity="chromatic number")
 
 
 def _check_prop_52(ctx: RingContext):
     m = ctx.unit_count
     if m not in (2, 4, 8):
         return _fail("unit count in {2 4 8}", m, quantity="unit count")
-    if ctx.comp_chromatic == m and ctx.comp_clique == m:
+    comp = ctx.comp_report
+    if comp.chromatic_number == m and comp.clique_number == m:
         return PASS, None
     return _fail(
         f"complement chromatic {m} and clique {m}",
-        f"chromatic {ctx.comp_chromatic} clique {ctx.comp_clique}",
+        f"chromatic {comp.chromatic_number} clique {comp.clique_number}",
     )
 
 
 def _check_prime_field_comp_coloring(ctx: RingContext):
     expected_chromatic = ctx.unit_count - ctx.pairs
     expected_clique = (ctx.ring.order + 1) // 2
-    if ctx.comp_chromatic == expected_chromatic and ctx.comp_clique == expected_clique:
+    comp = ctx.comp_report
+    if comp.chromatic_number == expected_chromatic and comp.clique_number == expected_clique:
         return PASS, None
     return _fail(
         f"complement chromatic {expected_chromatic} and clique {expected_clique}",
-        f"chromatic {ctx.comp_chromatic} clique {ctx.comp_clique}",
+        f"chromatic {comp.chromatic_number} clique {comp.clique_number}",
     )
 
 
 def _check_upg_planar(ctx: RingContext):
-    if ctx.upg_planar:
+    if ctx.upg_report.planar:
         return PASS, None
     return _fail("planar", "nonplanar")
 
 
 def _check_comp_planar_iff(ctx: RingContext):
     small = ctx.unit_count <= 4
-    planar = ctx.comp_planar
+    planar = ctx.comp_report.planar
     if small and not planar:
         return _fail("planar", "nonplanar", direction="forward", units=ctx.unit_count)
     if planar and not small:
@@ -476,14 +402,14 @@ def _check_comp_planar_iff(ctx: RingContext):
 
 
 def _check_upg_not_hamiltonian(ctx: RingContext):
-    if not ctx.upg_hamiltonian:
+    if not ctx.upg_report.hamiltonian:
         return PASS, None
     return _fail("not hamiltonian", "hamiltonian")
 
 
 def _check_comp_hamiltonian_iff(ctx: RingContext):
     many = ctx.unit_count > 2
-    ham = ctx.comp_hamiltonian
+    ham = ctx.comp_report.hamiltonian
     if many and not ham:
         witness: dict[str, object] = {
             "expected": "hamiltonian",
@@ -621,7 +547,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "thm-4.5",
         "When the complement unity product graph is not complete, its "
         "diameter is 2 and its radius is 1.",
-        lambda ctx: _has_unity(ctx) and not ctx.comp_complete,
+        lambda ctx: _has_unity(ctx) and not is_complete(ctx.comp_report.graph),
         _check_comp_diam2_rad1,
     ),
     Claim(

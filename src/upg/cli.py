@@ -28,6 +28,7 @@ from . import claims as claims_mod
 from . import invariants as inv
 from .claims import (
     FAIL,
+    RingContext,
     UnknownClaimError,
     builtin_claims,
     default_rings,
@@ -37,13 +38,7 @@ from .claims import (
     render_text,
     run_sweep,
 )
-from .graphs import (
-    complement,
-    decompose_matching_structure,
-    dot_chunks,
-    json_chunks,
-    unity_product_graph,
-)
+from .graphs import complement, dot_chunks, json_chunks, unity_product_graph
 from .invariants import full_report
 from .rings import (
     DEFAULT_ORDER_CAP,
@@ -125,6 +120,18 @@ def _ring_graph(ring: FiniteRing, which: str):
     return complement(g) if which == "complement" else g
 
 
+def _decided(ring: FiniteRing, compute, prefix: str = ""):
+    """compute(), with an invariant's refusal of a graph turned into exit 4."""
+    try:
+        return compute()
+    except inv.VertexBoundError as exc:
+        raise _CliError(
+            EXIT_BOUND,
+            f"{prefix}{exc.invariant} on ring {ring.label}: graph on {exc.n} vertices "
+            "is outside the classes decided in closed form",
+        ) from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
     g = _ring_graph(ring, args.graph)
@@ -136,14 +143,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
     g = _ring_graph(ring, args.graph)
-    try:
-        report = full_report(g)
-    except inv.VertexBoundError as exc:
-        raise _CliError(
-            EXIT_BOUND,
-            f"{exc.invariant} on ring {ring.label}: graph on {exc.n} vertices "
-            "is outside the classes decided in closed form",
-        ) from None
+    report = _decided(ring, lambda: full_report(g))
     text = report.to_text() if args.format == "text" else report.to_json()
     _emit(text, args.out)
     return EXIT_OK
@@ -218,12 +218,6 @@ def _survey_family(family: str, maximum: int, order_cap: int) -> list[FiniteRing
         raise _CliError(EXIT_BOUND, f"survey bound violation: {exc}") from None
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return inv.fmt_extended(value) if isinstance(value, float) else str(value)
-
-
 def cmd_survey(args: argparse.Namespace) -> int:
     rings = _survey_family(args.family, args.max, args.order_cap)
     header = ["ring", "order", "units", "isolated", "pairs"]
@@ -231,21 +225,11 @@ def cmd_survey(args: argparse.Namespace) -> int:
     header += [f"comp_{c}" for c in _SURVEY_COLUMNS]
     lines = [",".join(header)]
     for ring in rings:
-        g = _ring_graph(ring, "upg")
-        c = complement(g)
-        deco = decompose_matching_structure(g)
-        try:
-            reports = [full_report(h) for h in (g, c)]
-        except inv.VertexBoundError as exc:
-            raise _CliError(
-                EXIT_BOUND,
-                f"survey bound violation: {exc.invariant} on ring {ring.label}: "
-                f"graph on {exc.n} vertices is outside the classes decided in "
-                "closed form",
-            ) from None
-        row = [ring.label, str(ring.order), str(g.n), str(deco.isolated), str(deco.pairs)]
-        for report in reports:
-            row.extend(_fmt_cell(getattr(report, name)) for name in _SURVEY_COLUMNS)
+        ctx = RingContext(ring)
+        row = [ring.label, str(ring.order), str(ctx.unit_count), str(ctx.isolated), str(ctx.pairs)]
+        for report in (ctx.upg_report, ctx.comp_report):
+            _decided(ring, report.check, "survey bound violation: ")
+            row.extend(report.text(name) for name in _SURVEY_COLUMNS)
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .rings import UnitGroup
@@ -47,7 +48,7 @@ class SimpleGraph:
         # Symmetry over whichever of edges and non-edges is fewer.  The
         # direction must be one for all rows: checking each row its own way
         # would let the edge 0 -> 1 of adj = (0b10, 0) through.
-        if sum(row.bit_count() for row in self.adj) <= self.n * (self.n - 1) // 2:
+        if 2 * self.edge_count <= self.n * (self.n - 1) // 2:
             for v, row in enumerate(self.adj):
                 for u in bit_indices(row):
                     if not self.adj[u] >> v & 1:
@@ -58,7 +59,7 @@ class SimpleGraph:
                     if self.adj[u] >> v & 1:
                         raise ValueError(f"asymmetric edge ({u}, {v})")
 
-    @property
+    @cached_property  # in the instance dict, so == and hash still see only the fields
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

@@ -10,9 +10,14 @@ by one vertex or two.  Only prime pieces, connected and co-connected,
 reach a search, the recursive branch and bound searches for clique,
 coloring (DSATUR bound, then exact k-colorability) and domination, each
 meant for small pieces.  Every ring graph splits into pieces of at most
-two vertices and never reaches a search.  The component count and the
-complete multipartite test read the same split, and every function that
-needs it takes an optional ``split`` so callers that hold one share it.
+two vertices and never reaches a search.
+
+InvariantReport is the one handle per graph that ``analyze``, ``survey``
+and the claim checks read: it builds the graph's Decomposition once, on
+first need, and computes each invariant on its first read, passing the
+split to every solver that takes one, so the component count, girth,
+planarity, hamiltonicity and the complete multipartite test share it.
+``full_report`` computes and checks every field.
 
 Girth and eccentricity work on whole adjacency rows: girth settles
 forests by their edge count and cyclic graphs with a triangle by one row
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
@@ -157,6 +161,7 @@ SMALL = "small"
 PRIME = "prime"
 UNION = "union"
 JOIN = "join"
+_NON_EDGE = "non-edge"
 
 
 class Decomposition:
@@ -168,9 +173,11 @@ class Decomposition:
     complement is connected.  Piece 0 is the whole graph.  A disconnected
     piece is a ``union`` of its components; a connected piece whose
     complement is disconnected is a ``join`` of its co-components.  A piece
-    of at most two vertices is ``small``, and a larger piece that neither
-    split divides is ``prime``.  A component is connected and a
-    co-component co-connected, so each child tries only the other split.
+    of at most two vertices is ``small`` when it is a clique and a
+    ``non-edge`` otherwise, and a larger piece that neither split divides
+    is ``prime``.  A component is connected and a co-component
+    co-connected, so each child tries only the other split, and a child of
+    two vertices is an edge under a union and a non-edge under a join.
     Children come after their parent, so a reverse pass over the pieces
     meets every child before its parent.
 
@@ -191,7 +198,7 @@ class Decomposition:
         self.co_components = (
             connected_parts(adj, full, complemented=True) if len(self.components) <= 1 else [full]
         )
-        self.kinds: list[str] = [SMALL]
+        self.kinds: list[str] = [_NON_EDGE if g.n == 2 and not adj[0] else SMALL]
         self.masks: list[int] = [full]
         self.parts: list[tuple[int, ...]] = [()]
         top = {UNION: self.components, JOIN: self.co_components}
@@ -211,11 +218,12 @@ class Decomposition:
                 continue
             self.kinds[i] = kind
             other = (JOIN,) if kind == UNION else (UNION,)
+            small = SMALL if kind == UNION else _NON_EDGE
             first = len(self.masks)
             self.parts[i] = tuple(range(first, first + len(split)))
             for part in split:
                 stack.append((len(self.masks), other))
-                self.kinds.append(SMALL)
+                self.kinds.append(small if part.bit_count() == 2 else SMALL)
                 self.masks.append(part)
                 self.parts.append(())
 
@@ -227,20 +235,16 @@ class Decomposition:
             if kind == PRIME
         }
 
-    def _small_clique(self, mask: int) -> tuple[int, int]:
-        """(order, mask) of a maximum clique of at most two vertices."""
-        if mask.bit_count() == 2 and not self.adj[(mask & -mask).bit_length() - 1] & mask:
-            mask &= -mask
-        return mask.bit_count(), mask
-
     @cached_property
     def _cliques(self) -> list[tuple[int, int]]:
         """(order, vertex mask) of a maximum clique of every piece."""
         out: list[tuple[int, int]] = [(0, 0)] * len(self.masks)
         for i in reversed(range(len(self.masks))):
-            kind = self.kinds[i]
+            kind, mask = self.kinds[i], self.masks[i]
             if kind == SMALL:
-                out[i] = self._small_clique(self.masks[i])
+                out[i] = (mask.bit_count(), mask)
+            elif kind == _NON_EDGE:
+                out[i] = (1, mask & -mask)
             elif kind == PRIME:
                 out[i] = self._primes[i].clique
             elif kind == UNION:
@@ -263,14 +267,14 @@ class Decomposition:
         colors = [0] * len(self.masks)
         for i in reversed(range(len(self.masks))):
             kind = self.kinds[i]
-            if kind == SMALL:
-                colors[i] = cliques[i][0]
-            elif kind == PRIME:
+            if kind == PRIME:
                 colors[i] = self._primes[i].chromatic
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
-            else:
+            elif kind == JOIN:
                 colors[i] = sum(colors[j] for j in self.parts[i])
+            else:
+                colors[i] = cliques[i][0]
         return colors[0]
 
     @cached_property
@@ -279,12 +283,12 @@ class Decomposition:
         return sum(self._dominate(i) for i in components)
 
     def _dominate(self, i: int) -> int:
-        kind, mask = self.kinds[i], self.masks[i]
+        kind = self.kinds[i]
         if kind == SMALL:
             # a clique is dominated by any one of its vertices
-            if not mask:
-                return 0
-            return 1 if self._small_clique(mask)[0] == mask.bit_count() else 2
+            return 1 if self.masks[i] else 0
+        if kind == _NON_EDGE:
+            return 2
         if kind == JOIN:
             return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
         return self._primes[i].domination
@@ -495,8 +499,8 @@ def _chromatic_search(g: SimpleGraph, clique: tuple[int, int]) -> int:
 def domination_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
     """Minimum size of a set whose closed neighborhoods cover the graph.
 
-    ``split``, here and below, is g's decomposition when the caller
-    already has one."""
+    ``split``, here and below, is g's decomposition, which an
+    InvariantReport passes so that its fields share one."""
     return (split or Decomposition(g)).domination
 
 
@@ -587,34 +591,14 @@ def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     raise VertexBoundError("hamiltonicity", g.n)
 
 
-@dataclass(frozen=True)
 class InvariantReport:
-    """Full exact invariant set for one graph.
+    """The invariants of one graph, each computed on its first read.
 
-    girth, diameter and radius are extended naturals; everything else is
-    finite.  Consistency is asserted at construction.
+    The report owns the graph's Decomposition, built when a field first
+    needs it, and hands it to the solvers that read the split.  girth,
+    diameter and radius are extended naturals; everything else is finite.
+    ``check`` computes every field and asserts their consistency.
     """
-
-    n: int
-    edge_count: int
-    component_count: int
-    isolated_count: int
-    connected: bool
-    girth: ExtendedNat
-    diameter: ExtendedNat
-    radius: ExtendedNat
-    domination_number: int
-    chromatic_number: int
-    clique_number: int
-    planar: bool
-    hamiltonian: bool
-
-    def __post_init__(self):
-        assert self.radius <= self.diameter
-        assert self.clique_number <= self.chromatic_number
-        assert self.connected == (self.component_count <= 1)
-        if self.hamiltonian:
-            assert self.connected and self.n >= 3
 
     _FIELDS = (
         "n", "edge_count", "component_count", "isolated_count", "connected",
@@ -622,15 +606,92 @@ class InvariantReport:
         "chromatic_number", "clique_number", "planar", "hamiltonian",
     )
 
+    def __init__(self, g: SimpleGraph):
+        self.graph = g
+
+    @cached_property
+    def split(self) -> Decomposition:
+        return Decomposition(self.graph)
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def edge_count(self) -> int:
+        return self.graph.edge_count
+
+    @cached_property
+    def component_count(self) -> int:
+        return len(self.split.components)
+
+    @cached_property
+    def isolated_count(self) -> int:
+        return self.graph.adj.count(0)
+
+    @property
+    def connected(self) -> bool:
+        return self.component_count <= 1
+
+    @cached_property
+    def girth(self) -> ExtendedNat:
+        return girth(self.graph, self.split)
+
+    @cached_property
+    def _eccentricities(self) -> tuple[ExtendedNat, ExtendedNat]:
+        return eccentricity_profile(self.graph)
+
+    @property
+    def diameter(self) -> ExtendedNat:
+        return self._eccentricities[0]
+
+    @property
+    def radius(self) -> ExtendedNat:
+        return self._eccentricities[1]
+
+    @cached_property
+    def domination_number(self) -> int:
+        return domination_number(self.graph, self.split)
+
+    @cached_property
+    def chromatic_number(self) -> int:
+        return chromatic_number(self.graph, self.split)
+
+    @cached_property
+    def clique_number(self) -> int:
+        return clique_number(self.graph, self.split)
+
+    @cached_property
+    def planar(self) -> bool:
+        return is_planar(self.graph, self.split)
+
+    @cached_property
+    def hamiltonian(self) -> bool:
+        return is_hamiltonian(self.graph, self.split)
+
+    def check(self) -> InvariantReport:
+        """Compute every field, in report order, and assert consistency."""
+        for name in self._FIELDS:
+            getattr(self, name)
+        assert self.radius <= self.diameter
+        assert self.clique_number <= self.chromatic_number
+        assert self.connected == (self.component_count <= 1)
+        if self.hamiltonian:
+            assert self.connected and self.n >= 3
+        return self
+
+    def text(self, name: str) -> str:
+        """One field as the text report and the survey print it."""
+        value = getattr(self, name)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return fmt_extended(value)
+
     def to_json_dict(self) -> dict:
         out: dict = {}
         for name in self._FIELDS:
             value = getattr(self, name)
-            if name in ("girth", "diameter", "radius") and value == INFINITY:
-                value = "inf"
-            elif isinstance(value, float):
-                value = int(value)
-            out[name] = value
+            out[name] = "inf" if value == INFINITY else value
         return out
 
     def to_json(self) -> str:
@@ -638,16 +699,7 @@ class InvariantReport:
 
     def to_text(self) -> str:
         """Two-column aligned table, fixed field order."""
-        rows = []
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif name in ("girth", "diameter", "radius"):
-                text = fmt_extended(value)
-            else:
-                text = str(value)
-            rows.append((name, text))
+        rows = [(name, self.text(name)) for name in self._FIELDS]
         width = max(len(name) for name, _ in rows)
         vwidth = max(len(text) for _, text in rows)
         lines = [f"{name:<{width}}  {text:>{vwidth}}" for name, text in rows]
@@ -655,23 +707,5 @@ class InvariantReport:
 
 
 def full_report(g: SimpleGraph) -> InvariantReport:
-    """Compute every invariant of the report for one graph, all on one
-    decomposition."""
-    split = Decomposition(g)
-    comp_count = len(split.components)
-    diameter, radius = eccentricity_profile(g)
-    return InvariantReport(
-        n=g.n,
-        edge_count=g.edge_count,
-        component_count=comp_count,
-        isolated_count=g.adj.count(0),
-        connected=comp_count <= 1,
-        girth=girth(g, split),
-        diameter=diameter,
-        radius=radius,
-        domination_number=domination_number(g, split),
-        chromatic_number=chromatic_number(g, split),
-        clique_number=clique_number(g, split),
-        planar=is_planar(g, split),
-        hamiltonian=is_hamiltonian(g, split),
-    )
+    """The report of one graph with every field computed and checked."""
+    return InvariantReport(g).check()

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from upg.claims import (
     render_text,
     run_sweep,
 )
+import upg.invariants
 from upg.invariants import VertexBoundError
 from upg.rings import parse_ring_spec, zmod
 
@@ -207,6 +209,59 @@ def test_vertex_bound_skipped():
     reason = verdicts[0].witness["reason"]
     assert "hamiltonicity" in reason and "closed-form" in reason
     assert "bound" not in reason
+
+
+SOLVERS = (
+    "girth",
+    "eccentricity_profile",
+    "domination_number",
+    "clique_number",
+    "chromatic_number",
+    "is_planar",
+    "is_hamiltonian",
+)
+
+
+def test_structural_claims_reach_no_solver(monkeypatch):
+    # Any solver call would turn into a skipped verdict.
+    for name in SOLVERS:
+        def refuse(g, *args, name=name):
+            raise VertexBoundError(name, g.n)
+
+        monkeypatch.setattr(upg.invariants, name, refuse)
+    claims = [lookup(c) for c in ("thm-3.1", "thm-3.6", "prop-3.1", "prop-3.2-2")]
+    verdicts = run_sweep(claims, default_rings())
+    assert len(verdicts) == 4 * len(default_rings())
+    outcomes = Counter(v.outcome for v in verdicts)
+    assert outcomes[SKIPPED] == 0 and outcomes[PASS] > 0, outcomes
+
+
+def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
+    calls = Counter()
+    splits = []
+
+    class CountedDecomposition(upg.invariants.Decomposition):
+        def __init__(self, g):
+            splits.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(upg.invariants, "Decomposition", CountedDecomposition)
+    for name in SOLVERS:
+        def counted(g, *args, solver=getattr(upg.invariants, name), name=name):
+            calls[name, id(g)] += 1
+            return solver(g, *args)
+
+        monkeypatch.setattr(upg.invariants, name, counted)
+    for ring in default_rings():
+        splits.clear()
+        calls.clear()
+        verdicts = run_sweep(builtin_claims(), [ring])
+        assert SKIPPED not in {v.outcome for v in verdicts}, ring.label
+        # the split list keeps both graphs alive, so their ids stay distinct
+        assert len(splits) == len({id(g) for g in splits}) == 2, ring.label
+        assert {key for _, key in calls} <= {id(g) for g in splits}, ring.label
+        assert max(calls.values()) == 1, (ring.label, calls)
+        assert {name for name, _ in calls} == set(SOLVERS), ring.label
 
 
 @pytest.mark.parametrize("q", [12, 18, 6, 0, 1])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import upg.invariants
 from upg import cli, rings
 from upg.invariants import VertexBoundError
 
@@ -485,6 +487,62 @@ def test_analyze_vertex_bound_exit_4(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "planarity" in err and "Z/16" in err
     assert "closed form" in err and "bound" not in err
+
+
+def test_survey_vertex_bound_exit_4(monkeypatch, capsys):
+    def refuse(g, *args):
+        raise VertexBoundError("hamiltonicity", g.n)
+
+    monkeypatch.setattr(upg.invariants, "is_hamiltonian", refuse)
+    code = cli.main(["survey", "--family", "zmod", "--max", "5"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: survey bound violation: hamiltonicity on ring Z/1: graph on 1 "
+        "vertices is outside the classes decided in closed form\n"
+    )
+
+
+def survey_specs(family, maximum):
+    """The specs of the rings `survey` lists, in its row order."""
+    if family != "gf":
+        return [f"{family}:{n}" for n in range(1, maximum + 1)]
+    specs = []
+    for q in range(2, maximum + 1):
+        p = min(d for d in range(2, q + 1) if q % d == 0)
+        k = round(math.log(q, p))
+        if p**k == q:
+            specs.append(f"gf:{p}^{k}")
+    return specs
+
+
+@pytest.mark.parametrize("family, maximum", [("zmod", 40), ("gf", 32), ("bool", 6)])
+def test_survey_cells_match_analyze(family, maximum, capsys):
+    # one value-to-text rule: each survey cell is analyze's field, as text
+    assert cli.main(["survey", "--family", family, "--max", str(maximum)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    specs = survey_specs(family, maximum)
+    assert len(lines) == len(specs) + 1
+    for spec, line in zip(specs, lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        assert row["ring"] == rings.parse_ring_spec(spec).label
+        docs = {}
+        for prefix, graph in (("upg", "upg"), ("comp", "complement")):
+            args = ["analyze", "--ring", spec, "--graph", graph, "--format", "json"]
+            assert cli.main(args) == 0
+            docs[prefix] = json.loads(capsys.readouterr().out)
+        assert row["units"] == str(docs["upg"]["n"]) == str(docs["comp"]["n"])
+        assert row["isolated"] == str(docs["upg"]["isolated_count"])
+        assert row["pairs"] == str(docs["upg"]["edge_count"])
+        for column, cell in row.items():
+            prefix, _, name = column.partition("_")
+            if prefix in docs:
+                value = docs[prefix][name]
+                assert cell == (str(value).lower() if isinstance(value, bool) else str(value)), (
+                    row["ring"], column,
+                )
 
 
 def test_main_in_process_smoke(capsys):
