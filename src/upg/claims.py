@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from . import invariants as inv
 from .graphs import (
-    complement,
     decompose_matching_structure,
     is_complete,
     recognize_complete_multipartite,
@@ -84,7 +83,7 @@ class RingContext:
 
     @cached_property
     def comp_report(self) -> inv.InvariantReport:
-        return inv.InvariantReport(complement(self.upg_report.graph))
+        return self.upg_report.complement()
 
     @cached_property
     def decomposition(self):

@@ -176,11 +176,10 @@ class StructureDecomposition:
 
 
 def decompose_matching_structure(g: SimpleGraph) -> StructureDecomposition:
-    """Recognize a disjoint union of K1's and K2's by degree inspection."""
-    if any(g.degree(v) > 1 for v in range(g.n)):
+    """Recognize a disjoint union of K1's and K2's: no row has two bits."""
+    if any(row & (row - 1) for row in g.adj):
         return StructureDecomposition(isolated=0, pairs=0, valid=False)
-    isolated = sum(1 for v in range(g.n) if g.degree(v) == 0)
-    return StructureDecomposition(isolated=isolated, pairs=g.edge_count, valid=True)
+    return StructureDecomposition(isolated=g.adj.count(0), pairs=g.edge_count, valid=True)
 
 
 @dataclass(frozen=True)
@@ -202,17 +201,20 @@ def recognize_complete_multipartite(
 
     A graph is complete multipartite iff each of its co-components (the
     components of its complement) is an independent set; the parts are
-    those co-components.  No complement is built, and none is searched
-    when the caller passes the co-components as vertex masks.
+    those co-components.  Two vertices of different co-components are
+    adjacent, so the graph has (n^2 - sum of |P|^2) / 2 edges between its
+    co-components P, and exactly that many edges in all iff no
+    co-component holds an edge.  The test reads no row: no complement is
+    built, and none is searched when the caller passes the co-components
+    as vertex masks.  Callers must pass the graph's true co-components;
+    any other partition gives a meaningless answer.
     """
     if co_components is None:
         co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
-    sizes = []
-    for part in co_components:
-        if any(g.adj[v] & part for v in bit_indices(part)):
-            return MultipartiteProfile(part_sizes=(), valid=False)
-        sizes.append(part.bit_count())
-    return MultipartiteProfile(part_sizes=tuple(sorted(sizes)), valid=True)
+    sizes = sorted(part.bit_count() for part in co_components)
+    if 2 * g.edge_count != g.n * g.n - sum(size * size for size in sizes):
+        return MultipartiteProfile(part_sizes=(), valid=False)
+    return MultipartiteProfile(part_sizes=tuple(sizes), valid=True)
 
 
 # maps the ASCII digits of format(row, "b") to selector bytes for compress

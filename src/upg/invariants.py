@@ -16,19 +16,24 @@ InvariantReport is the one handle per graph that ``analyze``, ``survey``
 and the claim checks read: it builds the graph's Decomposition once, on
 first need, and computes each invariant on its first read, passing the
 split to every solver that takes one, so the component count, girth,
-planarity, hamiltonicity and the complete multipartite test share it.
-``full_report`` computes and checks every field.
+eccentricities, planarity, hamiltonicity and the complete multipartite
+test share it.  ``InvariantReport.complement`` gives the complement's
+report with its split derived from this one, since the complement has
+the same pieces with every label flipped.  ``full_report`` computes and
+checks every field.
 
-Girth and eccentricity work on whole adjacency rows: girth settles
-forests by their edge count and cyclic graphs with a triangle by one row
-AND per edge, and runs a per-root BFS only on triangle-free cyclic
-graphs; eccentricities come from a direction-switching BFS over vertex
-masks that stops after its first root when the graph is disconnected.
-Planarity and hamiltonicity are decided in closed form for the two shapes
-ring graphs take, forests (every unity product graph) and complete
-multipartite graphs (every complement), plus graphs that small size or
-an edge or degree count settles; any other graph is refused with
-VertexBoundError.
+Girth and eccentricity work on the split and on whole adjacency rows:
+girth settles forests by their edge count and cyclic graphs with a
+triangle by one row AND per edge, and runs a per-root BFS only on
+triangle-free cyclic graphs; eccentricities are read off the split for
+a union (all infinite) or a join (1 or 2, from the co-component sizes),
+and only a connected and co-connected graph runs a direction-switching
+BFS over vertex masks.  Planarity and hamiltonicity are decided in
+closed form for the two shapes ring graphs take, forests (every unity
+product graph) and complete multipartite graphs (every complement, told
+apart by its edge count against its co-component sizes), plus graphs
+that small size or an edge or degree count settles; any other graph is
+refused with VertexBoundError.
 
 Values that can be infinite (girth, diameter, radius) use ``math.inf``;
 ``fmt_extended`` renders them as ``"inf"``.
@@ -43,6 +48,7 @@ from functools import cached_property
 from .graphs import (
     SimpleGraph,
     bit_indices,
+    complement,
     component_masks,
     connected_parts,
     recognize_complete_multipartite,
@@ -113,29 +119,42 @@ def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
     return best
 
 
-def eccentricity_profile(g: SimpleGraph) -> tuple[ExtendedNat, ExtendedNat]:
+def eccentricity_profile(
+    g: SimpleGraph, split: Decomposition | None = None
+) -> tuple[ExtendedNat, ExtendedNat]:
     """(diameter, radius).
 
     A disconnected graph has both INFINITY.  A single vertex has
-    eccentricity 0.
+    eccentricity 0.  A join of co-components is read off the split: two
+    vertices of different co-components are adjacent, and a co-component
+    of two or more vertices is co-connected, so each of its vertices
+    misses one of them and reaches it in two steps.  The diameter is
+    therefore 1 iff every co-component is a single vertex, and the radius
+    1 iff some co-component is, both 2 otherwise.
 
-    One BFS per root with the frontier and the visited set as masks
+    Only a graph that is connected and co-connected runs one BFS per
+    root, with the frontier and the visited set as masks
     (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC'12).
     While the frontier has no more vertices than the unvisited set, a
     level is expanded top-down by OR-ing the frontier's rows; after that,
     bottom-up by keeping the unvisited vertices whose row meets the
-    frontier.  The first BFS decides connectivity, so a disconnected
-    graph costs one BFS.
+    frontier.
     """
     if g.n == 0:
         return 0, 0
+    split = split or Decomposition(g)
+    if len(split.components) > 1:
+        return INFINITY, INFINITY
+    if len(split.co_components) > 1:
+        sizes = [part.bit_count() for part in split.co_components]
+        return (1 if max(sizes) == 1 else 2), (1 if min(sizes) == 1 else 2)
     adj = g.adj
     full = (1 << g.n) - 1
-    ecc: list[ExtendedNat] = []
+    ecc: list[int] = []
     for root in range(g.n):
         seen = frontier = 1 << root
         depth = 0
-        while True:
+        while seen != full:
             unseen = full ^ seen
             nxt = 0
             if frontier.bit_count() <= unseen.bit_count():
@@ -146,13 +165,9 @@ def eccentricity_profile(g: SimpleGraph) -> tuple[ExtendedNat, ExtendedNat]:
                 for v in bit_indices(unseen):
                     if adj[v] & frontier:
                         nxt |= 1 << v
-            if not nxt:
-                break
             seen |= nxt
             frontier = nxt
             depth += 1
-        if seen != full:
-            return INFINITY, INFINITY
         ecc.append(depth)
     return max(ecc), min(ecc)
 
@@ -162,6 +177,8 @@ PRIME = "prime"
 UNION = "union"
 JOIN = "join"
 _NON_EDGE = "non-edge"
+# a piece's kind in the complement, for pieces of two or more vertices
+_FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: _NON_EDGE, _NON_EDGE: SMALL, PRIME: PRIME}
 
 
 class Decomposition:
@@ -226,6 +243,25 @@ class Decomposition:
                 self.kinds.append(small if part.bit_count() == 2 else SMALL)
                 self.masks.append(part)
                 self.parts.append(())
+
+    def complemented(self, adj: tuple[int, ...]) -> Decomposition:
+        """The split of the complement, whose rows are ``adj``.
+
+        The complement has the same pieces, since connected_parts finds
+        the same parts over ``adj[u]`` and over ``~adj[u]``: its
+        components are this graph's co-components and the other way round,
+        a union becomes a join, and a two-vertex edge a non-edge.
+        """
+        out = object.__new__(type(self))
+        out.adj = adj
+        out.components, out.co_components = self.co_components, self.components
+        out.kinds = [
+            kind if mask.bit_count() < 2 else _FLIPPED[kind]
+            for kind, mask in zip(self.kinds, self.masks)
+        ]
+        out.masks = self.masks
+        out.parts = self.parts
+        return out
 
     @cached_property
     def _primes(self) -> dict[int, _PrimePiece]:
@@ -572,22 +608,23 @@ def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
 def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     """Exact hamiltonicity of a ring graph.
 
-    Graphs on fewer than 3 vertices, disconnected graphs, and graphs
-    with a vertex of degree below 2 or fewer than n edges (every unity
-    product graph) are not Hamiltonian; complete multipartite graphs
-    (every complement) use the closed form.  Any other graph is refused
-    with VertexBoundError.
+    Graphs on fewer than 3 vertices and disconnected graphs (every unity
+    product graph of more than one unit) are not Hamiltonian; complete
+    multipartite graphs (every complement) use the closed form, which
+    also settles those with a vertex of degree below 2.  Of the rest,
+    graphs with such a vertex or fewer than n edges are not Hamiltonian,
+    and any other graph is refused with VertexBoundError.
     """
     if g.n < 3:
         return False
     split = split or Decomposition(g)
     if len(split.components) != 1:
         return False
-    if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
-        return False
     profile = recognize_complete_multipartite(g, split.co_components)
     if profile.valid:
         return multipartite_hamiltonian(profile.part_sizes)
+    if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
+        return False
     raise VertexBoundError("hamiltonicity", g.n)
 
 
@@ -639,7 +676,7 @@ class InvariantReport:
 
     @cached_property
     def _eccentricities(self) -> tuple[ExtendedNat, ExtendedNat]:
-        return eccentricity_profile(self.graph)
+        return eccentricity_profile(self.graph, self.split)
 
     @property
     def diameter(self) -> ExtendedNat:
@@ -668,6 +705,12 @@ class InvariantReport:
     @cached_property
     def hamiltonian(self) -> bool:
         return is_hamiltonian(self.graph, self.split)
+
+    def complement(self) -> InvariantReport:
+        """The report of the complement graph, its split derived from this one's."""
+        report = InvariantReport(complement(self.graph))
+        report.split = self.split.complemented(report.graph.adj)
+        return report
 
     def check(self) -> InvariantReport:
         """Compute every field, in report order, and assert consistency."""

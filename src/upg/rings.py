@@ -30,9 +30,13 @@ class RingSpecError(RingError):
 
 
 class OrderCapError(RingError):
-    """Requested ring order exceeds the configured cap."""
+    """Requested ring order exceeds the configured cap.
 
-    def __init__(self, order: int, cap: int):
+    ``order`` is the order, or the text ``p^k`` for a power too large to
+    build.
+    """
+
+    def __init__(self, order: int | str, cap: int):
         super().__init__(f"ring order {order} exceeds cap {cap}")
         self.order = order
         self.cap = cap
@@ -106,6 +110,15 @@ class UnitGroup:
 def _check_cap(order: int, cap: int) -> None:
     if order > cap:
         raise OrderCapError(order, cap)
+
+
+def _check_power_cap(p: int, k: int, cap: int) -> None:
+    """_check_cap(p**k, cap) for p >= 2 and k >= 1, deciding a base above
+    the cap or an exponent above its bit length (so 2^k > cap) before the
+    power is built; such an order is named as p or p^k."""
+    if p > cap or k > cap.bit_length():
+        raise OrderCapError(p if k == 1 else f"{p}^{k}", cap)
+    _check_cap(p**k, cap)
 
 
 def is_prime(n: int) -> bool:
@@ -222,12 +235,14 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     quotient by the lexicographically smallest monic irreducible of
     degree k.  For k = 1 this is arithmetic mod p.
     """
-    if not is_prime(p):
-        raise RingSpecError(f"gf: {p} is not prime")
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
+    # size first: trial division on a huge p would not finish
+    if p >= 2:
+        _check_power_cap(p, k, order_cap)
+    if not is_prime(p):
+        raise RingSpecError(f"gf: {p} is not prime")
     order = p**k
-    _check_cap(order, order_cap)
     if k == 1:
         return replace(zmod(p, order_cap=order_cap), label=f"GF({p})")
 
@@ -368,7 +383,7 @@ def boolean_ring(n_copies: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     """Product of n_copies copies of Z/2; every element is idempotent."""
     if n_copies < 1:
         raise RingSpecError(f"bool: copy count must be >= 1, got {n_copies}")
-    _check_cap(2**n_copies, order_cap)
+    _check_power_cap(2, n_copies, order_cap)
     if n_copies == 1:
         return zmod(2, order_cap=order_cap)
     return direct_product([zmod(2) for _ in range(n_copies)], order_cap=order_cap)

@@ -11,6 +11,8 @@ subdivision search, the reference for the closed-form planarity of forests
 and complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
 Python object per edge, the reference for the streamed row-wise ones.
+``reference_recognize_complete_multipartite`` is the former row scan of
+each co-component, the reference for the edge-count test.
 """
 
 import json
@@ -18,7 +20,13 @@ import math
 from itertools import combinations, permutations
 from random import Random
 
-from upg.graphs import SimpleGraph, bit_indices, graph_from_edges
+from upg.graphs import (
+    MultipartiteProfile,
+    SimpleGraph,
+    bit_indices,
+    connected_parts,
+    graph_from_edges,
+)
 from upg.rings import FiniteRing, NoUnityError, UnitGroup
 
 INFINITY = math.inf
@@ -221,6 +229,26 @@ def reference_eccentricity_profile(g: SimpleGraph):
         dist = _bfs_dist(g, v)
         ecc.append(INFINITY if -1 in dist else max(dist))
     return max(ecc), min(ecc), ecc
+
+
+def reference_recognize_complete_multipartite(
+    g: SimpleGraph, co_components: list[int] | None = None
+) -> MultipartiteProfile:
+    """Detect complete multipartite graphs.
+
+    A graph is complete multipartite iff each of its co-components (the
+    components of its complement) is an independent set; the parts are
+    those co-components.  No complement is built, and none is searched
+    when the caller passes the co-components as vertex masks.
+    """
+    if co_components is None:
+        co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
+    sizes = []
+    for part in co_components:
+        if any(g.adj[v] & part for v in bit_indices(part)):
+            return MultipartiteProfile(part_sizes=(), valid=False)
+        sizes.append(part.bit_count())
+    return MultipartiteProfile(part_sizes=tuple(sorted(sizes)), valid=True)
 
 
 def reference_is_planar(g: SimpleGraph) -> bool:

@@ -25,6 +25,7 @@ from upg.claims import (
     run_sweep,
 )
 import upg.invariants
+from upg.graphs import complement
 from upg.invariants import VertexBoundError
 from upg.rings import parse_ring_spec, zmod
 
@@ -237,29 +238,40 @@ def test_structural_claims_reach_no_solver(monkeypatch):
 
 
 def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
+    # One split is built, the unity product graph's; the complement's is
+    # derived from it by complemented().
     calls = Counter()
-    splits = []
+    solved = {}  # keeps every solved graph alive, so their ids stay distinct
+    built, derived = [], []
 
     class CountedDecomposition(upg.invariants.Decomposition):
         def __init__(self, g):
-            splits.append(g)
+            built.append(g)
             super().__init__(g)
+
+        def complemented(self, adj):
+            derived.append(adj)
+            return super().complemented(adj)
 
     monkeypatch.setattr(upg.invariants, "Decomposition", CountedDecomposition)
     for name in SOLVERS:
         def counted(g, *args, solver=getattr(upg.invariants, name), name=name):
+            solved[id(g)] = g
             calls[name, id(g)] += 1
             return solver(g, *args)
 
         monkeypatch.setattr(upg.invariants, name, counted)
     for ring in default_rings():
-        splits.clear()
+        built.clear()
+        derived.clear()
         calls.clear()
+        solved.clear()
         verdicts = run_sweep(builtin_claims(), [ring])
         assert SKIPPED not in {v.outcome for v in verdicts}, ring.label
-        # the split list keeps both graphs alive, so their ids stay distinct
-        assert len(splits) == len({id(g) for g in splits}) == 2, ring.label
-        assert {key for _, key in calls} <= {id(g) for g in splits}, ring.label
+        assert len(built) == len(derived) == 1, ring.label
+        assert derived[0] == complement(built[0]).adj, ring.label
+        assert {g.adj for g in solved.values()} <= {built[0].adj, derived[0]}, ring.label
+        assert len(solved) <= 2, ring.label
         assert max(calls.values()) == 1, (ring.label, calls)
         assert {name for name, _ in calls} == set(SOLVERS), ring.label
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -188,6 +189,21 @@ def test_over_cap_exit_2():
     res = run_cli("build", "--ring", "zmod:9999")
     assert res.returncode == 2
     assert "cap" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "spec", ["gf:2^99999999999", "bool:99999999999", "gf:1000000000000000000000000000057"]
+)
+def test_huge_ring_spec_exits_2_at_once(spec):
+    # rejected on size before the power is built or a primality test runs
+    res = subprocess.run(
+        [sys.executable, "-m", "upg", "analyze", "--ring", spec],
+        capture_output=True, text=True, env=CLI_ENV, timeout=10,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: ring spec {spec!r}: ring order ")
+    assert res.stderr.endswith(" exceeds cap 4096\n") and res.stderr.count("\n") == 1
 
 
 def test_order_cap_flag():
@@ -543,6 +559,50 @@ def test_survey_cells_match_analyze(family, maximum, capsys):
                 assert cell == (str(value).lower() if isinstance(value, bool) else str(value)), (
                     row["ring"], column,
                 )
+
+
+# SHA-256 of the stdout of each command, and its exit code: verify exits 1
+# for the known paper fails (prop-3.1 on Z/18 and Z/30, the prop-4.1-2
+# converse on four products, thm-6.4 on GF(4) and GF(4) x Z/2).
+GOLDEN_DIGESTS = [
+    (
+        "verify --claims all --format csv",
+        1,
+        "41c773b06a271f638dff2a7162441116c9fbbd03f39c868af316e77066aa723d",
+    ),
+    (
+        "verify --claims all --zmod-max 200 --format csv",
+        1,
+        "826b2afccd8938babdaeca70b69536d7c3f279e09fa03b1de30b77660a87ddfd",
+    ),
+    (
+        "survey --family zmod --max 60",
+        0,
+        "c0d0902ffde7098ced821be45b9f6151f83e9acb2247c8c6fb05bb57d0b9d13e",
+    ),
+    (
+        "survey --family gf --max 256",
+        0,
+        "6b51e8ec4b3af7d929b3cd9a73ddbef78dd2509a6fd4eb25cc2b0211e9bb0bab",
+    ),
+    (
+        "survey --family bool --max 8",
+        0,
+        "5dacf803f5fc51228a2ffdc212814a82b902bb3fd942a062af6394c48267046f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,code,digest",
+    GOLDEN_DIGESTS,
+    ids=[c.replace(" --", "-").replace(" ", "-") for c, _, _ in GOLDEN_DIGESTS],
+)
+def test_golden_output_digests(command, code, digest, capsys):
+    assert cli.main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
 def test_main_in_process_smoke(capsys):

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -20,7 +21,12 @@ from upg.graphs import (
 )
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
-from oracles import random_graph, reference_export_dot, reference_export_json
+from oracles import (
+    random_graph,
+    reference_export_dot,
+    reference_export_json,
+    reference_recognize_complete_multipartite,
+)
 
 TABLE_Z4 = Path(__file__).parent / "data" / "table_z4.json"
 
@@ -217,6 +223,44 @@ def test_recognize_complete_multipartite():
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
     assert recognize_complete_multipartite(p3).valid  # K_{2,1}
     assert recognize_complete_multipartite(p3).part_sizes == (1, 2)
+
+
+def test_decompose_matching_structure_matches_degree_scan_randomized():
+    rng = Random(20261018)
+    for trial in range(300):
+        g = random_graph(rng.randrange(0, 12), rng.choice((0.05, 0.1, 0.2, 0.5)), rng)
+        degrees = [g.degree(v) for v in range(g.n)]
+        deco = decompose_matching_structure(g)
+        assert deco.valid == (max(degrees, default=0) <= 1), (trial, g)
+        if deco.valid:
+            assert (deco.isolated, deco.pairs) == (degrees.count(0), degrees.count(1) // 2)
+
+
+def test_recognize_complete_multipartite_matches_row_scan_randomized():
+    # Complete multipartite graphs over random partitions, each also with
+    # one edge added inside a part or removed between parts (near misses),
+    # and random graphs; with the co-components found or passed in.
+    rng = Random(20261018)
+    cases = [random_graph(rng.randrange(0, 12), rng.random(), rng) for _ in range(400)]
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        part = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+        pairs = list(combinations(range(n), 2))
+        across = {(u, v) for u, v in pairs if part[u] != part[v]}
+        cases.append(graph_from_edges(n, across))
+        inside = [e for e in pairs if e not in across]
+        if inside:
+            cases.append(graph_from_edges(n, across | {rng.choice(inside)}))
+        if across:
+            cases.append(graph_from_edges(n, across - {rng.choice(sorted(across))}))
+    valid = Counter()
+    for trial, g in enumerate(cases):
+        co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
+        expected = reference_recognize_complete_multipartite(g, co_components)
+        assert recognize_complete_multipartite(g, co_components) == expected, (trial, g)
+        assert recognize_complete_multipartite(g) == expected, (trial, g)
+        valid[expected.valid] += 1
+    assert min(valid.values()) >= 300, valid
 
 
 def test_ring_complements_are_complete_multipartite():

@@ -26,6 +26,7 @@ from upg.invariants import (
     PRIME,
     UNION,
     Decomposition,
+    InvariantReport,
     VertexBoundError,
     _chromatic_search,
     _clique_search,
@@ -369,6 +370,46 @@ def test_decomposition_solvers_match_references_randomized():
     # every path of the decomposition ran, in at least 100 graphs each,
     # and as many graphs need more colors than their clique number
     assert min(paths[PRIME], paths[UNION], paths[JOIN], paths["chi > omega"]) >= 100, paths
+
+
+def test_split_reads_match_references_randomized():
+    # Eccentricities read off the split against the BFS reference, and the
+    # complement's split derived from the graph's against one built from
+    # scratch: random graphs, nested unions and joins relabeled at random,
+    # and every graph on at most two vertices.
+    rng = Random(20261018)
+    cases = [random_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(600)]
+    for _ in range(300):
+        g = random_nested(rng.choice((2, 3)), rng.choice((disjoint_union, join)), rng)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        cases.append(relabeled(g, order))
+    cases += [graph_from_edges(n, []) for n in (0, 1, 2)] + [graph_from_edges(2, [(0, 1)])]
+    shapes = Counter()
+    for trial, g in enumerate(cases):
+        split = Decomposition(g)
+        expected = reference_eccentricity_profile(g)[:2]
+        assert eccentricity_profile(g, split) == eccentricity_profile(g) == expected, (trial, g)
+        comp = complement(g)
+        derived, built = split.complemented(comp.adj), Decomposition(comp)
+        assert derived.adj == built.adj, (trial, g)
+        for field in ("components", "co_components", "kinds", "masks", "parts"):
+            assert getattr(derived, field) == getattr(built, field), (trial, field, g)
+        if len(split.components) > 1:
+            shapes["disconnected"] += 1
+        elif len(split.co_components) > 1:
+            shapes["join"] += 1
+        else:
+            shapes["connected and co-connected"] += 1
+    assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
+
+
+@pytest.mark.parametrize("spec", ["zmod:1", "zmod:2", "zmod:3", "zmod:24", "gf:2^5", "bool:3"])
+def test_complement_report_matches_full_report(spec):
+    g = unity_product_graph(units(parse_ring_spec(spec)))
+    report = InvariantReport(g).complement()
+    assert report.graph == complement(g)
+    assert report.check().to_json() == full_report(complement(g)).to_json()
 
 
 def test_clique_and_chromatic_of_matching_complement_at_2100_vertices():

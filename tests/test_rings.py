@@ -113,6 +113,32 @@ def test_order_cap():
         boolean_ring(13)
 
 
+@pytest.mark.parametrize("cap", [1, 255, 256, 4096])
+def test_size_checks_accept_exactly_the_orders_within_cap(cap):
+    # gf(p, k) stands for a prime p, k >= 1 and p^k <= cap, bool:n for
+    # n >= 1 and 2^n <= cap; only an order over the cap is an OrderCapError
+    def prime(p):
+        return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    for p in range(-2, cap + 3):
+        for k in range(-1, cap.bit_length() + 3):
+            fits = prime(p) and k >= 1 and p**k <= cap
+            try:
+                assert gf(p, k, order_cap=cap).order == p**k and fits, (p, k)
+            except OrderCapError:
+                assert p >= 2 and k >= 1 and p**k > cap, (p, k)
+            except RingSpecError:
+                assert not fits, (p, k)
+    for n in range(-1, cap.bit_length() + 3):
+        fits = n >= 1 and 2**n <= cap
+        try:
+            assert boolean_ring(n, order_cap=cap).order == 2**n and fits, n
+        except OrderCapError:
+            assert n >= 1 and not fits, n
+        except RingSpecError:
+            assert n < 1, n
+
+
 def test_gf_prime_is_mod_p():
     ring = gf(7)
     assert ring.label == "GF(7)"
