@@ -157,11 +157,6 @@ def connected_parts(adj: tuple[int, ...], mask: int, complemented: bool = False)
     return parts
 
 
-def component_masks(g: SimpleGraph) -> list[int]:
-    """Connected components as vertex bitmasks, ordered by least vertex."""
-    return connected_parts(g.adj, (1 << g.n) - 1)
-
-
 @dataclass(frozen=True)
 class StructureDecomposition:
     """Outcome of matching-structure recognition.

@@ -7,10 +7,10 @@ BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
 Domination, clique and chromatic numbers combine over its pieces: over
 a union by maximum or sum, over a join by sum, and a join is dominated
 by one vertex or two.  Only prime pieces, connected and co-connected,
-reach a search, the recursive branch and bound searches for clique,
-coloring (DSATUR bound, then exact k-colorability) and domination, each
-meant for small pieces.  Every ring graph splits into pieces of at most
-two vertices and never reaches a search.
+reach a search: branch and bound for clique, coloring (DSATUR) and
+domination, each run on the piece's vertex mask in place and on an
+explicit stack, each meant for small pieces.  Every ring graph splits
+into pieces of at most two vertices and never reaches a search.
 
 InvariantReport is the one handle per graph that ``analyze``, ``survey``
 and the claim checks read: it builds the graph's Decomposition once, on
@@ -49,7 +49,6 @@ from .graphs import (
     SimpleGraph,
     bit_indices,
     complement,
-    component_masks,
     connected_parts,
     recognize_complete_multipartite,
 )
@@ -203,8 +202,8 @@ class Decomposition:
     components; a join is dominated by one vertex iff some part is a
     single vertex (a co-connected part of two or more vertices has no
     vertex adjacent to all of it), and otherwise by one vertex from each
-    of two parts.  Only prime pieces reach a search, run on the piece as a
-    graph of its own.
+    of two parts.  Only prime pieces reach a search, run on the rows of the
+    whole graph within the piece's vertex mask.
     """
 
     def __init__(self, g: SimpleGraph):
@@ -264,14 +263,6 @@ class Decomposition:
         return out
 
     @cached_property
-    def _primes(self) -> dict[int, _PrimePiece]:
-        return {
-            i: _PrimePiece(self.adj, self.masks[i])
-            for i, kind in enumerate(self.kinds)
-            if kind == PRIME
-        }
-
-    @cached_property
     def _cliques(self) -> list[tuple[int, int]]:
         """(order, vertex mask) of a maximum clique of every piece."""
         out: list[tuple[int, int]] = [(0, 0)] * len(self.masks)
@@ -282,7 +273,7 @@ class Decomposition:
             elif kind == _NON_EDGE:
                 out[i] = (1, mask & -mask)
             elif kind == PRIME:
-                out[i] = self._primes[i].clique
+                out[i] = _clique_search(self.adj, mask)
             elif kind == UNION:
                 out[i] = max((out[j] for j in self.parts[i]), key=lambda c: c[0])
             else:
@@ -304,7 +295,7 @@ class Decomposition:
         for i in reversed(range(len(self.masks))):
             kind = self.kinds[i]
             if kind == PRIME:
-                colors[i] = self._primes[i].chromatic
+                colors[i] = _chromatic_search(self.adj, self.masks[i], cliques[i][0])
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
             elif kind == JOIN:
@@ -327,209 +318,138 @@ class Decomposition:
             return 2
         if kind == JOIN:
             return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
-        return self._primes[i].domination
+        return _domination_search(self.adj, self.masks[i])
 
 
-class _PrimePiece:
-    """A prime piece as a graph of its own, its vertices renumbered in order."""
+def _clique_search(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """(order, vertex mask) of a maximum clique of the subgraph induced on
+    ``mask``.
 
-    def __init__(self, adj: tuple[int, ...], mask: int):
-        self.vertices = list(bit_indices(mask))
-        position = {v: k for k, v in enumerate(self.vertices)}
-        rows = tuple(
-            sum(1 << position[u] for u in bit_indices(adj[v] & mask)) for v in self.vertices
-        )
-        self.graph = SimpleGraph(n=len(rows), labels=tuple(map(str, range(len(rows)))), adj=rows)
-
-    @cached_property
-    def _local_clique(self) -> tuple[int, int]:
-        return _clique_search(self.graph)
-
-    @property
-    def clique(self) -> tuple[int, int]:
-        order, local = self._local_clique
-        return order, sum(1 << self.vertices[k] for k in bit_indices(local))
-
-    @cached_property
-    def chromatic(self) -> int:
-        return _chromatic_search(self.graph, self._local_clique)
-
-    @cached_property
-    def domination(self) -> int:
-        return _domination_search(self.graph)
-
-
-def _domination_search(g: SimpleGraph) -> int:
-    """Minimum size of a set whose closed neighborhoods cover the graph.
-
-    Dominating sets split over connected components, so each component is
-    solved on its own: greedy upper bound, then branch and bound picking
-    an undominated vertex with the fewest candidate dominators.
+    Branch and bound with a greedy-coloring bound (MCQ, Tomita and Seki,
+    2003) on an explicit stack of frames, each a clique and the candidates
+    adjacent to all of it, colored greedily.  A frame branches on its
+    candidates in reverse color order and is dropped once its size plus
+    the color of its next candidate cannot beat the best clique.
     """
-    if g.n == 0:
-        return 0
-    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
-    return sum(_dominate_component(closed, mask) for mask in component_masks(g))
 
-
-def _dominate_component(closed: list[int], comp: int) -> int:
-    vertices = list(bit_indices(comp))
-    if len(vertices) == 1:
-        return 1
-
-    # greedy upper bound
-    dominated = 0
-    greedy = 0
-    while dominated != comp:
-        best_v = max(
-            vertices, key=lambda v: ((closed[v] & comp & ~dominated).bit_count(), -v)
-        )
-        dominated |= closed[best_v]
-        greedy += 1
-
-    best = greedy
-
-    def lower_bound(undominated: int) -> int:
-        gain = max((closed[v] & undominated).bit_count() for v in vertices)
-        return -(-undominated.bit_count() // gain)
-
-    def search(dominated: int, size: int) -> None:
-        nonlocal best
-        undominated = comp & ~dominated
-        if not undominated:
-            if size < best:
-                best = size
-            return
-        if size + lower_bound(undominated) >= best:
-            return
-        pivot = min(bit_indices(undominated), key=lambda v: closed[v].bit_count())
-        for w in bit_indices(closed[pivot]):
-            search(dominated | closed[w], size + 1)
-
-    search(0, 0)
-    return best
-
-
-def _clique_search(g: SimpleGraph) -> tuple[int, int]:
-    """(order, vertex mask) of a maximum clique.
-
-    Branch and bound with a greedy-coloring bound: vertices of the
-    candidate set are colored greedily and expanded in reverse color
-    order; a branch dies when size + color bound cannot beat the best.
-    """
-    if g.n == 0:
-        return 0, 0
-    best_size = 0
-    best_mask = 0
-
-    def color_sort(candidates: int) -> list[tuple[int, int]]:
+    def color_sort(rest: int) -> list[tuple[int, int]]:
         order = []
         color = 0
-        rest = candidates
         while rest:
             color += 1
             avail = rest
             while avail:
                 v = (avail & -avail).bit_length() - 1
                 order.append((v, color))
-                avail &= ~g.adj[v]
-                avail &= ~(1 << v)
                 rest &= ~(1 << v)
+                avail &= rest & ~adj[v]
         return order
 
-    def expand(current: int, size: int, candidates: int) -> None:
-        nonlocal best_size, best_mask
-        if not candidates:
-            if size > best_size:
-                best_size = size
-                best_mask = current
-            return
-        order = color_sort(candidates)
-        cands = candidates
-        for v, bound in reversed(order):
-            if size + bound <= best_size:
-                return
-            expand(current | (1 << v), size + 1, cands & g.adj[v])
-            cands &= ~(1 << v)
-
-    expand(0, 0, (1 << g.n) - 1)
-    return best_size, best_mask
-
-
-def _dsatur_greedy(g: SimpleGraph) -> tuple[int, list[int]]:
-    """Greedy DSATUR coloring; returns (color count, coloring)."""
-    if g.n == 0:
-        return 0, []
-    color = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if color[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        color[v] = c
-        for u in bit_indices(g.adj[v]):
-            neighbor_colors[u].add(c)
-    return max(color) + 1, color
+    best_size = best = 0
+    # clique, its size, candidates not yet branched on, their colored order
+    stack = [[0, 0, mask, color_sort(mask)]]
+    while stack:
+        frame = stack[-1]
+        clique, size, candidates, order = frame
+        if not candidates and size > best_size:
+            best_size, best = size, clique
+        if not order or size + order[-1][1] <= best_size:
+            stack.pop()
+            continue
+        v, _ = order.pop()
+        frame[2] = candidates & ~(1 << v)
+        below = candidates & adj[v]
+        stack.append([clique | 1 << v, size + 1, below, color_sort(below)])
+    return best_size, best
 
 
-def _k_colorable(g: SimpleGraph, k: int, clique_mask: int) -> bool:
-    """Exact backtracking k-colorability with a precolored maximum clique."""
-    color = [-1] * g.n
-    used = 0
-    for v in bit_indices(clique_mask):
-        color[v] = used
-        used += 1
-    if used > k:
-        return False
+def _chromatic_search(adj: tuple[int, ...], mask: int, lower: int) -> int:
+    """Fewest colors of a proper coloring of the subgraph induced on
+    ``mask``, which has a clique of ``lower`` vertices.
 
-    def admissible(v: int) -> list[int]:
-        banned = {color[u] for u in bit_indices(g.adj[v]) if color[u] != -1}
-        top = min(k, max([color[u] for u in range(g.n) if color[u] != -1], default=-1) + 2)
-        return [c for c in range(top) if c not in banned]
+    DSATUR branch and bound (Brélaz, 1979) on an explicit stack of colored
+    vertices.  The next vertex is an uncolored one with the most distinct
+    colors among its neighbors, then the most neighbors, then the least
+    index; it tries each color in use that no neighbor has and one new
+    color, lowest first.  The first descent is greedy DSATUR, the upper
+    bound; after it a color is tried only if it keeps the count below the
+    best found, and the search stops once the count reaches ``lower``.
+    """
+    rows = {v: adj[v] & mask for v in bit_indices(mask)}
+    # saturation times the vertex count, plus the rank by degree, then
+    # by least index: the highest priority is the next vertex to color
+    step = len(rows)
+    ranked = sorted(rows, key=lambda v: (rows[v].bit_count(), -v))
+    priority = {v: rank for rank, v in enumerate(ranked)}
+    uncolored = mask
+    color: dict[int, int] = {}
+    classes = [0]  # the vertex mask of each color in use, then of a new color
+    best = len(rows) + 1  # more colors than any coloring needs
+    stack: list[tuple[int, list[int]]] = []  # a vertex and the colors it has left to try
+    while True:
+        if uncolored:
+            v = max(rows.keys() - color.keys(), key=priority.__getitem__)
+            stack.append((v, [c for c in range(len(classes)) if not rows[v] & classes[c]]))
+        else:
+            best = len(classes) - 1
+            if best <= lower:
+                return best
+        # the deepest vertex with a color left that beats the best takes it
+        while stack:
+            v, free = stack[-1]
+            if v in color:
+                c = color.pop(v)
+                classes[c] ^= 1 << v
+                for u in bit_indices(rows[v] & uncolored):
+                    if not rows[u] & classes[c]:
+                        priority[u] -= step
+                uncolored |= 1 << v
+                if not classes[c]:
+                    classes.pop()  # v opened color c, which is the new color again
+            if free and free[0] < best - 1:
+                c = color[v] = free.pop(0)
+                if c == len(classes) - 1:
+                    classes.append(0)
+                uncolored ^= 1 << v
+                for u in bit_indices(rows[v] & uncolored):
+                    if not rows[u] & classes[c]:
+                        priority[u] += step
+                classes[c] |= 1 << v
+                break
+            stack.pop()
+        else:
+            return best
 
-    def pick() -> int | None:
-        best_v, best_key = None, None
-        for v in range(g.n):
-            if color[v] != -1:
-                continue
-            sat = len({color[u] for u in bit_indices(g.adj[v]) if color[u] != -1})
-            key = (-sat, -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
 
-    def solve() -> bool:
-        v = pick()
-        if v is None:
-            return True
-        for c in admissible(v):
-            color[v] = c
-            if solve():
-                return True
-            color[v] = -1
-        return False
+def _domination_search(adj: tuple[int, ...], mask: int) -> int:
+    """Fewest vertices whose closed neighborhoods cover the subgraph
+    induced on ``mask``.
 
-    return solve()
-
-
-
-
-def _chromatic_search(g: SimpleGraph, clique: tuple[int, int]) -> int:
-    """Exact chromatic number via the clique lower bound, DSATUR upper
-    bound, and backtracking k-colorability between them; ``clique`` is
-    (order, vertex mask) of a maximum clique of g."""
-    if g.n == 0:
-        return 0
-    lb, clique_mask = clique
-    ub, _ = _dsatur_greedy(g)
-    for k in range(lb, ub):
-        if _k_colorable(g, k, clique_mask):
-            return k
-    return ub
+    A greedy cover gives the upper bound.  Branch and bound on an explicit
+    stack of (undominated mask, set size) then picks an undominated vertex
+    with the fewest closed neighbors and branches on each of them; a
+    branch is dropped when its size plus the undominated count over the
+    most any vertex dominates, rounded up, cannot beat the best.
+    """
+    closed = {v: adj[v] & mask | 1 << v for v in bit_indices(mask)}
+    undominated, best = mask, 0
+    while undominated:
+        w = max(closed, key=lambda v: ((closed[v] & undominated).bit_count(), -v))
+        undominated &= ~closed[w]
+        best += 1
+    stack = [(mask, 0)]
+    while stack:
+        undominated, size = stack.pop()
+        if not undominated:
+            best = min(best, size)
+            continue
+        gain = max((row & undominated).bit_count() for row in closed.values())
+        if size + -(-undominated.bit_count() // gain) >= best:
+            continue
+        pivot = min(bit_indices(undominated), key=lambda v: closed[v].bit_count())
+        for w in reversed([*bit_indices(closed[pivot])]):
+            stack.append((undominated & ~closed[w], size + 1))
+    return best
 
 
 def domination_number(g: SimpleGraph, split: Decomposition | None = None) -> int:

@@ -198,16 +198,11 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over GF(p).
 
-    Candidates are ordered by the coefficient tuple (c_{k-1}, ..., c_0)
+    The first irreducible _monic_polys yields: it counts up the index
+    sum(c_i * p^i), which orders the coefficient tuple (c_{k-1}, ..., c_0)
     read most-significant first.
     """
-    for m in range(p**k):
-        low = []
-        v = m
-        for _ in range(k):
-            low.append(v % p)
-            v //= p
-        f = tuple(low) + (1,)
+    for f in _monic_polys(p, k):
         if _is_irreducible(f, p):
             return f
     raise RingSpecError(f"no irreducible polynomial of degree {k} over GF({p})")

@@ -13,6 +13,10 @@ and complete multipartite graphs.  ``reference_export_dot`` and
 Python object per edge, the reference for the streamed row-wise ones.
 ``reference_recognize_complete_multipartite`` is the former row scan of
 each co-component, the reference for the edge-count test.
+``reference_clique_search``, ``reference_chromatic_search`` (DSATUR
+bound, then exact k-colorability) and ``reference_domination_search``
+are the former recursive prime-piece searches, run on whole graphs, the
+reference for the in-place searches on explicit stacks.
 """
 
 import json
@@ -313,6 +317,178 @@ def _has_k33_subdivision(g: SimpleGraph) -> bool:
             if _embed_pairs(g, pairs, blocked):
                 return True
     return False
+
+
+def reference_domination_search(g: SimpleGraph) -> int:
+    """Minimum size of a set whose closed neighborhoods cover the graph.
+
+    Dominating sets split over connected components, so each component is
+    solved on its own: greedy upper bound, then branch and bound picking
+    an undominated vertex with the fewest candidate dominators.
+    """
+    if g.n == 0:
+        return 0
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    return sum(_dominate_component(closed, mask) for mask in connected_parts(g.adj, full))
+
+
+def _dominate_component(closed: list[int], comp: int) -> int:
+    vertices = list(bit_indices(comp))
+    if len(vertices) == 1:
+        return 1
+
+    # greedy upper bound
+    dominated = 0
+    greedy = 0
+    while dominated != comp:
+        best_v = max(
+            vertices, key=lambda v: ((closed[v] & comp & ~dominated).bit_count(), -v)
+        )
+        dominated |= closed[best_v]
+        greedy += 1
+
+    best = greedy
+
+    def lower_bound(undominated: int) -> int:
+        gain = max((closed[v] & undominated).bit_count() for v in vertices)
+        return -(-undominated.bit_count() // gain)
+
+    def search(dominated: int, size: int) -> None:
+        nonlocal best
+        undominated = comp & ~dominated
+        if not undominated:
+            if size < best:
+                best = size
+            return
+        if size + lower_bound(undominated) >= best:
+            return
+        pivot = min(bit_indices(undominated), key=lambda v: closed[v].bit_count())
+        for w in bit_indices(closed[pivot]):
+            search(dominated | closed[w], size + 1)
+
+    search(0, 0)
+    return best
+
+
+def reference_clique_search(g: SimpleGraph) -> tuple[int, int]:
+    """(order, vertex mask) of a maximum clique.
+
+    Branch and bound with a greedy-coloring bound: vertices of the
+    candidate set are colored greedily and expanded in reverse color
+    order; a branch dies when size + color bound cannot beat the best.
+    """
+    if g.n == 0:
+        return 0, 0
+    best_size = 0
+    best_mask = 0
+
+    def color_sort(candidates: int) -> list[tuple[int, int]]:
+        order = []
+        color = 0
+        rest = candidates
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                avail &= ~g.adj[v]
+                avail &= ~(1 << v)
+                rest &= ~(1 << v)
+        return order
+
+    def expand(current: int, size: int, candidates: int) -> None:
+        nonlocal best_size, best_mask
+        if not candidates:
+            if size > best_size:
+                best_size = size
+                best_mask = current
+            return
+        order = color_sort(candidates)
+        cands = candidates
+        for v, bound in reversed(order):
+            if size + bound <= best_size:
+                return
+            expand(current | (1 << v), size + 1, cands & g.adj[v])
+            cands &= ~(1 << v)
+
+    expand(0, 0, (1 << g.n) - 1)
+    return best_size, best_mask
+
+
+def _dsatur_greedy(g: SimpleGraph) -> tuple[int, list[int]]:
+    """Greedy DSATUR coloring; returns (color count, coloring)."""
+    if g.n == 0:
+        return 0, []
+    color = [-1] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if color[u] == -1),
+            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        color[v] = c
+        for u in bit_indices(g.adj[v]):
+            neighbor_colors[u].add(c)
+    return max(color) + 1, color
+
+
+def _k_colorable(g: SimpleGraph, k: int, clique_mask: int) -> bool:
+    """Exact backtracking k-colorability with a precolored maximum clique."""
+    color = [-1] * g.n
+    used = 0
+    for v in bit_indices(clique_mask):
+        color[v] = used
+        used += 1
+    if used > k:
+        return False
+
+    def admissible(v: int) -> list[int]:
+        banned = {color[u] for u in bit_indices(g.adj[v]) if color[u] != -1}
+        top = min(k, max([color[u] for u in range(g.n) if color[u] != -1], default=-1) + 2)
+        return [c for c in range(top) if c not in banned]
+
+    def pick() -> int | None:
+        best_v, best_key = None, None
+        for v in range(g.n):
+            if color[v] != -1:
+                continue
+            sat = len({color[u] for u in bit_indices(g.adj[v]) if color[u] != -1})
+            key = (-sat, -g.degree(v), v)
+            if best_key is None or key < best_key:
+                best_v, best_key = v, key
+        return best_v
+
+    def solve() -> bool:
+        v = pick()
+        if v is None:
+            return True
+        for c in admissible(v):
+            color[v] = c
+            if solve():
+                return True
+            color[v] = -1
+        return False
+
+    return solve()
+
+
+def reference_chromatic_search(g: SimpleGraph, clique: tuple[int, int]) -> int:
+    """Exact chromatic number via the clique lower bound, DSATUR upper
+    bound, and backtracking k-colorability between them; ``clique`` is
+    (order, vertex mask) of a maximum clique of g."""
+    if g.n == 0:
+        return 0
+    lb, clique_mask = clique
+    ub, _ = _dsatur_greedy(g)
+    for k in range(lb, ub):
+        if _k_colorable(g, k, clique_mask):
+            return k
+    return ub
 
 
 def reference_units(ring: FiniteRing) -> UnitGroup:

@@ -8,7 +8,6 @@ import pytest
 from upg.graphs import (
     SimpleGraph,
     complement,
-    component_masks,
     connected_parts,
     decompose_matching_structure,
     export_dot,
@@ -159,9 +158,9 @@ def test_is_complete():
     assert not is_complete(graph_from_edges(3, [(0, 1)]))
 
 
-def test_component_masks_order():
+def test_connected_parts_order():
     g = graph_from_edges(6, [(1, 4), (2, 3)])
-    masks = component_masks(g)
+    masks = connected_parts(g.adj, 0b111111)
     # ordered by least contained vertex
     assert masks == [0b000001, 0b010010, 0b001100, 0b100000]
 
@@ -191,7 +190,8 @@ def test_connected_parts_match_union_find_randomized():
                 groups[find(v)] = groups.get(find(v), 0) | 1 << v
             expected = sorted(groups.values(), key=lambda part: part & -part)
             assert connected_parts(g.adj, mask, complemented) == expected, (g, mask)
-        assert connected_parts(g.adj, (1 << g.n) - 1, True) == component_masks(complement(g))
+        full = (1 << g.n) - 1
+        assert connected_parts(g.adj, full, True) == connected_parts(complement(g).adj, full)
 
 
 def test_decompose_matching_structure():

@@ -16,7 +16,7 @@ from upg.graphs import (
     SimpleGraph,
     bit_indices,
     complement,
-    component_masks,
+    connected_parts,
     graph_from_edges,
     unity_product_graph,
 )
@@ -54,6 +54,9 @@ from oracles import (
     brute_girth,
     brute_hamiltonian,
     random_graph,
+    reference_chromatic_search,
+    reference_clique_search,
+    reference_domination_search,
     reference_eccentricity_profile,
     reference_girth,
     reference_is_planar,
@@ -332,13 +335,21 @@ def random_nested(depth, combine, rng):
     return combine(parts)
 
 
+def induced(g, mask):
+    """The subgraph of g induced on mask, its vertices renumbered in order."""
+    position = {v: k for k, v in enumerate(bit_indices(mask))}
+    edges = [(position[u], position[v]) for u, v in g.edges() if u in position and v in position]
+    return graph_from_edges(len(position), edges)
+
+
 def test_decomposition_solvers_match_references_randomized():
     # Random graphs, then unions and joins nested three or four levels
     # deep and relabeled at random, so pieces are not index ranges.  The
-    # searches prime pieces use, run on the whole graph, check every
+    # former prime-piece searches, run on the whole graph, check every
     # graph; brute_clique and brute_chromatic (O(2^n) and O(3^n) steps)
     # those on at most 11 vertices, and brute_domination those on at
-    # most 14.
+    # most 14.  The in-place searches also run on a random vertex mask of
+    # every graph, against the former searches on the induced subgraph.
     rng = Random(20261018)
     cases = [random_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(1000)]
     # larger prime pieces, where the chromatic number is often above the
@@ -355,18 +366,28 @@ def test_decomposition_solvers_match_references_randomized():
         omega, clique = max_clique(g)
         assert clique.bit_count() == omega, (trial, g)
         assert all(g.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique)), (trial, g)
-        whole = _clique_search(g)
+        whole = reference_clique_search(g)
         assert omega == clique_number(g) == whole[0], (trial, g)
         chi = chromatic_number(g)
-        assert chi == _chromatic_search(g, whole), (trial, g)
+        assert chi == reference_chromatic_search(g, whole), (trial, g)
         if g.n <= 11:
             assert omega == brute_clique(g) and chi == brute_chromatic(g), (trial, g)
         gamma = domination_number(g)
-        assert gamma == _domination_search(g), (trial, g)
+        assert gamma == reference_domination_search(g), (trial, g)
         if g.n <= 14:
             assert gamma == brute_domination(g), (trial, g)
         paths.update(set(Decomposition(g).kinds))
         paths["chi > omega"] += chi > omega
+
+        mask = rng.randrange(1 << g.n)
+        sub = induced(g, mask)
+        order, local = reference_clique_search(sub)
+        vertices = list(bit_indices(mask))
+        clique = sum(1 << vertices[k] for k in bit_indices(local))
+        assert _clique_search(g.adj, mask) == (order, clique), (trial, g, mask)
+        chi = reference_chromatic_search(sub, (order, local))
+        assert _chromatic_search(g.adj, mask, order) == chi, (trial, g, mask)
+        assert _domination_search(g.adj, mask) == reference_domination_search(sub), (trial, g, mask)
     # every path of the decomposition ran, in at least 100 graphs each,
     # and as many graphs need more colors than their clique number
     assert min(paths[PRIME], paths[UNION], paths[JOIN], paths["chi > omega"]) >= 100, paths
@@ -454,18 +475,31 @@ def test_threshold_graph_cotree_thousands_deep(n):
 def test_full_report_at_order_cap_under_low_recursion_limit():
     # Code that recursed once per vertex or clique member would fail here:
     # the gf:2^12 complement has a 2048-vertex maximum clique.  Ring graphs
-    # never reach a prime-piece search, so this guards the decomposition
-    # and every other invariant of the report.
+    # never reach a prime-piece search, so the prime graphs after them
+    # guard the searches: a cycle, a path's complement, and the join of a
+    # cycle on the even vertices with a path's complement on the odd ones,
+    # whose prime pieces are not index ranges, and that join's complement.
     script = (
         "import sys\n"
-        "from upg.graphs import complement, unity_product_graph\n"
-        "from upg.invariants import full_report\n"
+        "from upg.graphs import complement, graph_from_edges, unity_product_graph\n"
+        "from upg.invariants import chromatic_number, clique_number, domination_number, full_report\n"
         "from upg.rings import parse_ring_spec, units\n"
         "sys.setrecursionlimit(200)\n"
         "g = unity_product_graph(units(parse_ring_spec('gf:2^12')))\n"
         "for h in (g, complement(g)):\n"
         "    r = full_report(h)\n"
         "    print(r.clique_number, r.chromatic_number, r.domination_number)\n"
+        "c = graph_from_edges(301, [(i, (i + 1) % 301) for i in range(301)])\n"
+        "print(chromatic_number(c), domination_number(c))\n"
+        "p = complement(graph_from_edges(400, [(i, i + 1) for i in range(399)]))\n"
+        "print(clique_number(p), chromatic_number(p), domination_number(p))\n"
+        "k = 101\n"
+        "even, odd = range(0, 2 * k, 2), range(1, 2 * k, 2)\n"
+        "w = graph_from_edges(2 * k, [(u, v) for u in even for v in odd]\n"
+        "    + [(even[i], even[(i + 1) % k]) for i in range(k)]\n"
+        "    + [(odd[i], odd[j]) for i in range(k) for j in range(i + 2, k)])\n"
+        "for h in (w, complement(w)):\n"
+        "    print(clique_number(h), chromatic_number(h), domination_number(h))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -473,7 +507,14 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.stderr == ""
     assert res.returncode == 0
-    assert res.stdout == "2 2 2048\n2048 2048 1\n"
+    assert res.stdout == (
+        "2 2 2048\n2048 2048 1\n"
+        "3 101\n"
+        "200 200 2\n"
+        "53 54 2\n50 51 36\n"
+    )
+    # about a thousand colored vertices deep
+    assert chromatic_number(cycle(999)) == 3
 
 
 def random_forest(n, rng):
@@ -535,7 +576,7 @@ def test_girth_and_eccentricity_match_bfs_reference_randomized():
         assert girth(g) == expected == brute_girth(g), (trial, g)
         assert eccentricity_profile(g) == reference_eccentricity_profile(g)[:2], (trial, g)
         forests += expected == INFINITY
-        disconnected += len(component_masks(g)) > 1
+        disconnected += len(connected_parts(g.adj, (1 << g.n) - 1)) > 1
         triangle_free_cyclic += 3 < expected < INFINITY
     # every branch of both solvers was exercised
     assert min(forests, disconnected, triangle_free_cyclic) >= 100, (
