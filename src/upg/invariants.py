@@ -372,8 +372,8 @@ def _chromatic_search(adj: tuple[int, ...], mask: int, lower: int) -> int:
     colors among its neighbors, then the most neighbors, then the least
     index; it tries each color in use that no neighbor has and one new
     color, lowest first.  The first descent is greedy DSATUR, the upper
-    bound; after it a color is tried only if it keeps the count below the
-    best found, and the search stops once the count reaches ``lower``.
+    bound; after it a color is tried only if it and the colors in use stay
+    fewer than the best found, and the search stops at ``lower`` colors.
     """
     rows = {v: adj[v] & mask for v in bit_indices(mask)}
     # saturation times the vertex count, plus the rank by degree, then
@@ -406,7 +406,7 @@ def _chromatic_search(adj: tuple[int, ...], mask: int, lower: int) -> int:
                 uncolored |= 1 << v
                 if not classes[c]:
                     classes.pop()  # v opened color c, which is the new color again
-            if free and free[0] < best - 1:
+            if free and free[0] < best - 1 and len(classes) <= best:
                 c = color[v] = free.pop(0)
                 if c == len(classes) - 1:
                     classes.append(0)

@@ -479,6 +479,9 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
     # guard the searches: a cycle, a path's complement, and the join of a
     # cycle on the even vertices with a path's complement on the odd ones,
     # whose prime pieces are not index ranges, and that join's complement.
+    # Last, a 5-wheel (ω 3, χ 4) with a 60-vertex path hung on a rim
+    # vertex: a coloring search that let the path vertices retry colors
+    # after the rim opened the fourth would run through 2^59 colorings.
     script = (
         "import sys\n"
         "from upg.graphs import complement, graph_from_edges, unity_product_graph\n"
@@ -500,6 +503,10 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
         "    + [(odd[i], odd[j]) for i in range(k) for j in range(i + 2, k)])\n"
         "for h in (w, complement(w)):\n"
         "    print(clique_number(h), chromatic_number(h), domination_number(h))\n"
+        "m = 60\n"
+        "wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]\n"
+        "h = graph_from_edges(6 + m, wheel + [(1, 6)] + [(i, i + 1) for i in range(6, 5 + m)])\n"
+        "print(clique_number(h), chromatic_number(h))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -512,6 +519,7 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
         "3 101\n"
         "200 200 2\n"
         "53 54 2\n50 51 36\n"
+        "3 4\n"
     )
     # about a thousand colored vertices deep
     assert chromatic_number(cycle(999)) == 3
