@@ -1,10 +1,14 @@
 """Registry of finite-ring claims about unity product graphs.
 
 Each claim binds a hypothesis (``applicable``) and a conclusion
-(``check``) over one ring.  Sweeps evaluate claims across ring families
-and report pass/fail/not_applicable/hypothesis_gap verdicts; fails and
-gaps always carry a witness.  The harness computes graph truth and
-compares: a false conclusion is reported as fail, never suppressed.
+(``check``) over one ring, side by side in one registry entry; a
+conclusion that is a single comparison is written there as one
+``_verdict`` call.  Sweeps evaluate claims across ring families and
+report pass/fail/not_applicable/hypothesis_gap verdicts; fails and gaps
+always carry a witness.  A ring without unity is skipped before any
+hypothesis runs, so no hypothesis or check tests for unity.  The harness
+computes graph truth and compares: a false conclusion is reported as
+fail, never suppressed.
 
 Trichotomy-style claims (the K1/K2 structure splits on the count of
 square roots of unity) emit hypothesis_gap for rings outside every
@@ -20,12 +24,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import invariants as inv
-from .graphs import (
-    decompose_matching_structure,
-    is_complete,
-    recognize_complete_multipartite,
-    unity_product_graph,
-)
+from .graphs import is_complete, recognize_complete_multipartite, unity_product_graph
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
@@ -63,7 +62,9 @@ class RingContext:
     The unity product graph and its complement each have one
     InvariantReport, ``upg_report`` and ``comp_report``, whose fields are
     computed on first read, so a claim touches only the invariants it
-    needs and structural claims never reach a solver.
+    needs and structural claims never reach a solver.  ``isolated`` and
+    ``pairs`` are the unity product graph's K1 and K2 counts when it is a
+    disjoint union of them, as every one is.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -85,17 +86,13 @@ class RingContext:
     def comp_report(self) -> inv.InvariantReport:
         return self.upg_report.complement()
 
-    @cached_property
-    def decomposition(self):
-        return decompose_matching_structure(self.upg_report.graph)
-
     @property
     def isolated(self) -> int:
-        return self.decomposition.isolated
+        return self.upg_report.isolated_count
 
     @property
     def pairs(self) -> int:
-        return self.decomposition.pairs
+        return self.upg_report.edge_count
 
     @cached_property
     def residues(self) -> tuple[int, ...] | None:
@@ -122,7 +119,7 @@ class Claim:
     ``applicable`` decides whether the hypothesis covers the ring (it may
     also admit known boundary rings so ``check`` can report a gap);
     ``check`` is only invoked when applicable and returns an outcome with
-    an optional witness.
+    an optional witness.  Both are called only on rings with unity.
     """
 
     claim_id: str
@@ -155,8 +152,8 @@ def _composite(k: int) -> bool:
     return k >= 4 and not is_prime(k)
 
 
-def _has_unity(ctx: RingContext) -> bool:
-    return ctx.ring.unity is not None
+def _every_ring(ctx: RingContext) -> bool:
+    return True
 
 
 def _fail(expected: object, computed: object, **extra: object):
@@ -165,50 +162,29 @@ def _fail(expected: object, computed: object, **extra: object):
     return FAIL, witness
 
 
-def _check_boolean_trivial(ctx: RingContext):
-    upg = ctx.upg_report
-    if upg.n == 1 and upg.edge_count == 0:
+def _verdict(holds: bool, expected: object, computed: object, **extra: object):
+    """Pass when the conclusion holds, else fail with the given witness."""
+    return (PASS, None) if holds else _fail(expected, computed, **extra)
+
+
+def _diameter_radius(report: inv.InvariantReport) -> str:
+    return f"diameter {report.text('diameter')} radius {report.text('radius')}"
+
+
+def _k1_k2_branches(ctx: RingContext, detail: str):
+    """Pass for mK1, or for two or four K1s beside the K2s; else a gap."""
+    if ctx.pairs == 0 or ctx.isolated in (2, 4):
         return PASS, None
-    return _fail("trivial graph K1", f"{upg.n} vertices {upg.edge_count} edges")
-
-
-def _check_upg_disconnected(ctx: RingContext):
-    if ctx.upg_report.component_count >= 2:
-        return PASS, None
-    return _fail("disconnected", "connected", components=ctx.upg_report.component_count)
-
-
-def _check_comp_connected(ctx: RingContext):
-    if ctx.comp_report.connected:
-        return PASS, None
-    return _fail("connected", "disconnected")
-
-
-def _check_two_isolated(ctx: RingContext):
-    if ctx.isolated == 2:
-        return PASS, None
-    return _fail(2, ctx.isolated, quantity="isolated vertices")
-
-
-def _check_four_isolated(ctx: RingContext):
-    if ctx.isolated == 4:
-        return PASS, None
-    return _fail(4, ctx.isolated, quantity="isolated vertices")
+    return HYPOTHESIS_GAP, {"isolated": ctx.isolated, "pairs": ctx.pairs, "detail": detail}
 
 
 def _check_trichotomy(ctx: RingContext):
-    deco = ctx.decomposition
-    if not deco.valid:
+    # Degrees sum to 2m, and every vertex that is not isolated has degree
+    # at least 1, so every degree is at most 1 iff 2m is the count of
+    # vertices that are not isolated.
+    if 2 * ctx.pairs != ctx.upg_report.n - ctx.isolated:
         return _fail("disjoint union of K1 and K2", "vertex of degree above 1")
-    if deco.pairs == 0:
-        return PASS, None
-    if deco.isolated in (2, 4):
-        return PASS, None
-    return HYPOTHESIS_GAP, {
-        "isolated": deco.isolated,
-        "pairs": deco.pairs,
-        "detail": "no stated branch covers this square-root-of-unity count",
-    }
+    return _k1_k2_branches(ctx, "no stated branch covers this square-root-of-unity count")
 
 
 def _check_multipartite_form(ctx: RingContext):
@@ -220,15 +196,7 @@ def _check_multipartite_form(ctx: RingContext):
             f"complete multipartite with parts {expected}",
             f"parts {profile.part_sizes}" if profile.valid else "not complete multipartite",
         )
-    if ctx.pairs == 0:
-        return PASS, None
-    if ctx.isolated in (2, 4):
-        return PASS, None
-    return HYPOTHESIS_GAP, {
-        "isolated": ctx.isolated,
-        "pairs": ctx.pairs,
-        "detail": "no stated multipartite shape covers this part profile",
-    }
+    return _k1_k2_branches(ctx, "no stated multipartite shape covers this part profile")
 
 
 def _check_self_inverse_units(ctx: RingContext):
@@ -253,59 +221,22 @@ def _check_upg_edgeless(ctx: RingContext):
     return _fail("edgeless", f"edge {upg.labels[u]}-{upg.labels[v]}")
 
 
-def _check_comp_complete(ctx: RingContext):
-    comp = ctx.comp_report.graph
-    if is_complete(comp):
-        return PASS, None
-    return _fail("complete graph", f"{comp.edge_count} edges on {comp.n} vertices")
-
-
-def _check_upg_girth_inf(ctx: RingContext):
-    if ctx.upg_report.girth == inv.INFINITY:
-        return PASS, None
-    return _fail("inf", ctx.upg_report.text("girth"), quantity="girth")
-
-
-def _gap_three_units(ctx: RingContext):
-    return HYPOTHESIS_GAP, {
-        "units": 3,
-        "complement_girth": ctx.comp_report.text("girth"),
-        "detail": "no girth statement covers rings with exactly three units",
-    }
-
-
-def _check_comp_girth_inf(ctx: RingContext):
-    if ctx.unit_count == 3:
-        return _gap_three_units(ctx)
-    if ctx.comp_report.girth == inv.INFINITY:
-        return PASS, None
-    return _fail("inf", ctx.comp_report.text("girth"), quantity="complement girth")
-
-
-def _check_comp_girth_three(ctx: RingContext):
-    if ctx.unit_count == 3:
-        return _gap_three_units(ctx)
-    if ctx.comp_report.girth == 3:
-        return PASS, None
-    return _fail(3, ctx.comp_report.text("girth"), quantity="complement girth")
-
-
-def _diameter_radius(report: inv.InvariantReport) -> str:
-    return f"diameter {report.text('diameter')} radius {report.text('radius')}"
-
-
-def _check_upg_diam_rad_inf(ctx: RingContext):
-    upg = ctx.upg_report
-    if upg.diameter == inv.INFINITY and upg.radius == inv.INFINITY:
-        return PASS, None
-    return _fail("diameter inf and radius inf", _diameter_radius(upg))
-
-
-def _check_comp_diam2_rad1(ctx: RingContext):
+def _check_comp_girth(ctx: RingContext, expected: inv.ExtendedNat):
+    """The complement's girth against ``expected``; no girth statement
+    covers exactly three units."""
     comp = ctx.comp_report
-    if comp.diameter == 2 and comp.radius == 1:
-        return PASS, None
-    return _fail("diameter 2 and radius 1", _diameter_radius(comp))
+    if ctx.unit_count == 3:
+        return HYPOTHESIS_GAP, {
+            "units": 3,
+            "complement_girth": comp.text("girth"),
+            "detail": "no girth statement covers rings with exactly three units",
+        }
+    return _verdict(
+        comp.girth == expected,
+        "inf" if expected == inv.INFINITY else expected,
+        comp.text("girth"),
+        quantity="complement girth",
+    )
 
 
 def _check_diam_rad_one_iff_cyclic_24(ctx: RingContext):
@@ -323,40 +254,17 @@ def _check_diam_rad_one_iff_cyclic_24(ctx: RingContext):
     return PASS, None
 
 
-def _check_upg_domination(ctx: RingContext):
-    expected = ctx.isolated + ctx.pairs
-    if ctx.upg_report.domination_number == expected:
-        return PASS, None
-    return _fail(expected, ctx.upg_report.domination_number, quantity="domination number")
-
-
-def _check_comp_domination_one(ctx: RingContext):
-    if ctx.comp_report.domination_number == 1:
-        return PASS, None
-    return _fail(1, ctx.comp_report.domination_number, quantity="complement domination number")
-
-
 def _check_upg_clique(ctx: RingContext):
     upg = ctx.upg_report
     if ctx.pairs >= 1:
-        if upg.clique_number == 2:
-            return PASS, None
-        return _fail(2, upg.clique_number, quantity="clique number")
+        return _verdict(upg.clique_number == 2, 2, upg.clique_number, quantity="clique number")
     # edgeless case: every vertex is its own 1-clique; the stated count m
     # tallies those cliques, while the standard clique number is 1
-    if upg.clique_number == 1 and upg.component_count == ctx.unit_count:
-        return PASS, None
-    return _fail(
+    return _verdict(
+        upg.clique_number == 1 and upg.component_count == ctx.unit_count,
         f"clique number 1 with {ctx.unit_count} one-cliques",
         f"clique number {upg.clique_number} with {upg.component_count} components",
     )
-
-
-def _check_upg_chromatic(ctx: RingContext):
-    expected = 1 if ctx.pairs == 0 else 2
-    if ctx.upg_report.chromatic_number == expected:
-        return PASS, None
-    return _fail(expected, ctx.upg_report.chromatic_number, quantity="chromatic number")
 
 
 def _check_prop_52(ctx: RingContext):
@@ -364,30 +272,11 @@ def _check_prop_52(ctx: RingContext):
     if m not in (2, 4, 8):
         return _fail("unit count in {2 4 8}", m, quantity="unit count")
     comp = ctx.comp_report
-    if comp.chromatic_number == m and comp.clique_number == m:
-        return PASS, None
-    return _fail(
+    return _verdict(
+        comp.chromatic_number == m and comp.clique_number == m,
         f"complement chromatic {m} and clique {m}",
         f"chromatic {comp.chromatic_number} clique {comp.clique_number}",
     )
-
-
-def _check_prime_field_comp_coloring(ctx: RingContext):
-    expected_chromatic = ctx.unit_count - ctx.pairs
-    expected_clique = (ctx.ring.order + 1) // 2
-    comp = ctx.comp_report
-    if comp.chromatic_number == expected_chromatic and comp.clique_number == expected_clique:
-        return PASS, None
-    return _fail(
-        f"complement chromatic {expected_chromatic} and clique {expected_clique}",
-        f"chromatic {comp.chromatic_number} clique {comp.clique_number}",
-    )
-
-
-def _check_upg_planar(ctx: RingContext):
-    if ctx.upg_report.planar:
-        return PASS, None
-    return _fail("planar", "nonplanar")
 
 
 def _check_comp_planar_iff(ctx: RingContext):
@@ -400,25 +289,16 @@ def _check_comp_planar_iff(ctx: RingContext):
     return PASS, None
 
 
-def _check_upg_not_hamiltonian(ctx: RingContext):
-    if not ctx.upg_report.hamiltonian:
-        return PASS, None
-    return _fail("not hamiltonian", "hamiltonian")
-
-
 def _check_comp_hamiltonian_iff(ctx: RingContext):
     many = ctx.unit_count > 2
     ham = ctx.comp_report.hamiltonian
     if many and not ham:
-        witness: dict[str, object] = {
-            "expected": "hamiltonian",
-            "computed": "not hamiltonian",
-            "direction": "forward",
-            "units": ctx.unit_count,
-        }
-        if ctx.isolated == 1 and ctx.pairs == 1:
-            witness["structure"] = "complement is the path P3 which has no hamiltonian cycle"
-        return FAIL, witness
+        path = ctx.isolated == 1 and ctx.pairs == 1
+        extra = {"structure": "complement is the path P3 which has no hamiltonian cycle"}
+        return _fail(
+            "hamiltonian", "not hamiltonian", direction="forward", units=ctx.unit_count,
+            **(extra if path else {}),
+        )
     if ham and not many:
         return _fail("more than 2 units", ctx.unit_count, direction="converse")
     return PASS, None
@@ -446,28 +326,35 @@ _CLAIMS: tuple[Claim, ...] = (
         "The unity product graph of a boolean ring (every element idempotent) "
         "is the trivial graph on one vertex.",
         lambda ctx: ctx.boolean,
-        _check_boolean_trivial,
+        lambda ctx: _verdict(
+            ctx.upg_report.n == 1 and ctx.upg_report.edge_count == 0,
+            "trivial graph K1",
+            f"{ctx.upg_report.n} vertices {ctx.upg_report.edge_count} edges",
+        ),
     ),
     Claim(
         "thm-3.2",
         "A unity product graph with at least two vertices is disconnected.",
-        lambda ctx: _has_unity(ctx) and ctx.unit_count >= 2,
-        _check_upg_disconnected,
+        lambda ctx: ctx.unit_count >= 2,
+        lambda ctx: _verdict(
+            ctx.upg_report.component_count >= 2,
+            "disconnected",
+            "connected",
+            components=ctx.upg_report.component_count,
+        ),
     ),
     Claim(
         "thm-3.3",
         "A complement unity product graph with at least two vertices is connected.",
-        lambda ctx: _has_unity(ctx) and ctx.unit_count >= 2,
-        _check_comp_connected,
+        lambda ctx: ctx.unit_count >= 2,
+        lambda ctx: _verdict(ctx.comp_report.connected, "connected", "disconnected"),
     ),
     Claim(
         "thm-3.4",
         "Over a ring of odd prime order, the unity product graph has exactly "
         "two isolated vertices.",
-        lambda ctx: _has_unity(ctx)
-        and ctx.ring.order % 2 == 1
-        and is_prime(ctx.ring.order),
-        _check_two_isolated,
+        lambda ctx: ctx.ring.order % 2 == 1 and is_prime(ctx.ring.order),
+        lambda ctx: _verdict(ctx.isolated == 2, 2, ctx.isolated, quantity="isolated vertices"),
     ),
     Claim(
         "thm-3.5",
@@ -476,13 +363,13 @@ _CLAIMS: tuple[Claim, ...] = (
         lambda ctx: ctx.cyclic
         and ctx.ring.order >= 8
         and _is_power_of_two(ctx.ring.order),
-        _check_four_isolated,
+        lambda ctx: _verdict(ctx.isolated == 4, 4, ctx.isolated, quantity="isolated vertices"),
     ),
     Claim(
         "thm-3.6",
         "The unity product graph is 2K1 + (m-2)K2, or 4K1 + (m-4)K2, or mK1, "
         "where m counts the mutual-inverse sets.",
-        _has_unity,
+        _every_ring,
         _check_trichotomy,
     ),
     Claim(
@@ -490,7 +377,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "The complement unity product graph is complete multipartite with "
         "parts of size 2 and either two or four parts of size 1, or is the "
         "complete graph when every unit is self-inverse.",
-        _has_unity,
+        _every_ring,
         _check_multipartite_form,
     ),
     Claim(
@@ -513,56 +400,78 @@ _CLAIMS: tuple[Claim, ...] = (
         "Over Z/n with n above 2 dividing 24, the complement unity product "
         "graph is complete.",
         lambda ctx: ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order),
-        _check_comp_complete,
+        lambda ctx: _verdict(
+            is_complete(ctx.comp_report.graph),
+            "complete graph",
+            f"{ctx.comp_report.edge_count} edges on {ctx.comp_report.n} vertices",
+        ),
     ),
     Claim(
         "thm-4.1",
         "The unity product graph is acyclic: its girth is infinite.",
-        _has_unity,
-        _check_upg_girth_inf,
+        _every_ring,
+        lambda ctx: _verdict(
+            ctx.upg_report.girth == inv.INFINITY,
+            "inf",
+            ctx.upg_report.text("girth"),
+            quantity="girth",
+        ),
     ),
     Claim(
         "thm-4.2",
         "With at most two units the complement unity product graph has "
         "infinite girth (boundary: exactly three units is not covered).",
-        lambda ctx: _has_unity(ctx) and ctx.unit_count <= 3,
-        _check_comp_girth_inf,
+        lambda ctx: ctx.unit_count <= 3,
+        lambda ctx: _check_comp_girth(ctx, inv.INFINITY),
     ),
     Claim(
         "thm-4.3",
         "With more than three units the complement unity product graph has "
         "girth 3 (boundary: exactly three units is not covered).",
-        lambda ctx: _has_unity(ctx) and ctx.unit_count >= 3,
-        _check_comp_girth_three,
+        lambda ctx: ctx.unit_count >= 3,
+        lambda ctx: _check_comp_girth(ctx, 3),
     ),
     Claim(
         "thm-4.4",
         "With at least two units, the unity product graph has infinite "
         "diameter and infinite radius.",
-        lambda ctx: _has_unity(ctx) and ctx.unit_count >= 2,
-        _check_upg_diam_rad_inf,
+        lambda ctx: ctx.unit_count >= 2,
+        lambda ctx: _verdict(
+            ctx.upg_report.diameter == inv.INFINITY and ctx.upg_report.radius == inv.INFINITY,
+            "diameter inf and radius inf",
+            _diameter_radius(ctx.upg_report),
+        ),
     ),
     Claim(
         "thm-4.5",
         "When the complement unity product graph is not complete, its "
         "diameter is 2 and its radius is 1.",
-        lambda ctx: _has_unity(ctx) and not is_complete(ctx.comp_report.graph),
-        _check_comp_diam2_rad1,
+        lambda ctx: not is_complete(ctx.comp_report.graph),
+        lambda ctx: _verdict(
+            ctx.comp_report.diameter == 2 and ctx.comp_report.radius == 1,
+            "diameter 2 and radius 1",
+            _diameter_radius(ctx.comp_report),
+        ),
     ),
     Claim(
         "prop-4.1-2",
         "The complement unity product graph has diameter 1 and radius 1 "
         "exactly when the ring is isomorphic to Z/n with n above 2 dividing "
         "24 (restricted to finite rings).",
-        _has_unity,
+        _every_ring,
         _check_diam_rad_one_iff_cyclic_24,
     ),
     Claim(
         "thm-5.1",
         "The domination number of the unity product graph equals the number "
         "of mutual-inverse sets (self-inverse units plus inverse pairs).",
-        _has_unity,
-        _check_upg_domination,
+        _every_ring,
+        lambda ctx: _verdict(
+            ctx.upg_report.domination_number == ctx.isolated + ctx.pairs,
+            ctx.isolated + ctx.pairs,
+            ctx.upg_report.domination_number,
+            quantity="domination number",
+        ),
     ),
     Claim(
         "prop-5.2",
@@ -575,58 +484,73 @@ _CLAIMS: tuple[Claim, ...] = (
     Claim(
         "thm-5.3",
         "The complement unity product graph has domination number 1.",
-        _has_unity,
-        _check_comp_domination_one,
+        _every_ring,
+        lambda ctx: _verdict(
+            ctx.comp_report.domination_number == 1,
+            1,
+            ctx.comp_report.domination_number,
+            quantity="complement domination number",
+        ),
     ),
     Claim(
         "thm-5.4",
         "The clique number of the unity product graph is 2 when an inverse "
         "pair exists; in the edgeless case every vertex is a 1-clique (the "
         "stated value m counts those cliques; the standard clique number is 1).",
-        _has_unity,
+        _every_ring,
         _check_upg_clique,
     ),
     Claim(
         "thm-5.5",
         "The chromatic number of the unity product graph is 1 when edgeless "
         "and 2 otherwise.",
-        _has_unity,
-        _check_upg_chromatic,
+        _every_ring,
+        lambda ctx: _verdict(
+            ctx.upg_report.chromatic_number == (1 if ctx.pairs == 0 else 2),
+            1 if ctx.pairs == 0 else 2,
+            ctx.upg_report.chromatic_number,
+            quantity="chromatic number",
+        ),
     ),
     Claim(
         "thm-5.7",
         "Over a field of prime order at least 5, the complement unity "
         "product graph has chromatic number equal to its vertex count minus "
         "the number of size-2 parts, and clique number (p+1)/2.",
-        lambda ctx: _has_unity(ctx)
-        and ctx.ring.order >= 5
-        and is_prime(ctx.ring.order),
-        _check_prime_field_comp_coloring,
+        lambda ctx: ctx.ring.order >= 5 and is_prime(ctx.ring.order),
+        lambda ctx: _verdict(
+            ctx.comp_report.chromatic_number == ctx.unit_count - ctx.pairs
+            and ctx.comp_report.clique_number == (ctx.ring.order + 1) // 2,
+            f"complement chromatic {ctx.unit_count - ctx.pairs} "
+            f"and clique {(ctx.ring.order + 1) // 2}",
+            f"chromatic {ctx.comp_report.chromatic_number} "
+            f"clique {ctx.comp_report.clique_number}",
+        ),
     ),
     Claim(
         "thm-6.1",
         "The unity product graph is planar.",
-        _has_unity,
-        _check_upg_planar,
+        _every_ring,
+        lambda ctx: _verdict(ctx.upg_report.planar, "planar", "nonplanar"),
     ),
     Claim(
         "thm-6.2",
         "The complement unity product graph is planar exactly when the ring "
         "has at most four units.",
-        _has_unity,
+        _every_ring,
         _check_comp_planar_iff,
     ),
     Claim(
         "thm-6.3",
         "The unity product graph is never hamiltonian.",
-        _has_unity,
-        _check_upg_not_hamiltonian,
+        _every_ring,
+        lambda ctx: _verdict(not ctx.upg_report.hamiltonian, "not hamiltonian", "hamiltonian"),
     ),
     Claim(
         "thm-6.4",
         "The complement unity product graph is hamiltonian exactly when the "
         "ring has more than two units.",
-        _has_unity,
+        _every_ring,
         _check_comp_hamiltonian_iff,
     ),
 )

@@ -427,9 +427,11 @@ def _domination_search(adj: tuple[int, ...], mask: int) -> int:
 
     A greedy cover gives the upper bound.  Branch and bound on an explicit
     stack of (undominated mask, set size) then picks an undominated vertex
-    with the fewest closed neighbors and branches on each of them; a
-    branch is dropped when its size plus the undominated count over the
-    most any vertex dominates, rounded up, cannot beat the best.
+    with the fewest closed neighbors and branches on each of them.  k
+    more vertices dominate at most the k largest gains (undominated
+    vertices each one would dominate) together, so a branch is dropped
+    when its size plus the fewest largest gains that reach the
+    undominated count cannot beat the best.
     """
     closed = {v: adj[v] & mask | 1 << v for v in bit_indices(mask)}
     undominated, best = mask, 0
@@ -443,8 +445,12 @@ def _domination_search(adj: tuple[int, ...], mask: int) -> int:
         if not undominated:
             best = min(best, size)
             continue
-        gain = max((row & undominated).bit_count() for row in closed.values())
-        if size + -(-undominated.bit_count() // gain) >= best:
+        gains = sorted(((row & undominated).bit_count() for row in closed.values()), reverse=True)
+        left, need = undominated.bit_count(), 0
+        while left > 0:
+            left -= gains[need]
+            need += 1
+        if size + need >= best:
             continue
         pivot = min(bit_indices(undominated), key=lambda v: closed[v].bit_count())
         for w in reversed([*bit_indices(closed[pivot])]):

@@ -70,6 +70,9 @@ class FiniteRing:
     ``unity`` is None for rings without a multiplicative identity; such
     rings can be built and inspected but have no unit group.
 
+    ``element_name`` names an element index.  Names are made on demand,
+    so a ring of order n holds no n strings.
+
     ``inverses``, when set, returns the unit group as a map from each unit
     to its inverse, computed from the ring family's structure.  ``units``
     calls it lazily and falls back to scanning products when it is None.
@@ -81,11 +84,8 @@ class FiniteRing:
     zero: int
     unity: int | None
     label: str
-    element_names: tuple[str, ...]
+    element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
-
-    def element_name(self, x: int) -> str:
-        return self.element_names[x]
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         zero=0,
         unity=1 % n,
         label=f"Z/{n}",
-        element_names=tuple(str(i) for i in range(n)),
+        element_name=str,
         inverses=lambda: {x: pow(x, -1, n) for x in range(n) if math.gcd(x, n) == 1},
     )
 
@@ -297,7 +297,6 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
                 return {x: powers[-i] for i, x in enumerate(powers)}
         raise AssertionError(f"GF({order}) has no primitive element")
 
-    names = tuple(_poly_name(digits(x)) for x in range(order))
     return FiniteRing(
         order=order,
         add=add,
@@ -305,7 +304,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         zero=0,
         unity=1,
         label=f"GF({order})",
-        element_names=names,
+        element_name=lambda x: _poly_name(digits(x)),
         inverses=inverses,
     )
 
@@ -363,14 +362,13 @@ def direct_product(
     def wrap(lbl: str) -> str:
         return f"({lbl})" if " × " in lbl else lbl
 
+    def element_name(v: int) -> str:
+        return "(" + ",".join(r.element_name(x) for r, x in zip(comps, decode(v))) + ")"
+
     label = " × ".join(wrap(r.label) for r in comps)
-    names = tuple(
-        "(" + ",".join(r.element_name(x) for r, x in zip(comps, decode(v))) + ")"
-        for v in range(order)
-    )
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
-        element_names=names, inverses=inverses,
+        element_name=element_name, inverses=inverses,
     )
 
 
@@ -472,11 +470,17 @@ def table_ring(
                     raise RingSpecError(f"table: {name}[{i}][{j}] = {v!r} out of range")
     if not 0 <= zero < n:
         raise RingSpecError(f"table: zero index {zero} out of range")
+    if label is not None and not isinstance(label, str):
+        raise RingSpecError(f"table: label must be a string, got {label!r}")
     add_rows = tuple(tuple(row) for row in add_table)
     mul_rows = tuple(tuple(row) for row in mul_table)
     if element_names is None:
         names = tuple(str(i) for i in range(n))
     else:
+        if not isinstance(element_names, (list, tuple)) or not all(
+            isinstance(name, str) for name in element_names
+        ):
+            raise RingSpecError("table: element_names must be a list of strings")
         if len(element_names) != n:
             raise RingSpecError("table: element name count does not match order")
         names = tuple(element_names)
@@ -488,7 +492,7 @@ def table_ring(
         zero=zero,
         unity=None,
         label=label.replace(",", ";") if label is not None else f"table({n})",
-        element_names=names,
+        element_name=names.__getitem__,
     )
     validate_ring_axioms(ring)
     return replace(ring, unity=_find_unity(ring))
@@ -655,7 +659,7 @@ def _parse_spec(text: str, order_cap: int, nesting: int) -> FiniteRing:
                 doc = json.load(fh)
         except OSError as exc:
             raise RingSpecError(f"table: cannot read {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RingSpecError(f"table: invalid JSON in {path}: {exc}") from None
         return table_ring_from_json(doc, order_cap=order_cap)
     raise RingSpecError(f"unknown ring family {family!r}")

@@ -25,8 +25,8 @@ from upg.claims import (
     run_sweep,
 )
 import upg.invariants
-from upg.graphs import complement
-from upg.invariants import VertexBoundError
+from upg.graphs import complement, graph_from_edges
+from upg.invariants import InvariantReport, VertexBoundError
 from upg.rings import parse_ring_spec, zmod
 
 DATA = Path(__file__).parent / "data"
@@ -128,6 +128,139 @@ def test_thm64_fails_on_gf4_with_path_witness():
     assert "P3" in str(verdicts[0].witness)
     assert verdicts[0].witness["units"] == 3
 
+
+
+def graph(n, *edges):
+    return graph_from_edges(n, edges)
+
+
+EMPTY = graph(0)
+TWO_K1 = graph(2)
+THREE_K1 = graph(3)
+P3 = graph(3, (0, 1), (1, 2))
+P4 = graph(4, (0, 1), (1, 2), (2, 3))
+K3 = graph(3, (0, 1), (1, 2), (0, 2))
+K4 = graph(4, *((u, v) for u in range(4) for v in range(u + 1, 4)))
+K5 = graph(5, *((u, v) for u in range(5) for v in range(u + 1, 5)))
+K1_K2 = graph(3, (1, 2))
+TWO_K1_K2 = graph(4, (2, 3))
+THREE_K1_K2 = graph(5, (3, 4))
+
+# (claim id, ring spec, UPG stand-in, complement stand-in, forced UPG report
+# fields, outcome, witness items in order).  A stand-in replaces the ring's
+# own report; the complement's report otherwise comes from the UPG in use.
+# Wherever a check reads the K1/K2 counts, the UPG is a disjoint union of
+# K1s and K2s, so any way of counting them agrees.
+WITNESS_CASES = [
+    ("thm-3.1", "zmod:5", K1_K2, None, {}, FAIL,
+     [("expected", "trivial graph K1"), ("computed", "3 vertices 1 edges")]),
+    ("thm-3.2", "zmod:5", P3, None, {}, FAIL,
+     [("expected", "disconnected"), ("computed", "connected"), ("components", 1)]),
+    ("thm-3.3", "zmod:5", None, TWO_K1, {}, FAIL,
+     [("expected", "connected"), ("computed", "disconnected")]),
+    ("thm-3.4", "zmod:8", None, None, {}, FAIL,
+     [("expected", 2), ("computed", 4), ("quantity", "isolated vertices")]),
+    ("thm-3.5", "zmod:5", TWO_K1_K2, None, {}, FAIL,
+     [("expected", 4), ("computed", 2), ("quantity", "isolated vertices")]),
+    ("thm-3.6", "zmod:5", P3, None, {}, FAIL,
+     [("expected", "disjoint union of K1 and K2"), ("computed", "vertex of degree above 1")]),
+    ("thm-3.6", "zmod:5", THREE_K1_K2, None, {}, HYPOTHESIS_GAP,
+     [("isolated", 3), ("pairs", 1),
+      ("detail", "no stated branch covers this square-root-of-unity count")]),
+    ("thm-3.7", "zmod:5", TWO_K1_K2, P4, {}, FAIL,
+     [("expected", "complete multipartite with parts (1, 1, 2)"),
+      ("computed", "not complete multipartite")]),
+    ("thm-3.7", "zmod:5", TWO_K1_K2, K4, {}, FAIL,
+     [("expected", "complete multipartite with parts (1, 1, 2)"),
+      ("computed", "parts (1, 1, 1, 1)")]),
+    ("thm-3.7", "zmod:5", THREE_K1_K2, None, {}, HYPOTHESIS_GAP,
+     [("isolated", 3), ("pairs", 1),
+      ("detail", "no stated multipartite shape covers this part profile")]),
+    ("prop-3.1", "zmod:18", None, None, {}, FAIL,
+     [("expected", "every unit self-inverse"), ("computed", "5 inverse is 11")]),
+    ("prop-3.2-2", "zmod:5", None, None, {}, FAIL,
+     [("expected", "edgeless"), ("computed", "edge 2-3")]),
+    ("prop-3.3-2", "zmod:5", None, None, {}, FAIL,
+     [("expected", "complete graph"), ("computed", "5 edges on 4 vertices")]),
+    ("thm-4.1", "zmod:5", K3, None, {}, FAIL,
+     [("expected", "inf"), ("computed", "3"), ("quantity", "girth")]),
+    ("thm-4.2", "zmod:5", None, None, {}, FAIL,
+     [("expected", "inf"), ("computed", "3"), ("quantity", "complement girth")]),
+    ("thm-4.2", "gf:2^2", None, None, {}, HYPOTHESIS_GAP,
+     [("units", 3), ("complement_girth", "inf"),
+      ("detail", "no girth statement covers rings with exactly three units")]),
+    ("thm-4.3", "zmod:3", None, None, {}, FAIL,
+     [("expected", 3), ("computed", "inf"), ("quantity", "complement girth")]),
+    ("thm-4.3", "gf:2^2", None, None, {}, HYPOTHESIS_GAP,
+     [("units", 3), ("complement_girth", "inf"),
+      ("detail", "no girth statement covers rings with exactly three units")]),
+    ("thm-4.4", "zmod:5", P3, None, {}, FAIL,
+     [("expected", "diameter inf and radius inf"), ("computed", "diameter 2 radius 1")]),
+    ("thm-4.5", "zmod:3", None, None, {}, FAIL,
+     [("expected", "diameter 2 and radius 1"), ("computed", "diameter 1 radius 1")]),
+    ("prop-4.1-2", "zmod:8", None, P3, {}, FAIL,
+     [("expected", "diameter 1 and radius 1"), ("computed", "diameter 2 radius 1"),
+      ("direction", "forward")]),
+    ("prop-4.1-2", "prod:(zmod:2,zmod:4)", None, None, {}, FAIL,
+     [("expected", "ring isomorphic to Z/n with n over 2 dividing 24"),
+      ("computed", "Z/2 × Z/4"), ("direction", "converse")]),
+    ("thm-5.1", "zmod:5", K1_K2, None, {"domination_number": 3}, FAIL,
+     [("expected", 2), ("computed", 3), ("quantity", "domination number")]),
+    ("prop-5.2", "zmod:7", None, None, {}, FAIL,
+     [("expected", "unit count in {2 4 8}"), ("computed", 6), ("quantity", "unit count")]),
+    ("prop-5.2", "zmod:5", None, None, {}, FAIL,
+     [("expected", "complement chromatic 4 and clique 4"),
+      ("computed", "chromatic 3 clique 3")]),
+    ("thm-5.3", "zmod:5", None, TWO_K1, {}, FAIL,
+     [("expected", 1), ("computed", 2), ("quantity", "complement domination number")]),
+    ("thm-5.4", "zmod:5", THREE_K1, None, {}, FAIL,
+     [("expected", "clique number 1 with 4 one-cliques"),
+      ("computed", "clique number 1 with 3 components")]),
+    ("thm-5.5", "zmod:5", EMPTY, None, {}, FAIL,
+     [("expected", 1), ("computed", 0), ("quantity", "chromatic number")]),
+    ("thm-5.7", "zmod:9", None, None, {}, FAIL,
+     [("expected", "complement chromatic 4 and clique 5"),
+      ("computed", "chromatic 4 clique 4")]),
+    ("thm-6.1", "zmod:5", K5, None, {}, FAIL,
+     [("expected", "planar"), ("computed", "nonplanar")]),
+    ("thm-6.2", "zmod:5", None, K5, {}, FAIL,
+     [("expected", "planar"), ("computed", "nonplanar"), ("direction", "forward"),
+      ("units", 4)]),
+    ("thm-6.2", "zmod:7", None, TWO_K1, {}, FAIL,
+     [("expected", "at most 4 units"), ("computed", 6), ("direction", "converse")]),
+    ("thm-6.3", "zmod:5", K3, None, {}, FAIL,
+     [("expected", "not hamiltonian"), ("computed", "hamiltonian")]),
+    ("thm-6.4", "gf:2^2", None, None, {}, FAIL,
+     [("expected", "hamiltonian"), ("computed", "not hamiltonian"), ("direction", "forward"),
+      ("units", 3), ("structure", "complement is the path P3 which has no hamiltonian cycle")]),
+    ("thm-6.4", "zmod:5", None, P4, {}, FAIL,
+     [("expected", "hamiltonian"), ("computed", "not hamiltonian"), ("direction", "forward"),
+      ("units", 4)]),
+    ("thm-6.4", "zmod:3", None, K3, {}, FAIL,
+     [("expected", "more than 2 units"), ("computed", 2), ("direction", "converse")]),
+]
+
+
+def test_witness_cases_cover_every_claim():
+    assert {case[0] for case in WITNESS_CASES} == EXPECTED_IDS
+
+
+@pytest.mark.parametrize(
+    "claim_id,spec,upg,comp,fields,outcome,witness",
+    WITNESS_CASES,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(WITNESS_CASES)],
+)
+def test_fail_and_gap_witnesses_pinned(claim_id, spec, upg, comp, fields, outcome, witness):
+    ctx = RingContext(parse_ring_spec(spec))
+    if upg is not None:
+        ctx.upg_report = InvariantReport(upg)
+    if comp is not None:
+        ctx.comp_report = InvariantReport(comp)
+    for name, value in fields.items():
+        # a report field forced to a wrong value, as from a faulty solver
+        setattr(ctx.upg_report, name, value)
+    got_outcome, got_witness = lookup(claim_id).check(ctx)
+    assert (got_outcome, list(got_witness.items())) == (outcome, witness)
 
 ZERO_FAIL_IDS = (
     "thm-3.1", "thm-3.2", "thm-3.3", "thm-3.4", "thm-3.5",

@@ -140,6 +140,27 @@ def test_table_json_boolean_entry_exit_2(tmp_path):
     assert res.stderr.startswith("error: ") and "mul[1][1] = True" in res.stderr
 
 
+
+@pytest.mark.parametrize("case", ["label-int", "names-int", "names-ints", "not-utf8"])
+def test_table_json_bad_document_exit_2(tmp_path, case):
+    doc = json.loads((DATA / "table_z4.json").read_text())
+    if case == "label-int":
+        doc["label"] = 5
+    elif case == "names-int":
+        doc["element_names"] = 5
+    elif case == "names-ints":
+        doc["element_names"] = [0, 1, 2, 3]
+    else:
+        doc["label"] = "T\u00e4"
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    for command in ("build", "--ring"), ("analyze", "--ring"), ("verify", "--include"):
+        res = run_cli(*command, f"table:@{path}")
+        assert res.returncode == 2, (command, res.stderr)
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
 def test_build_at_order_cap_gf4096():
     # UPG of GF(2^12): only 1 is self-inverse, so 2047 edges
     res = run_cli("build", "--ring", "gf:2^12", "--format", "json")

@@ -481,7 +481,9 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
     # whose prime pieces are not index ranges, and that join's complement.
     # Last, a 5-wheel (ω 3, χ 4) with a 60-vertex path hung on a rim
     # vertex: a coloring search that let the path vertices retry colors
-    # after the rim opened the fourth would run through 2^59 colorings.
+    # after the rim opened the fourth would run through 2^59 colorings,
+    # and a domination bound by the single largest gain took about a
+    # minute on it.
     script = (
         "import sys\n"
         "from upg.graphs import complement, graph_from_edges, unity_product_graph\n"
@@ -506,7 +508,7 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
         "m = 60\n"
         "wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]\n"
         "h = graph_from_edges(6 + m, wheel + [(1, 6)] + [(i, i + 1) for i in range(6, 5 + m)])\n"
-        "print(clique_number(h), chromatic_number(h))\n"
+        "print(clique_number(h), chromatic_number(h), domination_number(h))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -519,11 +521,20 @@ def test_full_report_at_order_cap_under_low_recursion_limit():
         "3 101\n"
         "200 200 2\n"
         "53 54 2\n50 51 36\n"
-        "3 4\n"
+        "3 4 21\n"
     )
     # about a thousand colored vertices deep
     assert chromatic_number(cycle(999)) == 3
 
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 15, 24, 30])
+def test_domination_of_wheel_with_path_matches_reference(m):
+    # one prime piece: a 5-wheel with an m-vertex path hung on a rim vertex
+    wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
+    h = graph_from_edges(6 + m, wheel + [(1, 6)] + [(i, i + 1) for i in range(6, 5 + m)])
+    assert Decomposition(h).kinds[0] == PRIME
+    assert domination_number(h) == reference_domination_search(h)
 
 def random_forest(n, rng):
     """Random forest: each later vertex hangs off an earlier one or starts a tree."""

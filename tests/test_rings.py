@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
@@ -160,13 +163,35 @@ def test_gf4_tables():
     # modulus x^2 + x + 1; indices 0,1,x,x+1 encode base-2 digit strings
     ring = gf(2, 2)
     assert ring.label == "GF(4)"
-    assert ring.element_names == ("0", "1", "x", "x+1")
+    assert [ring.element_name(x) for x in range(4)] == ["0", "1", "x", "x+1"]
     x, x1 = 2, 3
     assert ring.mul(x, x) == x1
     assert ring.mul(x, x1) == 1
     assert ring.add(x, x1) == 1
     assert characteristic(ring) == 2
 
+
+
+def test_default_rings_make_element_names_on_demand():
+    # Every Z/n up to 2048 once held its n name strings from construction
+    # on, about 145 MB in all; names are now made when asked for.
+    resource = pytest.importorskip("resource")
+    script = (
+        "import resource\n"
+        "from upg.claims import default_rings\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "rings = default_rings(zmod_max=2048)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(rings[-1].element_name(7), grown)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    name, grown_kb = res.stdout.split()
+    assert name == "(x+1,1)"  # the last default ring is GF(4) x Z/2
+    assert int(grown_kb) < 40 * 1024  # ru_maxrss is in KiB on Linux
 
 def test_gf9_modulus():
     # smallest monic irreducible over F3 of degree 2 is x^2 + 1, so x*x = -1
