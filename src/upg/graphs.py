@@ -4,6 +4,17 @@ Row ``adj[v]`` is an int whose set bits are the neighbors of ``v``.
 Includes the unity product graph construction, complement, the two
 structure recognizers the claim checks rely on, and DOT/JSON export.
 
+``SimpleGraph(...)``, ``graph_from_edges`` and ``graph_from_json`` check
+their rows for loops, missing vertices and asymmetry.  The two ring
+graph builders skip that check, since their rows hold by construction,
+and seed the edge count they already know: ``unity_product_graph``
+points each unit's row at its inverse, an involution, so the graph is
+s*K1 + p*K2 with p edges, and ``complement`` flips the off-diagonal bits
+of a valid graph's rows, leaving C(n, 2) - m edges.  A graph whose rows
+have at most one bit each (``is_matching``) is such a union of K1's and
+K2's, and the invariants' Decomposition reads its components straight
+off the rows.
+
 Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece
 per adjacency row, decoding the row's later neighbors in C (its binary
 digits select precomputed per-vertex strings), so no Python object is
@@ -59,6 +70,16 @@ class SimpleGraph:
                     if self.adj[u] >> v & 1:
                         raise ValueError(f"asymmetric edge ({u}, {v})")
 
+    @classmethod
+    def _trusted(
+        cls, n: int, labels: tuple[str, ...], adj: tuple[int, ...], edge_count: int
+    ) -> SimpleGraph:
+        """A graph whose rows the caller built loop-free, in range and
+        symmetric, with ``edge_count`` edges; nothing is checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, labels=labels, adj=adj, edge_count=edge_count)
+        return g
+
     @cached_property  # in the instance dict, so == and hash still see only the fields
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -106,24 +127,34 @@ def unity_product_graph(ug: UnitGroup) -> SimpleGraph:
     """Graph on the units; x and y are adjacent iff x != y and x * y = unity.
 
     Vertices follow the unit order of ``ug`` (element-index order) and are
-    labeled by element names.
+    labeled by element names.  Each row holds the unit's inverse unless
+    the unit is self-inverse; inversion is an involution, so the rows are
+    symmetric and the graph has one edge per two non-self-inverse units.
     """
     index_of = {x: i for i, x in enumerate(ug.units)}
     labels = tuple(ug.ring.element_name(x) for x in ug.units)
-    adj = [0] * len(ug.units)
+    adj = []
     for i, x in enumerate(ug.units):
         j = index_of[ug.inverse_of[x]]
-        if j != i:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return SimpleGraph(n=len(ug.units), labels=labels, adj=tuple(adj))
+        adj.append(0 if j == i else 1 << j)
+    n = len(adj)
+    return SimpleGraph._trusted(n, labels, tuple(adj), (n - adj.count(0)) // 2)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
-    """Complement on the same vertex set, preserving labels."""
+    """Complement on the same vertex set, preserving labels.
+
+    Row v is ``full ^ adj[v] ^ (1 << v)``, which is loop-free and
+    symmetric because ``g`` is.
+    """
     full = (1 << g.n) - 1
-    adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return SimpleGraph(n=g.n, labels=g.labels, adj=adj)
+    adj = tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
+    return SimpleGraph._trusted(g.n, g.labels, adj, g.n * (g.n - 1) // 2 - g.edge_count)
+
+
+def is_matching(adj: tuple[int, ...]) -> bool:
+    """True when no row has two bits: the graph is a union of K1's and K2's."""
+    return not any(row & (row - 1) for row in adj)
 
 
 def is_complete(g: SimpleGraph) -> bool:
@@ -172,7 +203,7 @@ class StructureDecomposition:
 
 def decompose_matching_structure(g: SimpleGraph) -> StructureDecomposition:
     """Recognize a disjoint union of K1's and K2's: no row has two bits."""
-    if any(row & (row - 1) for row in g.adj):
+    if not is_matching(g.adj):
         return StructureDecomposition(isolated=0, pairs=0, valid=False)
     return StructureDecomposition(isolated=g.adj.count(0), pairs=g.edge_count, valid=True)
 

@@ -50,6 +50,7 @@ from .graphs import (
     bit_indices,
     complement,
     connected_parts,
+    is_matching,
     recognize_complete_multipartite,
 )
 
@@ -197,6 +198,11 @@ class Decomposition:
     Children come after their parent, so a reverse pass over the pieces
     meets every child before its parent.
 
+    The components are read straight off the rows when no row has two
+    bits (every unity product graph): each is a vertex with no neighbor
+    below it, plus that neighbor if any, which lists them by least vertex
+    as connected_parts does; any other graph runs its mask BFS.
+
     Clique and chromatic numbers are the largest part's over a union and
     add up over a join.  The domination number adds up over the
     components; a join is dominated by one vertex iff some part is a
@@ -210,7 +216,13 @@ class Decomposition:
         adj = g.adj
         full = (1 << g.n) - 1
         self.adj = adj
-        self.components = connected_parts(adj, full)
+        if is_matching(adj):
+            # a component starts at each vertex with no neighbor below it
+            self.components = [
+                row | 1 << v for v, row in enumerate(adj) if not row or row.bit_length() > v
+            ]
+        else:
+            self.components = connected_parts(adj, full)
         self.co_components = (
             connected_parts(adj, full, complemented=True) if len(self.components) <= 1 else [full]
         )

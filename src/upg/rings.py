@@ -462,7 +462,8 @@ def table_ring(
         raise RingSpecError("table: empty addition table")
     _check_cap(n, order_cap)
     for name, tbl in (("add", add_table), ("mul", mul_table)):
-        if len(tbl) != n or any(len(row) != n for row in tbl):
+        square = all(isinstance(row, (list, tuple)) and len(row) == n for row in tbl)
+        if len(tbl) != n or not square:
             raise RingSpecError(f"table: {name} table is not {n}x{n}")
         for i, row in enumerate(tbl):
             for j, v in enumerate(row):
@@ -661,6 +662,8 @@ def _parse_spec(text: str, order_cap: int, nesting: int) -> FiniteRing:
             raise RingSpecError(f"table: cannot read {path}: {exc}") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RingSpecError(f"table: invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise RingSpecError(f"table: JSON in {path} is nested too deeply") from None
         return table_ring_from_json(doc, order_cap=order_cap)
     raise RingSpecError(f"unknown ring family {family!r}")
 

@@ -17,6 +17,9 @@ each co-component, the reference for the edge-count test.
 bound, then exact k-colorability) and ``reference_domination_search``
 are the former recursive prime-piece searches, run on whole graphs, the
 reference for the in-place searches on explicit stacks.
+``reference_decomposition`` is the former split that finds the
+components of every graph by mask BFS, the reference for the components
+read off the rows of a graph whose rows have at most one bit.
 """
 
 import json
@@ -31,6 +34,7 @@ from upg.graphs import (
     connected_parts,
     graph_from_edges,
 )
+from upg.invariants import JOIN, PRIME, SMALL, UNION
 from upg.rings import FiniteRing, NoUnityError, UnitGroup
 
 INFINITY = math.inf
@@ -537,3 +541,47 @@ def reference_export_json(g: SimpleGraph) -> str:
 def random_graph(n: int, p: float, rng: Random) -> SimpleGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def reference_decomposition(g: SimpleGraph) -> dict:
+    """components, co_components, kinds, masks and parts of the split,
+    with the components of every graph found by connected_parts."""
+    non_edge = "non-edge"
+    adj = g.adj
+    full = (1 << g.n) - 1
+    components = connected_parts(adj, full)
+    co_components = connected_parts(adj, full, complemented=True) if len(components) <= 1 else [full]
+    kinds = [non_edge if g.n == 2 and not adj[0] else SMALL]
+    masks = [full]
+    parts: list[tuple[int, ...]] = [()]
+    top = {UNION: components, JOIN: co_components}
+    stack = [(0, (UNION, JOIN))]
+    while stack:
+        i, tries = stack.pop()
+        mask = masks[i]
+        if mask.bit_count() <= 2:
+            continue
+        for kind in tries:
+            split = top[kind] if i == 0 else connected_parts(adj, mask, kind == JOIN)
+            if len(split) > 1:
+                break
+        else:
+            kinds[i] = PRIME
+            continue
+        kinds[i] = kind
+        other = (JOIN,) if kind == UNION else (UNION,)
+        small = SMALL if kind == UNION else non_edge
+        first = len(masks)
+        parts[i] = tuple(range(first, first + len(split)))
+        for part in split:
+            stack.append((len(masks), other))
+            kinds.append(small if part.bit_count() == 2 else SMALL)
+            masks.append(part)
+            parts.append(())
+    return {
+        "components": components,
+        "co_components": co_components,
+        "kinds": kinds,
+        "masks": masks,
+        "parts": parts,
+    }

@@ -141,10 +141,12 @@ def test_table_json_boolean_entry_exit_2(tmp_path):
 
 
 
-@pytest.mark.parametrize("case", ["label-int", "names-int", "names-ints", "not-utf8"])
+@pytest.mark.parametrize("case", ["label-int", "names-int", "names-ints", "not-utf8", "row-int"])
 def test_table_json_bad_document_exit_2(tmp_path, case):
     doc = json.loads((DATA / "table_z4.json").read_text())
-    if case == "label-int":
+    if case == "row-int":
+        doc["add"] = [0, 1, 2, 3]
+    elif case == "label-int":
         doc["label"] = 5
     elif case == "names-int":
         doc["element_names"] = 5
@@ -160,6 +162,17 @@ def test_table_json_bad_document_exit_2(tmp_path, case):
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_table_json_nested_too_deep_exit_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    res = run_cli("build", "--ring", f"table:@{path}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert "nested too deeply" in res.stderr
+
 
 def test_build_at_order_cap_gf4096():
     # UPG of GF(2^12): only 1 is self-inverse, so 2047 edges
@@ -610,6 +623,11 @@ GOLDEN_DIGESTS = [
         "survey --family bool --max 8",
         0,
         "5dacf803f5fc51228a2ffdc212814a82b902bb3fd942a062af6394c48267046f",
+    ),
+    (
+        "survey --family zmod --max 600",
+        0,
+        "baa4528c8f19da8956dc8786e0d534c03f0b7d14010337468bd59553920aa3c9",
     ),
 ]
 

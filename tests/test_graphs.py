@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from upg.claims import default_rings
 from upg.graphs import (
     SimpleGraph,
     complement,
@@ -18,10 +19,12 @@ from upg.graphs import (
     recognize_complete_multipartite,
     unity_product_graph,
 )
+from upg.invariants import Decomposition
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
     random_graph,
+    reference_decomposition,
     reference_export_dot,
     reference_export_json,
     reference_recognize_complete_multipartite,
@@ -271,6 +274,39 @@ def test_ring_complements_are_complete_multipartite():
         assert profile.valid
         expected = tuple(sorted([1] * deco.isolated + [2] * deco.pairs))
         assert profile.part_sizes == expected
+
+
+def _assert_split_matches_reference(g: SimpleGraph):
+    split = Decomposition(g)
+    expected = reference_decomposition(g)
+    assert split.components == connected_parts(g.adj, (1 << g.n) - 1), g
+    for field, value in expected.items():
+        assert getattr(split, field) == value, (field, g)
+
+
+def test_trusted_ring_graphs_pass_the_public_check():
+    # unity_product_graph and complement skip SimpleGraph's row checks and
+    # seed edge_count; the checked constructor must accept the same rows,
+    # the seeded count must be the rows' own, and the UPG's split, whose
+    # components are read off its one-bit rows, must match the BFS split
+    test_rings = ("gf:2^3", "gf:3^2", "bool:3", "prod:(zmod:4,zmod:4)", f"table:@{TABLE_Z4}")
+    rings = default_rings(zmod_max=200) + [parse_ring_spec(spec) for spec in test_rings]
+    for ring in rings:
+        g = unity_product_graph(units(ring))
+        for h in (g, complement(g)):
+            assert SimpleGraph(h.n, h.labels, h.adj) == h, ring.label
+            assert h.edge_count == sum(row.bit_count() for row in h.adj) // 2, ring.label
+        _assert_split_matches_reference(g)
+
+
+def test_matching_split_matches_reference_randomized():
+    rng = Random(20261018)
+    for n in range(41):
+        for _ in range(10):
+            order = rng.sample(range(n), n)
+            pairs = rng.randint(0, n // 2)
+            edges = [(order[2 * i], order[2 * i + 1]) for i in range(pairs)]
+            _assert_split_matches_reference(graph_from_edges(n, edges))
 
 
 def test_complement_at_order_cap_gf4096():

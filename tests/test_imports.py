@@ -8,7 +8,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "upg"
 
 def private_imports(path: Path) -> list[str]:
     """Underscore-prefixed names that the module takes from another upg
-    module, by ``from`` import or as an attribute of an imported module."""
+    module, by ``from`` import, as an attribute of an imported module or
+    as an attribute of an imported name (a class's private method)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases = set()
     found = []
@@ -20,8 +21,8 @@ def private_imports(path: Path) -> list[str]:
             for alias in node.names:
                 if alias.name.startswith("_"):
                     found.append(f"line {node.lineno}: {alias.name}")
-                elif node.module is None or node.level == 0 and node.module == "upg":
-                    aliases.add(alias.asname or alias.name)  # a whole module
+                else:
+                    aliases.add(alias.asname or alias.name)  # a module, class or function
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "upg":
@@ -32,6 +33,7 @@ def private_imports(path: Path) -> list[str]:
             and isinstance(node.value, ast.Name)
             and node.value.id in aliases
             and node.attr.startswith("_")
+            and not node.attr.endswith("__")  # a dunder is public
         ):
             found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     return found
@@ -48,11 +50,15 @@ def test_private_import_detector_sees_both_forms(tmp_path):
         "from . import invariants as inv\n"
         "from .graphs import _BIT_SELECTOR, bit_indices\n"
         "from upg.claims import _evaluate\n"
+        "from .graphs import SimpleGraph as G\n"
         "x = inv._PrimePiece\n"
         "y = inv.girth\n"
+        "z = G._trusted(0, (), (), 0)\n"
+        "w = bit_indices.__name__\n"
     )
     assert private_imports(module) == [
         "line 2: _BIT_SELECTOR",
         "line 3: _evaluate",
-        "line 4: inv._PrimePiece",
+        "line 5: inv._PrimePiece",
+        "line 7: G._trusted",
     ]
