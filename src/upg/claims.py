@@ -190,7 +190,7 @@ def _check_trichotomy(ctx: RingContext):
 def _check_multipartite_form(ctx: RingContext):
     comp = ctx.comp_report
     profile = recognize_complete_multipartite(comp.graph, comp.split.co_components)
-    expected = tuple(sorted([1] * ctx.isolated + [2] * ctx.pairs))
+    expected = (1,) * ctx.isolated + (2,) * ctx.pairs
     if not profile.valid or profile.part_sizes != expected:
         return _fail(
             f"complete multipartite with parts {expected}",

@@ -12,8 +12,9 @@ points each unit's row at its inverse, an involution, so the graph is
 s*K1 + p*K2 with p edges, and ``complement`` flips the off-diagonal bits
 of a valid graph's rows, leaving C(n, 2) - m edges.  A graph whose rows
 have at most one bit each (``is_matching``) is such a union of K1's and
-K2's, and the invariants' Decomposition reads its components straight
-off the rows.
+K2's; the invariants' Decomposition reads its split, and its
+complement's, off the rows in C, and passes the co-components to
+``recognize_complete_multipartite`` as (size, count) pairs.
 
 Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece
 per adjacency row, decoding the row's later neighbors in C (its binary
@@ -24,6 +25,8 @@ made per edge.  ``export_dot`` and ``export_json`` join those pieces.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -221,7 +224,7 @@ class MultipartiteProfile:
 
 
 def recognize_complete_multipartite(
-    g: SimpleGraph, co_components: list[int] | None = None
+    g: SimpleGraph, co_components: Iterable[tuple[int, int]] | None = None
 ) -> MultipartiteProfile:
     """Detect complete multipartite graphs.
 
@@ -232,15 +235,21 @@ def recognize_complete_multipartite(
     co-components P, and exactly that many edges in all iff no
     co-component holds an edge.  The test reads no row: no complement is
     built, and none is searched when the caller passes the co-components
-    as vertex masks.  Callers must pass the graph's true co-components;
-    any other partition gives a meaningless answer.
+    as (size, count) pairs, ``count`` co-components of ``size`` vertices
+    each, so that the sum is over the pairs, not the parts.  Callers must
+    pass the graph's true co-components; any other partition gives a
+    meaningless answer.
     """
     if co_components is None:
-        co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
-    sizes = sorted(part.bit_count() for part in co_components)
-    if 2 * g.edge_count != g.n * g.n - sum(size * size for size in sizes):
+        parts = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
+        co_components = Counter(map(int.bit_count, parts)).items()
+    sized = sorted(co_components)
+    if 2 * g.edge_count != g.n * g.n - sum([count * size * size for size, count in sized]):
         return MultipartiteProfile(part_sizes=(), valid=False)
-    return MultipartiteProfile(part_sizes=tuple(sizes), valid=True)
+    sizes: tuple[int, ...] = ()
+    for size, count in sized:
+        sizes += (size,) * count
+    return MultipartiteProfile(part_sizes=sizes, valid=True)
 
 
 # maps the ASCII digits of format(row, "b") to selector bytes for compress

@@ -4,20 +4,26 @@ All solvers are exact.  A Decomposition splits a graph into components
 and co-components (the components of the complement, found by a mask
 BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
 (1985), on an explicit stack, so it never recurses once per vertex.
-Domination, clique and chromatic numbers combine over its pieces: over
-a union by maximum or sum, over a join by sum, and a join is dominated
-by one vertex or two.  Only prime pieces, connected and co-connected,
-reach a search: branch and bound for clique, coloring (DSATUR) and
-domination, each run on the piece's vertex mask in place and on an
-explicit stack, each meant for small pieces.  Every ring graph splits
-into pieces of at most two vertices and never reaches a search.
+Each split keeps all its one-vertex parts as one run piece and all its
+two-vertex parts as another, each with its count, so a unity product
+graph s*K1 + p*K2 and its complement K_{1^s,2^p} are three pieces
+whatever s and p.  Their splits are read off the rows' bit counts and
+sum in C, with no BFS.  Domination, clique and chromatic numbers combine over the
+pieces: over a union by maximum or by count-weighted sum, over a join
+by count-weighted sum, and a join is dominated by one vertex or two.
+Only prime pieces, connected and co-connected, reach a search: branch
+and bound for clique, coloring (DSATUR) and domination, each run on the
+piece's vertex mask in place and on an explicit stack, each meant for
+small pieces.  Every ring graph splits into runs of parts of at most two
+vertices and never reaches a search.
 
 InvariantReport is the one handle per graph that ``analyze``, ``survey``
 and the claim checks read: it builds the graph's Decomposition once, on
 first need, and computes each invariant on its first read, passing the
 split to every solver that takes one, so the component count, girth,
 eccentricities, planarity, hamiltonicity and the complete multipartite
-test share it.  ``InvariantReport.complement`` gives the complement's
+test share it and read the component count and the co-component sizes
+from its counts.  ``InvariantReport.complement`` gives the complement's
 report with its split derived from this one, since the complement has
 the same pieces with every label flipped.  ``full_report`` computes and
 checks every field.
@@ -50,7 +56,6 @@ from .graphs import (
     bit_indices,
     complement,
     connected_parts,
-    is_matching,
     recognize_complete_multipartite,
 )
 
@@ -87,7 +92,7 @@ def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
     cycle no longer than itself, and for r on a shortest cycle the bound
     is attained.
     """
-    if g.edge_count == g.n - len((split or Decomposition(g)).components):
+    if g.edge_count == g.n - (split or Decomposition(g)).component_count:
         return INFINITY
     adj = g.adj
     for u in range(g.n):
@@ -143,10 +148,10 @@ def eccentricity_profile(
     if g.n == 0:
         return 0, 0
     split = split or Decomposition(g)
-    if len(split.components) > 1:
+    if split.component_count > 1:
         return INFINITY, INFINITY
-    if len(split.co_components) > 1:
-        sizes = [part.bit_count() for part in split.co_components]
+    if sum(count for _, count in split.co_components) > 1:
+        sizes = [size for size, _ in split.co_components]
         return (1 if max(sizes) == 1 else 2), (1 if min(sizes) == 1 else 2)
     adj = g.adj
     full = (1 << g.n) - 1
@@ -177,151 +182,238 @@ PRIME = "prime"
 UNION = "union"
 JOIN = "join"
 _NON_EDGE = "non-edge"
-# a piece's kind in the complement, for pieces of two or more vertices
+# a piece's kind in the complement, for pieces whose parts have two or more vertices
 _FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: _NON_EDGE, _NON_EDGE: SMALL, PRIME: PRIME}
 
 
 class Decomposition:
     """A graph split into components and co-components, down to pieces
-    that split no further.
+    that split no further, with like parts of at most two vertices kept
+    as one run.
 
-    ``components`` and ``co_components`` are the graph's own, as vertex
-    masks; a disconnected graph has one co-component, all of it, since its
-    complement is connected.  Piece 0 is the whole graph.  A disconnected
-    piece is a ``union`` of its components; a connected piece whose
-    complement is disconnected is a ``join`` of its co-components.  A piece
-    of at most two vertices is ``small`` when it is a clique and a
-    ``non-edge`` otherwise, and a larger piece that neither split divides
-    is ``prime``.  A component is connected and a co-component
-    co-connected, so each child tries only the other split, and a child of
-    two vertices is an edge under a union and a non-edge under a join.
-    Children come after their parent, so a reverse pass over the pieces
-    meets every child before its parent.
+    Piece 0 is the whole graph.  A disconnected piece is a ``union`` of
+    its components; a connected piece whose complement is disconnected is
+    a ``join`` of its co-components.  A split puts all its one-vertex
+    parts into one run piece and all its two-vertex parts into another;
+    ``masks[i]`` is the union of the ``counts[i]`` parts that piece i
+    stands for, and a part of three or more vertices is a piece of its
+    own, of count 1.  A piece whose parts have at most two vertices is
+    ``small`` when they are cliques and ``non-edge`` otherwise, and a
+    larger piece that neither split divides is ``prime``.  A component is
+    connected and a co-component co-connected, so each child tries only
+    the other split, and a two-vertex part is an edge under a union and a
+    non-edge under a join.  Children come after their parent, so a
+    reverse pass over the pieces meets every child before its parent.
 
-    The components are read straight off the rows when no row has two
-    bits (every unity product graph): each is a vertex with no neighbor
-    below it, plus that neighbor if any, which lists them by least vertex
-    as connected_parts does; any other graph runs its mask BFS.
+    ``components`` and ``co_components`` are the graph's own, as (part
+    size, count) pairs; a disconnected graph has one co-component, all of
+    it, since its complement is connected.  A graph whose rows have at
+    most one bit (every unity product graph, s*K1 + p*K2) or at least
+    n - 2 (the complement of one) is split off its rows in C: their bit
+    counts tell the shape, and their sum gives the mask of the 2p paired
+    vertices, the rest being the s single ones.  Its whole split is
+    three pieces, found with no loop over the vertices in Python and no
+    BFS.  Any other graph runs the mask BFS of connected_parts.
 
     Clique and chromatic numbers are the largest part's over a union and
-    add up over a join.  The domination number adds up over the
-    components; a join is dominated by one vertex iff some part is a
-    single vertex (a co-connected part of two or more vertices has no
-    vertex adjacent to all of it), and otherwise by one vertex from each
-    of two parts.  Only prime pieces reach a search, run on the rows of the
-    whole graph within the piece's vertex mask.
+    add up, count times each child's, over a join.  The domination number
+    adds up, count times each child's, over the components; a join is
+    dominated by one vertex iff some part is a single vertex (a
+    co-connected part of two or more vertices has no vertex adjacent to
+    all of it), and otherwise by one vertex from each of two parts.  Only
+    prime pieces reach a search, run on the rows of the whole graph
+    within the piece's vertex mask.
     """
 
     def __init__(self, g: SimpleGraph):
-        adj = g.adj
-        full = (1 << g.n) - 1
+        adj, n = g.adj, g.n
+        full = (1 << n) - 1
         self.adj = adj
-        if is_matching(adj):
-            # a component starts at each vertex with no neighbor below it
-            self.components = [
-                row | 1 << v for v, row in enumerate(adj) if not row or row.bit_length() > v
-            ]
-        else:
-            self.components = connected_parts(adj, full)
-        self.co_components = (
-            connected_parts(adj, full, complemented=True) if len(self.components) <= 1 else [full]
-        )
-        self.kinds: list[str] = [_NON_EDGE if g.n == 2 and not adj[0] else SMALL]
+        self.kinds: list[str] = [_NON_EDGE if n == 2 and not adj[0] else SMALL]
         self.masks: list[int] = [full]
+        self.counts: list[int] = [1]
         self.parts: list[tuple[int, ...]] = [()]
-        top = {UNION: self.components, JOIN: self.co_components}
-        # an explicit stack: a threshold graph's tree is n levels deep
-        stack = [(0, (UNION, JOIN))]
-        while stack:
-            i, tries = stack.pop()
-            mask = self.masks[i]
-            if mask.bit_count() <= 2:
-                continue
-            for kind in tries:
-                split = top[kind] if i == 0 else connected_parts(adj, mask, kind == JOIN)
-                if len(split) > 1:
-                    break
-            else:
-                self.kinds[i] = PRIME
-                continue
-            self.kinds[i] = kind
-            other = (JOIN,) if kind == UNION else (UNION,)
-            small = SMALL if kind == UNION else _NON_EDGE
-            first = len(self.masks)
-            self.parts[i] = tuple(range(first, first + len(split)))
-            for part in split:
-                stack.append((len(self.masks), other))
-                self.kinds.append(small if part.bit_count() == 2 else SMALL)
-                self.masks.append(part)
-                self.parts.append(())
+        if n > 2 and max(map(int.bit_count, adj)) <= 1:
+            # s*K1 + p*K2: the rows are the distinct single bits of the
+            # paired vertices, so they add up to the mask of those
+            pairs = sum(adj)
+            self._divide(0, UNION, full ^ pairs, pairs, [])
+        elif n > 2 and min(map(int.bit_count, adj)) >= n - 2:
+            # its complement: full - adj[v] is v and its partner, if any,
+            # so those add up to full plus the mask of the paired vertices
+            pairs = (n - 1) * full - sum(adj)
+            self._divide(0, JOIN, full ^ pairs, pairs, [])
+        else:
+            # an explicit stack: a threshold graph's tree is n levels deep
+            stack = [(0, (UNION, JOIN))]
+            while stack:
+                i, tries = stack.pop()
+                mask = self.masks[i]
+                if mask.bit_count() <= 2:
+                    continue
+                for kind in tries:
+                    split = connected_parts(adj, mask, kind == JOIN)
+                    if len(split) > 1:
+                        break
+                else:
+                    self.kinds[i] = PRIME
+                    continue
+                singles = pairs = 0
+                large = []
+                for part in split:
+                    size = part.bit_count()
+                    if size == 1:
+                        singles |= part
+                    elif size == 2:
+                        pairs |= part
+                    else:
+                        large.append(part)
+                first = self._divide(i, kind, singles, pairs, large)
+                other = (JOIN,) if kind == UNION else (UNION,)
+                stack.extend((j, other) for j in range(first, first + len(large)))
+        if n == 2:
+            # two vertices are two components or two co-components
+            kind, sized = (UNION if self.kinds[0] == _NON_EDGE else JOIN), [(1, 2)]
+        else:
+            kind = self.kinds[0]
+            sized = [(self._part_size(j), self.counts[j]) for j in self.parts[0]]
+        whole = [(n, 1)] if n else []
+        self.components = sized if kind == UNION else whole
+        self.co_components = sized if kind == JOIN else whole
+        self.component_count = sum(count for _, count in self.components)
+
+    def _divide(self, i: int, kind: str, singles: int, pairs: int, large: list[int]) -> int:
+        """Make piece i a ``kind`` of a run of the single vertices in
+        ``singles``, a run of the two-vertex parts covering ``pairs`` and
+        one piece per mask in ``large``; return the index of the first
+        piece made from ``large``."""
+        self.kinds[i] = kind
+        first = len(self.masks)
+        for mask, size in ((singles, 1), (pairs, 2)):
+            if mask:
+                self.kinds.append(_NON_EDGE if size == 2 and kind == JOIN else SMALL)
+                self.masks.append(mask)
+                self.counts.append(mask.bit_count() // size)
+        self.parts[i] = tuple(range(first, len(self.masks) + len(large)))
+        first = len(self.masks)
+        for part in large:
+            self.kinds.append(SMALL)  # until the stack reaches it
+            self.masks.append(part)
+            self.counts.append(1)
+        self.parts += [()] * (len(self.masks) - len(self.parts))
+        return first
+
+    def _part_size(self, i: int) -> int:
+        """The vertex count of each of the parts piece i stands for."""
+        return self.masks[i].bit_count() // self.counts[i]
 
     def complemented(self, adj: tuple[int, ...]) -> Decomposition:
         """The split of the complement, whose rows are ``adj``.
 
-        The complement has the same pieces, since connected_parts finds
-        the same parts over ``adj[u]`` and over ``~adj[u]``: its
+        The complement has the same pieces and runs, since connected_parts
+        finds the same parts over ``adj[u]`` and over ``~adj[u]``: its
         components are this graph's co-components and the other way round,
-        a union becomes a join, and a two-vertex edge a non-edge.
+        a union becomes a join, and a run of edges a run of non-edges.
         """
         out = object.__new__(type(self))
         out.adj = adj
         out.components, out.co_components = self.co_components, self.components
+        out.component_count = sum(count for _, count in out.components)
         out.kinds = [
-            kind if mask.bit_count() < 2 else _FLIPPED[kind]
-            for kind, mask in zip(self.kinds, self.masks)
+            kind if self._part_size(i) < 2 else _FLIPPED[kind] for i, kind in enumerate(self.kinds)
         ]
-        out.masks = self.masks
-        out.parts = self.parts
+        out.masks, out.counts, out.parts = self.masks, self.counts, self.parts
         return out
 
     @cached_property
-    def _cliques(self) -> list[tuple[int, int]]:
-        """(order, vertex mask) of a maximum clique of every piece."""
-        out: list[tuple[int, int]] = [(0, 0)] * len(self.masks)
+    def _prime_cliques(self) -> dict[int, tuple[int, int]]:
+        """(order, vertex mask) of a maximum clique of every prime piece."""
+        return {
+            i: _clique_search(self.adj, self.masks[i])
+            for i, kind in enumerate(self.kinds)
+            if kind == PRIME
+        }
+
+    @cached_property
+    def _clique_orders(self) -> list[int]:
+        """The order of a maximum clique of one part of every piece."""
+        out = [0] * len(self.masks)
         for i in reversed(range(len(self.masks))):
-            kind, mask = self.kinds[i], self.masks[i]
+            kind = self.kinds[i]
             if kind == SMALL:
-                out[i] = (mask.bit_count(), mask)
+                out[i] = self._part_size(i)
             elif kind == _NON_EDGE:
-                out[i] = (1, mask & -mask)
+                out[i] = 1
             elif kind == PRIME:
-                out[i] = _clique_search(self.adj, mask)
+                out[i] = self._prime_cliques[i][0]
             elif kind == UNION:
-                out[i] = max((out[j] for j in self.parts[i]), key=lambda c: c[0])
+                out[i] = max(out[j] for j in self.parts[i])
             else:
-                order = mask = 0
-                for j in self.parts[i]:
-                    order += out[j][0]
-                    mask |= out[j][1]
-                out[i] = (order, mask)
+                out[i] = sum(self.counts[j] * out[j] for j in self.parts[i])
         return out
 
     @property
+    def clique_order(self) -> int:
+        return self._clique_orders[0]
+
+    @cached_property
     def clique(self) -> tuple[int, int]:
-        return self._cliques[0]
+        """(order, vertex mask) of a maximum clique.
+
+        The mask is read off the rows, from the root down: a union takes
+        one part of its child of largest clique, a join every part of
+        every child.  One part of a run is its least vertex and that
+        vertex's neighbor in the run, if any; every part of a run of
+        single vertices is the whole run, and of a run of non-edges the
+        lesser vertex of each pair.
+        """
+        orders = self._clique_orders
+        clique = 0
+        stack = [(0, True)]  # a piece, and whether a clique of every part is wanted
+        while stack:
+            i, every = stack.pop()
+            kind, mask = self.kinds[i], self.masks[i]
+            if kind == UNION:
+                stack.append((max(self.parts[i], key=orders.__getitem__), False))
+            elif kind == JOIN:
+                stack.extend((j, True) for j in self.parts[i])
+            elif kind == PRIME:
+                clique |= self._prime_cliques[i][1]
+            elif kind == _NON_EDGE:
+                # a non-edge part of a join: its vertices miss only each other
+                for v in bit_indices(mask):
+                    if (mask & ~self.adj[v]) >> (v + 1):
+                        clique |= 1 << v
+            elif every:
+                clique |= mask
+            else:
+                low = mask & -mask
+                clique |= low | self.adj[low.bit_length() - 1] & mask
+        return orders[0], clique
 
     @cached_property
     def chromatic(self) -> int:
-        cliques = self._cliques
+        orders = self._clique_orders
         colors = [0] * len(self.masks)
         for i in reversed(range(len(self.masks))):
             kind = self.kinds[i]
             if kind == PRIME:
-                colors[i] = _chromatic_search(self.adj, self.masks[i], cliques[i][0])
+                colors[i] = _chromatic_search(self.adj, self.masks[i], orders[i])
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
             elif kind == JOIN:
-                colors[i] = sum(colors[j] for j in self.parts[i])
+                colors[i] = sum(self.counts[j] * colors[j] for j in self.parts[i])
             else:
-                colors[i] = cliques[i][0]
+                colors[i] = orders[i]
         return colors[0]
 
     @cached_property
     def domination(self) -> int:
         components = self.parts[0] if self.kinds[0] == UNION else (0,)
-        return sum(self._dominate(i) for i in components)
+        return sum(self.counts[i] * self._dominate(i) for i in components)
 
     def _dominate(self, i: int) -> int:
+        """The domination number of one part of piece i, a connected piece."""
         kind = self.kinds[i]
         if kind == SMALL:
             # a clique is dominated by any one of its vertices
@@ -329,7 +421,7 @@ class Decomposition:
         if kind == _NON_EDGE:
             return 2
         if kind == JOIN:
-            return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
+            return 1 if any(self._part_size(j) == 1 for j in self.parts[i]) else 2
         return _domination_search(self.adj, self.masks[i])
 
 
@@ -485,7 +577,7 @@ def max_clique(g: SimpleGraph, split: Decomposition | None = None) -> tuple[int,
 
 def clique_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
     """Order of a maximum clique (1 for nonempty edgeless graphs)."""
-    return (split or Decomposition(g)).clique[0]
+    return (split or Decomposition(g)).clique_order
 
 
 def chromatic_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
@@ -533,7 +625,7 @@ def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     if g.n <= 4:
         return True
     split = split or Decomposition(g)
-    if m == g.n - len(split.components):
+    if m == g.n - split.component_count:
         return True
     if m > 3 * g.n - 6:
         return False
@@ -556,7 +648,7 @@ def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     if g.n < 3:
         return False
     split = split or Decomposition(g)
-    if len(split.components) != 1:
+    if split.component_count != 1:
         return False
     profile = recognize_complete_multipartite(g, split.co_components)
     if profile.valid:
@@ -596,9 +688,9 @@ class InvariantReport:
     def edge_count(self) -> int:
         return self.graph.edge_count
 
-    @cached_property
+    @property
     def component_count(self) -> int:
-        return len(self.split.components)
+        return self.split.component_count
 
     @cached_property
     def isolated_count(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import compress, product, repeat
 from typing import Callable, Mapping, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -149,8 +149,30 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         unity=1 % n,
         label=f"Z/{n}",
         element_name=str,
-        inverses=lambda: {x: pow(x, -1, n) for x in range(n) if math.gcd(x, n) == 1},
+        inverses=lambda: _zmod_inverses(n),
     )
+
+
+def _zmod_inverses(n: int) -> dict[int, int]:
+    """Each unit of Z/n mapped to its inverse.
+
+    The units are the residues that no prime factor of n divides: the
+    multiples of each factor, found by trial division, are cleared from
+    a bytearray by slice assignment, and the rest are picked and inverted
+    in C.
+    """
+    coprime = bytearray(b"\x01") * n
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            coprime[::p] = bytes((n - 1) // p + 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        coprime[::rest] = bytes((n - 1) // rest + 1)
+    units = list(compress(range(n), coprime))
+    return dict(zip(units, map(pow, units, repeat(-1), repeat(n))))
 
 
 def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -606,10 +628,16 @@ def split_top_level(text: str) -> list[str]:
 
 
 def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise RingSpecError(f"{what}: expected an integer, got {text!r}") from None
+    """An integer written in ASCII decimal digits, with an optional minus
+    sign and surrounding whitespace; ``int`` alone would also take ``+5``,
+    ``1_0`` and non-ASCII digits."""
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise RingSpecError(f"{what}: expected an integer, got {text!r}")
 
 
 def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

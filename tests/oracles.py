@@ -17,13 +17,15 @@ each co-component, the reference for the edge-count test.
 bound, then exact k-colorability) and ``reference_domination_search``
 are the former recursive prime-piece searches, run on whole graphs, the
 reference for the in-place searches on explicit stacks.
-``reference_decomposition`` is the former split that finds the
-components of every graph by mask BFS, the reference for the components
-read off the rows of a graph whose rows have at most one bit.
+``reference_decomposition`` is the former split, one piece per part,
+that finds the components of every graph by mask BFS; ``expand_runs``
+puts a split whose like small parts are kept as runs into that form, the
+reference for the runs and for the splits read off the rows' bit counts.
 """
 
 import json
 import math
+from collections import Counter
 from itertools import combinations, permutations
 from random import Random
 
@@ -578,6 +580,70 @@ def reference_decomposition(g: SimpleGraph) -> dict:
             kinds.append(small if part.bit_count() == 2 else SMALL)
             masks.append(part)
             parts.append(())
+    return {
+        "components": components,
+        "co_components": co_components,
+        "kinds": kinds,
+        "masks": masks,
+        "parts": parts,
+    }
+
+
+def expand_runs(split) -> dict:
+    """The fields of ``reference_decomposition`` for a run-compressed split.
+
+    Each run piece becomes one piece per part, found from the rows: a
+    vertex alone, or with its neighbor (a run of edges) or its one
+    non-neighbor (a run of non-edges) in the run.  Parts are ordered by
+    least vertex and the pieces numbered as the reference's stack meets
+    them.  Asserts that every run holds ``count`` parts and that the
+    split's (size, count) components and co-components are the expanded
+    ones.
+    """
+    adj = split.adj
+    full = split.masks[0]
+    kinds, masks, parts, source = [split.kinds[0]], [full], [()], [0]
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if source[i] is None:
+            continue
+        children = []  # (mask, kind, piece of the split or None for a run's part)
+        for j in split.parts[source[i]]:
+            mask, kind, count = split.masks[j], split.kinds[j], split.counts[j]
+            if mask.bit_count() > 2 * count:
+                assert count == 1, (j, count)
+                children.append((mask, kind, j))
+                continue
+            run = [1 << v for v in bit_indices(mask)]
+            if len(run) == 2 * count:
+                run = []
+                for v in bit_indices(mask):
+                    other = mask & (adj[v] if kind == SMALL else ~adj[v] ^ (1 << v))
+                    if other >> v:
+                        run.append(1 << v | other)
+            assert len(run) == count and sum(run) == mask, (j, run)
+            children += [(part, kind, None) for part in run]
+        children.sort(key=lambda child: child[0] & -child[0])
+        parts[i] = tuple(range(len(masks), len(masks) + len(children)))
+        for mask, kind, j in children:
+            stack.append(len(masks))
+            kinds.append(kind)
+            masks.append(mask)
+            parts.append(())
+            source.append(j)
+    whole = [full] if full else []
+    top, kind = [masks[j] for j in parts[0]], kinds[0]
+    if full == 0b11:
+        # two vertices are two components or two co-components
+        top, kind = [1, 2], (UNION if kind == "non-edge" else JOIN)
+    components = top if kind == UNION else whole
+    co_components = top if kind == JOIN else whole
+    for field, expanded in (("components", components), ("co_components", co_components)):
+        sized = Counter()
+        for size, count in getattr(split, field):
+            sized[size] += count
+        assert sized == Counter(map(int.bit_count, expanded)), (field, sized)
     return {
         "components": components,
         "co_components": co_components,

@@ -101,11 +101,19 @@ def test_analyze_upg_infinite_metrics():
 
 
 def test_bad_spec_exit_2():
-    for spec in ("zmod:0", "zmod:x", "mystery:1", "gf:6"):
+    # integers are ASCII decimal: no sign but "-", no "_", no other digits
+    specs = (
+        "zmod:0", "zmod:x", "mystery:1", "gf:6", "zmod:-3",
+        "zmod:\u0663", "zmod:1_0", "zmod:+5", "zmod:\uff11\uff12", "gf:2^+3", "gf:\u00b2",
+        "bool:\u0663", "zmod:", "zmod:--3", "zmod:" + "9" * 5000,
+    )
+    for spec in specs:
         res = run_cli("build", "--ring", spec)
         assert res.returncode == 2, spec
-        assert res.stderr.startswith("error:")
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, spec
         assert res.stdout == ""
+        if spec == "zmod:-3":
+            assert "must be positive" in res.stderr
 
 
 def test_prod_nesting_beyond_bound_exit_2():
@@ -628,6 +636,26 @@ GOLDEN_DIGESTS = [
         "survey --family zmod --max 600",
         0,
         "baa4528c8f19da8956dc8786e0d534c03f0b7d14010337468bd59553920aa3c9",
+    ),
+    (
+        "analyze --ring zmod:4096 --graph upg --format json",
+        0,
+        "4d6d8468b802f37162ab9a36711d6908c7eb820561eb5736f14c12b98a8a4177",
+    ),
+    (
+        "analyze --ring zmod:4096 --graph complement --format json",
+        0,
+        "3e3e8642d602e58d78203089a25fbc1dd55f97c606d269908713361416c10a56",
+    ),
+    (
+        "analyze --ring gf:2^12 --graph upg --format json",
+        0,
+        "ec23719a3c037b3cd0034b005bbf925d6c0cc1c12eeb3b372ae936828a02697d",
+    ),
+    (
+        "analyze --ring gf:2^12 --graph complement --format json",
+        0,
+        "c37795bb59b9d9e7112e9272257ff4b73dcb9b925ff6d8007a46cda583954666",
     ),
 ]
 

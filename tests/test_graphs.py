@@ -23,6 +23,7 @@ from upg.invariants import Decomposition
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
+    expand_runs,
     random_graph,
     reference_decomposition,
     reference_export_dot,
@@ -242,7 +243,8 @@ def test_decompose_matching_structure_matches_degree_scan_randomized():
 def test_recognize_complete_multipartite_matches_row_scan_randomized():
     # Complete multipartite graphs over random partitions, each also with
     # one edge added inside a part or removed between parts (near misses),
-    # and random graphs; with the co-components found or passed in.
+    # and random graphs; with the co-components found, passed in one pair
+    # per part, or passed in as the split's runs.
     rng = Random(20261018)
     cases = [random_graph(rng.randrange(0, 12), rng.random(), rng) for _ in range(400)]
     for _ in range(300):
@@ -260,7 +262,10 @@ def test_recognize_complete_multipartite_matches_row_scan_randomized():
     for trial, g in enumerate(cases):
         co_components = connected_parts(g.adj, (1 << g.n) - 1, complemented=True)
         expected = reference_recognize_complete_multipartite(g, co_components)
-        assert recognize_complete_multipartite(g, co_components) == expected, (trial, g)
+        sized = [(part.bit_count(), 1) for part in co_components]
+        assert recognize_complete_multipartite(g, sized) == expected, (trial, g)
+        split = Decomposition(g)
+        assert recognize_complete_multipartite(g, split.co_components) == expected, (trial, g)
         assert recognize_complete_multipartite(g) == expected, (trial, g)
         valid[expected.valid] += 1
     assert min(valid.values()) >= 300, valid
@@ -277,11 +282,7 @@ def test_ring_complements_are_complete_multipartite():
 
 
 def _assert_split_matches_reference(g: SimpleGraph):
-    split = Decomposition(g)
-    expected = reference_decomposition(g)
-    assert split.components == connected_parts(g.adj, (1 << g.n) - 1), g
-    for field, value in expected.items():
-        assert getattr(split, field) == value, (field, g)
+    assert expand_runs(Decomposition(g)) == reference_decomposition(g), g
 
 
 def test_trusted_ring_graphs_pass_the_public_check():

@@ -11,7 +11,9 @@ from random import Random
 import pytest
 
 import upg.cli
+import upg.graphs
 import upg.invariants
+from upg.claims import default_rings
 from upg.graphs import (
     SimpleGraph,
     bit_indices,
@@ -24,6 +26,7 @@ from upg.invariants import (
     INFINITY,
     JOIN,
     PRIME,
+    SMALL,
     UNION,
     Decomposition,
     InvariantReport,
@@ -53,9 +56,11 @@ from oracles import (
     brute_domination,
     brute_girth,
     brute_hamiltonian,
+    expand_runs,
     random_graph,
     reference_chromatic_search,
     reference_clique_search,
+    reference_decomposition,
     reference_domination_search,
     reference_eccentricity_profile,
     reference_girth,
@@ -414,15 +419,99 @@ def test_split_reads_match_references_randomized():
         comp = complement(g)
         derived, built = split.complemented(comp.adj), Decomposition(comp)
         assert derived.adj == built.adj, (trial, g)
-        for field in ("components", "co_components", "kinds", "masks", "parts"):
+        for field in ("components", "co_components", "kinds", "masks", "counts", "parts"):
             assert getattr(derived, field) == getattr(built, field), (trial, field, g)
-        if len(split.components) > 1:
+        if split.component_count > 1:
             shapes["disconnected"] += 1
-        elif len(split.co_components) > 1:
+        elif derived.component_count > 1:
             shapes["join"] += 1
         else:
             shapes["connected and co-connected"] += 1
     assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
+
+
+def random_runs(combine, rng):
+    """A union or join of up to nine single vertices, up to nine
+    two-vertex parts (edges under a union, non-edges under a join) and up
+    to two larger parts, prime or nested, its vertices relabeled at
+    random."""
+    other = join if combine is disjoint_union else disjoint_union
+    pair = graph_from_edges(2, [(0, 1)] if combine is disjoint_union else [])
+    parts = [graph_from_edges(1, [])] * rng.randrange(10) + [pair] * rng.randrange(10)
+    for _ in range(rng.randrange(3)):
+        parts.append(rng.choice((path(4), cycle(5), random_nested(1, other, rng))))
+    rng.shuffle(parts)
+    g = combine(parts)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return relabeled(g, order)
+
+
+def assert_split_expands_to_reference(g, split):
+    assert expand_runs(split) == reference_decomposition(g), g
+    order, clique = max_clique(g, split)
+    assert clique.bit_count() == order == clique_number(g, split), g
+    assert all(g.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique)), g
+
+
+def test_runs_expand_to_reference_split_randomized():
+    # Unions and joins of many one- and two-vertex parts beside prime and
+    # nested ones: the runs, expanded one piece per part, are the former
+    # split, the complement's split derived from them is the split built
+    # from its rows, and omega, chi and gamma combined over the counts are
+    # the searches' on the whole graph.
+    rng = Random(20261019)
+    shapes = Counter()
+    for trial in range(300):
+        g = random_runs(disjoint_union if trial % 2 else join, rng)
+        comp = complement(g)
+        split = Decomposition(g)
+        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp.adj))):
+            assert_split_expands_to_reference(h, h_split)
+        whole = reference_clique_search(g)
+        assert clique_number(g, split) == whole[0], (trial, g)
+        assert chromatic_number(g, split) == reference_chromatic_search(g, whole), (trial, g)
+        assert domination_number(g, split) == reference_domination_search(g), (trial, g)
+        shapes.update(
+            (split.kinds[0], split.kinds[i], split.counts[i] > 1) for i in split.parts[0]
+        )
+        shapes[PRIME] += PRIME in split.kinds
+    # runs of several parts of each kind under both splits, and prime pieces
+    for kind, run in ((UNION, SMALL), (JOIN, SMALL), (JOIN, "non-edge")):
+        assert shapes[kind, run, True] >= 50, shapes
+    assert shapes[PRIME] >= 50, shapes
+
+
+def test_ring_graph_splits_expand_to_reference():
+    # The unity product graph and its complement of every default ring up
+    # to Z/200 and a few others: the UPG split from its rows' bit counts,
+    # the complement's from its rows' or derived from the UPG's.
+    specs = ("gf:2^3", "gf:3^2", "gf:2^6", "bool:3", "prod:(zmod:4,zmod:4)")
+    rings = default_rings(zmod_max=200) + [parse_ring_spec(spec) for spec in specs]
+    for ring in rings:
+        g = unity_product_graph(units(ring))
+        comp = complement(g)
+        split = Decomposition(g)
+        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp.adj))):
+            assert_split_expands_to_reference(h, h_split)
+
+
+@pytest.mark.parametrize("spec", ["zmod:4096", "gf:2^12", "bool:12", "prod:(zmod:64,zmod:64)"])
+def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch):
+    # A ring graph at the order cap splits into at most three pieces, the
+    # whole graph and a run of each part size, read off its rows with no
+    # BFS, and no field of its report runs one either.
+    g = unity_product_graph(units(parse_ring_spec(spec)))
+
+    def refuse(*args):
+        raise AssertionError("connected_parts called")
+
+    monkeypatch.setattr(upg.graphs, "connected_parts", refuse)
+    monkeypatch.setattr(upg.invariants, "connected_parts", refuse)
+    for h in (g, complement(g)):
+        report = InvariantReport(h)
+        assert len(report.split.kinds) <= 3, spec
+        report.check()
 
 
 @pytest.mark.parametrize("spec", ["zmod:1", "zmod:2", "zmod:3", "zmod:24", "gf:2^5", "bool:3"])

@@ -447,7 +447,7 @@ def test_units_match_scan_reference():
     assert sum("table:" in spec for spec in specs) >= 20
     assert sum(spec.count("prod:") > 1 for spec in specs) >= 10
     rings = [
-        *(zmod(n) for n in range(1, 301)),
+        *(zmod(n) for n in (*range(1, 301), 4093, 4096)),
         *(gf(p, k) for p, k in _prime_powers(729)),
         *(boolean_ring(k) for k in range(1, 9)),
         *(parse_ring_spec(spec, order_cap=256) for spec in specs),
