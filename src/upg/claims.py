@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import invariants as inv
-from .graphs import is_complete, recognize_complete_multipartite, unity_product_graph
+from .graphs import (
+    is_complete,
+    lazy_property,
+    recognize_complete_multipartite,
+    unity_product_graph,
+)
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
@@ -70,7 +74,7 @@ class RingContext:
     def __init__(self, ring: FiniteRing):
         self.ring = ring
 
-    @cached_property
+    @lazy_property
     def unit_group(self) -> UnitGroup:
         return units(self.ring)
 
@@ -78,11 +82,11 @@ class RingContext:
     def unit_count(self) -> int:
         return len(self.unit_group.units)
 
-    @cached_property
+    @lazy_property
     def upg_report(self) -> inv.InvariantReport:
         return inv.InvariantReport(unity_product_graph(self.unit_group))
 
-    @cached_property
+    @lazy_property
     def comp_report(self) -> inv.InvariantReport:
         return self.upg_report.complement()
 
@@ -94,7 +98,7 @@ class RingContext:
     def pairs(self) -> int:
         return self.upg_report.edge_count
 
-    @cached_property
+    @lazy_property
     def residues(self) -> tuple[int, ...] | None:
         return cyclic_residues(self.ring)
 
@@ -102,7 +106,7 @@ class RingContext:
     def cyclic(self) -> bool:
         return self.residues is not None
 
-    @cached_property
+    @lazy_property
     def boolean(self) -> bool:
         return is_boolean(self.ring)
 

@@ -28,10 +28,33 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 from .rings import UnitGroup
+
+
+class lazy_property:
+    """A method read once, as an attribute.
+
+    The first read stores the value in the instance dict, where later
+    reads find it ahead of this non-data descriptor.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock, and it
+    writes the dict directly, so it works on frozen dataclasses and keeps
+    a value set there beforehand.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def bit_indices(mask: int):
@@ -83,7 +106,7 @@ class SimpleGraph:
         g.__dict__.update(n=n, labels=labels, adj=adj, edge_count=edge_count)
         return g
 
-    @cached_property  # in the instance dict, so == and hash still see only the fields
+    @lazy_property  # in the instance dict, so == and hash still see only the fields
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 
 from .graphs import (
     SimpleGraph,
     bit_indices,
     complement,
     connected_parts,
+    lazy_property,
     recognize_complete_multipartite,
 )
 
@@ -325,7 +325,7 @@ class Decomposition:
         out.masks, out.counts, out.parts = self.masks, self.counts, self.parts
         return out
 
-    @cached_property
+    @lazy_property
     def _prime_cliques(self) -> dict[int, tuple[int, int]]:
         """(order, vertex mask) of a maximum clique of every prime piece."""
         return {
@@ -334,7 +334,7 @@ class Decomposition:
             if kind == PRIME
         }
 
-    @cached_property
+    @lazy_property
     def _clique_orders(self) -> list[int]:
         """The order of a maximum clique of one part of every piece."""
         out = [0] * len(self.masks)
@@ -356,7 +356,7 @@ class Decomposition:
     def clique_order(self) -> int:
         return self._clique_orders[0]
 
-    @cached_property
+    @lazy_property
     def clique(self) -> tuple[int, int]:
         """(order, vertex mask) of a maximum clique.
 
@@ -391,7 +391,7 @@ class Decomposition:
                 clique |= low | self.adj[low.bit_length() - 1] & mask
         return orders[0], clique
 
-    @cached_property
+    @lazy_property
     def chromatic(self) -> int:
         orders = self._clique_orders
         colors = [0] * len(self.masks)
@@ -407,7 +407,7 @@ class Decomposition:
                 colors[i] = orders[i]
         return colors[0]
 
-    @cached_property
+    @lazy_property
     def domination(self) -> int:
         components = self.parts[0] if self.kinds[0] == UNION else (0,)
         return sum(self.counts[i] * self._dominate(i) for i in components)
@@ -676,7 +676,7 @@ class InvariantReport:
     def __init__(self, g: SimpleGraph):
         self.graph = g
 
-    @cached_property
+    @lazy_property
     def split(self) -> Decomposition:
         return Decomposition(self.graph)
 
@@ -692,7 +692,7 @@ class InvariantReport:
     def component_count(self) -> int:
         return self.split.component_count
 
-    @cached_property
+    @lazy_property
     def isolated_count(self) -> int:
         return self.graph.adj.count(0)
 
@@ -700,11 +700,11 @@ class InvariantReport:
     def connected(self) -> bool:
         return self.component_count <= 1
 
-    @cached_property
+    @lazy_property
     def girth(self) -> ExtendedNat:
         return girth(self.graph, self.split)
 
-    @cached_property
+    @lazy_property
     def _eccentricities(self) -> tuple[ExtendedNat, ExtendedNat]:
         return eccentricity_profile(self.graph, self.split)
 
@@ -716,23 +716,23 @@ class InvariantReport:
     def radius(self) -> ExtendedNat:
         return self._eccentricities[1]
 
-    @cached_property
+    @lazy_property
     def domination_number(self) -> int:
         return domination_number(self.graph, self.split)
 
-    @cached_property
+    @lazy_property
     def chromatic_number(self) -> int:
         return chromatic_number(self.graph, self.split)
 
-    @cached_property
+    @lazy_property
     def clique_number(self) -> int:
         return clique_number(self.graph, self.split)
 
-    @cached_property
+    @lazy_property
     def planar(self) -> bool:
         return is_planar(self.graph, self.split)
 
-    @cached_property
+    @lazy_property
     def hamiltonian(self) -> bool:
         return is_hamiltonian(self.graph, self.split)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import compress, product, repeat
 from typing import Callable, Mapping, Sequence
 
@@ -153,6 +155,20 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     )
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def _zmod_inverses(n: int) -> dict[int, int]:
     """Each unit of Z/n mapped to its inverse.
 
@@ -162,15 +178,8 @@ def _zmod_inverses(n: int) -> dict[int, int]:
     in C.
     """
     coprime = bytearray(b"\x01") * n
-    rest, p = n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            coprime[::p] = bytes((n - 1) // p + 1)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        coprime[::rest] = bytes((n - 1) // rest + 1)
+    for p in _prime_factors(n):
+        coprime[::p] = bytes((n - 1) // p + 1)
     units = list(compress(range(n), coprime))
     return dict(zip(units, map(pow, units, repeat(-1), repeat(n))))
 
@@ -251,6 +260,13 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     Index sum(c_i * p^i) stands for the polynomial sum(c_i * x^i) in the
     quotient by the lexicographically smallest monic irreducible of
     degree k.  For k = 1 this is arithmetic mod p.
+
+    For k >= 2 the ring builds its own tables on first use: the digits of
+    every index, and exp/log tables of the powers of a primitive element g,
+    the first index >= p that Lagrange's test accepts (g^((q-1)/r) != 1
+    for every prime r dividing q - 1).  One walk of q - 2 schoolbook steps,
+    each over g's nonzero digits, fills exp; then mul adds logs mod q - 1
+    and g^i inverts to g^-i.
     """
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
@@ -270,54 +286,64 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         xs = [0] * (k + j) + [1]
         rem = _poly_mod(xs, modulus, p)
         reduction.append(tuple(rem) + (0,) * (k - len(rem)))
+    weights = [p**i for i in range(k)]
+    one = [1] + [0] * (k - 1)
 
-    def digits(x: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
+    def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
+        # schoolbook product of two digit lists over a's nonzero digits,
+        # reduced mod the modulus
+        conv = [0] * (2 * k - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    conv[i + j] += ca * cb
+        out = conv[:k]
+        for c, row in zip(conv[k:], reduction):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return [o % p for o in out]
 
-    def encode(ds: Sequence[int]) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * p + d
-        return v
+    def power(a: Sequence[int], e: int) -> list[int]:
+        result = one
+        while e:
+            if e & 1:
+                result = times(a, result)
+            a = times(a, a)
+            e >>= 1
+        return result
+
+    @cache
+    def tables() -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        # the digits of each index, least significant first; exp[i] = g^i
+        # for the first g >= p that Lagrange's test accepts; log[exp[i]] = i
+        digits = [ds[::-1] for ds in product(range(p), repeat=k)]
+        cofactors = [(order - 1) // r for r in _prime_factors(order - 1)]
+        g = next(
+            digits[g] for g in range(p, order)
+            if all(power(digits[g], e) != one for e in cofactors)
+        )
+        exp, x = [1], one
+        for _ in range(order - 2):
+            x = times(g, x)
+            exp.append(sum(map(operator.mul, x, weights)))
+        log = [0] * order
+        for i, v in enumerate(exp):
+            log[v] = i
+        return digits, exp, log
 
     def add(a: int, b: int) -> int:
-        da, db = digits(a), digits(b)
-        return encode([(da[i] + db[i]) % p for i in range(k)])
+        digits = tables()[0]
+        return sum((x + y) % p * w for x, y, w in zip(digits[a], digits[b], weights))
 
     def mul(a: int, b: int) -> int:
-        da, db = digits(a), digits(b)
-        conv = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                conv[i + j] = (conv[i + j] + ca * cb) % p
-        out = conv[:k]
-        for j in range(k - 1):
-            c = conv[k + j]
-            if c == 0:
-                continue
-            row = reduction[j]
-            for i in range(k):
-                out[i] = (out[i] + c * row[i]) % p
-        return encode(out)
+        if a == 0 or b == 0:
+            return 0
+        _, exp, log = tables()
+        return exp[(log[a] + log[b]) % (order - 1)]
 
     def inverses() -> dict[int, int]:
-        # The multiplicative group is cyclic of order q - 1: walk the powers
-        # of each candidate until one generates it, then g^i * g^(q-1-i) = 1.
-        for g in range(2, order):
-            powers = [1]
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = mul(x, g)
-            if len(powers) == order - 1:
-                return {x: powers[-i] for i, x in enumerate(powers)}
-        raise AssertionError(f"GF({order}) has no primitive element")
+        exp = tables()[1]
+        return {x: exp[-i] for i, x in enumerate(exp)}
 
     return FiniteRing(
         order=order,
@@ -326,7 +352,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         zero=0,
         unity=1,
         label=f"GF({order})",
-        element_name=lambda x: _poly_name(digits(x)),
+        element_name=lambda x: _poly_name(tables()[0][x]),
         inverses=inverses,
     )
 
@@ -337,7 +363,11 @@ def direct_product(
     """Componentwise product ring; indices are mixed-radix encodings.
 
     The first component is most significant.  Unity exists iff every
-    component has one.
+    component has one.  The unit group is the product of the components'
+    unit groups, folded by index arithmetic: each unit x of the components
+    so far and unit u of the next one, of order m, give the unit x*m + u.
+    The first name asked for names every element of every component,
+    once.
     """
     if not components:
         raise RingSpecError("direct product needs at least one component")
@@ -369,11 +399,14 @@ def direct_product(
 
     def inverses() -> dict[int, int]:
         # (R x S)^x = R^x x S^x, inverted componentwise
-        groups = [units(r) for r in comps]
-        return {
-            encode(parts): encode([ug.inverse_of[x] for ug, x in zip(groups, parts)])
-            for parts in product(*(ug.units for ug in groups))
-        }
+        inverse_of = {0: 0}
+        for r in comps:
+            ug, m = units(r), r.order
+            inv = ug.inverse_of
+            inverse_of = {
+                x * m + u: y * m + inv[u] for x, y in inverse_of.items() for u in ug.units
+            }
+        return inverse_of
 
     zero = encode([r.zero for r in comps])
     if all(r.unity is not None for r in comps):
@@ -384,8 +417,12 @@ def direct_product(
     def wrap(lbl: str) -> str:
         return f"({lbl})" if " × " in lbl else lbl
 
+    @cache
+    def component_names() -> list[list[str]]:
+        return [list(map(r.element_name, range(r.order))) for r in comps]
+
     def element_name(v: int) -> str:
-        return "(" + ",".join(r.element_name(x) for r, x in zip(comps, decode(v))) + ")"
+        return "(" + ",".join(map(list.__getitem__, component_names(), decode(v))) + ")"
 
     label = " × ".join(wrap(r.label) for r in comps)
     return FiniteRing(

@@ -6,9 +6,12 @@ usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
 kept as the differential reference for the bit-parallel ones, and
 ``reference_units`` is the former unit-group scan, the reference for the
-per-family inverse hooks.  ``reference_is_planar`` is the former K5/K3,3
-subdivision search, the reference for the closed-form planarity of forests
-and complete multipartite graphs.  ``reference_export_dot`` and
+per-family inverse hooks.  ``reference_gf_mul`` is the former schoolbook
+GF(p^k) product, over its own modulus search, and
+``reference_gf_inverses`` the former walk of candidate generators, the
+reference for the exp/log tables of ``gf``.  ``reference_is_planar`` is
+the former K5/K3,3 subdivision search, the reference for the closed-form
+planarity of forests and complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
 Python object per edge, the reference for the streamed row-wise ones.
 ``reference_recognize_complete_multipartite`` is the former row scan of
@@ -513,6 +516,74 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
                 break
     members = tuple(sorted(inverse_of))
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
+
+
+def _digits(x: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of x, least significant first."""
+    out = []
+    for _ in range(k):
+        x, d = divmod(x, p)
+        out.append(d)
+    return out
+
+
+def _poly_rem(num: list[int], monic: list[int], p: int) -> list[int]:
+    """Remainder of num by a monic polynomial over GF(p), coefficients
+    low first, padded to the divisor's degree."""
+    num = [c % p for c in num]
+    d = len(monic) - 1
+    for top in range(len(num) - 1, d - 1, -1):
+        c = num[top]
+        if c:
+            for j, m in enumerate(monic):
+                num[top - d + j] = (num[top - d + j] - c * m) % p
+    return (num + [0] * d)[:d]
+
+
+def _reference_modulus(p: int, k: int) -> list[int]:
+    """The first monic polynomial of degree k, counting up the index of its
+    lower coefficients, that no monic polynomial of degree 1 .. k//2
+    divides."""
+    for low in range(p**k):
+        f = _digits(low, p, k) + [1]
+        divisors = (
+            _digits(m, p, d) + [1] for d in range(1, k // 2 + 1) for m in range(p**d)
+        )
+        if all(any(_poly_rem(f, g, p)) for g in divisors):
+            return f
+    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
+
+
+def reference_gf_mul(p: int, k: int):
+    """GF(p^k) multiplication on base-p digit indices: the schoolbook
+    product of the two polynomials, reduced by long division by the
+    smallest monic irreducible of degree k."""
+    modulus = _reference_modulus(p, k)
+
+    def mul(a: int, b: int) -> int:
+        da, db = _digits(a, p, k), _digits(b, p, k)
+        conv = [0] * (2 * k - 1)
+        for i, ca in enumerate(da):
+            for j, cb in enumerate(db):
+                conv[i + j] += ca * cb
+        return sum(c * p**i for i, c in enumerate(_poly_rem(conv, modulus, p)))
+
+    return mul
+
+
+def reference_gf_inverses(p: int, k: int) -> dict[int, int]:
+    """Each unit of GF(p^k) mapped to its inverse, by walking the powers
+    of 2, 3, ... until one has order q - 1, then g^i -> g^(q-1-i)."""
+    mul, order = reference_gf_mul(p, k), p**k
+    for g in range(2, order):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == order - 1:
+            return {x: powers[-i] for i, x in enumerate(powers)}
+    raise AssertionError(f"GF({order}) has no primitive element")
 
 
 def reference_export_dot(g: SimpleGraph) -> str:

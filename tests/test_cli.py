@@ -657,6 +657,28 @@ GOLDEN_DIGESTS = [
         0,
         "c37795bb59b9d9e7112e9272257ff4b73dcb9b925ff6d8007a46cda583954666",
     ),
+    # GF(p^k) and product element names; GF(512)'s field has no primitive
+    # element of degree <= 1
+    (
+        "build --ring gf:7^3",
+        0,
+        "191763c3721f407b93f49b1e2697e9adfc2be193fbfca2246c5c58c8737c43e0",
+    ),
+    (
+        "build --ring gf:2^9",
+        0,
+        "f97cff964a768e791ee123d462b117d027e64d8ff7c95c719f99085ca2e8ec8c",
+    ),
+    (
+        "build --ring prod:(gf:2^4,gf:2^4) --format json",
+        0,
+        "40ee711c9d1c0738d8ccd07462f237e58d3ecf7978824bf76ee1ef4c651bf7eb",
+    ),
+    (
+        "build --ring prod:(zmod:2,gf:11^2)",
+        0,
+        "482807ca769b29244feebf49d4ce6b5640ca718f30ea68bb9a7593f5e2dbe0c0",
+    ),
 ]
 
 

@@ -16,10 +16,11 @@ from upg.graphs import (
     graph_from_edges,
     graph_from_json,
     is_complete,
+    lazy_property,
     recognize_complete_multipartite,
     unity_product_graph,
 )
-from upg.invariants import Decomposition
+from upg.invariants import Decomposition, InvariantReport
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
@@ -298,6 +299,31 @@ def test_trusted_ring_graphs_pass_the_public_check():
             assert SimpleGraph(h.n, h.labels, h.adj) == h, ring.label
             assert h.edge_count == sum(row.bit_count() for row in h.adj) // 2, ring.label
         _assert_split_matches_reference(g)
+
+
+def test_lazy_property_stores_once_and_keeps_seeded_values():
+    # stored in the instance dict of a frozen dataclass (the row check
+    # reads edge_count), outside the fields that == and hash see
+    g = graph_from_edges(4, [(0, 1), (2, 3)])
+    assert vars(g)["edge_count"] == g.edge_count == 2
+    assert hash(g) == hash(SimpleGraph(g.n, g.labels, g.adj))
+    # a value seeded into the dict, as the trusted builders do, is read as is
+    h = complement(g)
+    vars(h)["edge_count"] = -1
+    assert h.edge_count == -1
+    assert isinstance(SimpleGraph.edge_count, lazy_property)
+    calls = []
+
+    class Probe:
+        @lazy_property
+        def value(self):
+            calls.append(1)
+            return len(calls)
+
+    probe = Probe()
+    assert (probe.value, probe.value, len(calls)) == (1, 1, 1)
+    report = InvariantReport(g)
+    assert report.split is report.split and report.girth == report.girth
 
 
 def test_matching_split_matches_reference_randomized():

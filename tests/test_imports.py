@@ -62,3 +62,66 @@ def test_private_import_detector_sees_both_forms(tmp_path):
         "line 5: inv._PrimePiece",
         "line 7: G._trusted",
     ]
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def _is_cache(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in CACHES
+
+
+def module_level_caches(path: Path) -> list[str]:
+    """functools.cache or lru_cache applied outside a function body: a
+    decorator of a module-level function or class method, or a call in a
+    module-level statement.  Such a cache outlives every ring built."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += node.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [
+                (d.lineno, f"@{ast.unparse(d)}") for d in node.decorator_list if _is_cache(d)
+            ]
+            continue
+        found += [
+            (n.lineno, ast.unparse(n))
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _is_cache(n.func)
+        ]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_ring_tables_stay_per_ring():
+    # each GF(p^k) builds its tables in closures of that ring, so a
+    # process that builds many rings keeps none of them alive
+    assert module_level_caches(PACKAGE / "rings.py") == []
+
+
+def test_module_level_cache_detector(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\n"
+        "def a(p): pass\n"
+        "class C:\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def b(self): pass\n"
+        "d = cache(len)\n"
+        "def ring(p):\n"
+        "    @cache\n"
+        "    def tables(): pass\n"
+        "    return cache(tables)\n"
+    )
+    assert module_level_caches(module) == [
+        "line 3: @functools.cache",
+        "line 6: @lru_cache(maxsize=None)",
+        "line 8: cache(len)",
+    ]

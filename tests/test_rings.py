@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from upg.rings import (
+    DEFAULT_ORDER_CAP,
     MAX_PROD_NESTING,
     FiniteRing,
     NoUnityError,
@@ -29,12 +30,23 @@ from upg.rings import (
     table_ring,
     table_ring_from_json,
     units,
+    validate_ring_axioms,
     zmod,
 )
 
-from oracles import reference_units
+from oracles import reference_gf_inverses, reference_gf_mul, reference_units
 
 DATA = Path(__file__).parent / "data"
+
+
+def _prime_powers(limit):
+    return [
+        (p, k)
+        for p in range(2, limit + 1)
+        if is_prime(p)
+        for k in range(1, limit.bit_length() + 1)
+        if p**k <= limit
+    ]
 
 
 def test_is_prime_small():
@@ -171,7 +183,6 @@ def test_gf4_tables():
     assert characteristic(ring) == 2
 
 
-
 def test_default_rings_make_element_names_on_demand():
     # Every Z/n up to 2048 once held its n name strings from construction
     # on, about 145 MB in all; names are now made when asked for.
@@ -193,6 +204,7 @@ def test_default_rings_make_element_names_on_demand():
     assert name == "(x+1,1)"  # the last default ring is GF(4) x Z/2
     assert int(grown_kb) < 40 * 1024  # ru_maxrss is in KiB on Linux
 
+
 def test_gf9_modulus():
     # smallest monic irreducible over F3 of degree 2 is x^2 + 1, so x*x = -1
     ring = gf(3, 2)
@@ -211,10 +223,35 @@ def test_gf_every_nonzero_invertible():
 
 
 def test_gf_field_axioms_hold():
-    from upg.rings import validate_ring_axioms
-
-    for p, k in ((2, 2), (2, 3), (3, 2)):
+    # distributivity ties the table mul to the digitwise add
+    fields = [(p, k) for p, k in _prime_powers(32) if k >= 2]
+    assert len(fields) == 7
+    for p, k in fields:
         validate_ring_axioms(gf(p, k))
+
+
+# every GF(p^k) with k >= 2 up to the order cap, GF(512) among them: the
+# one whose modulus has no primitive root of degree <= 1
+EXTENSION_FIELDS = [(p, k) for p, k in _prime_powers(DEFAULT_ORDER_CAP) if k >= 2]
+
+
+def test_gf_mul_matches_reference():
+    assert len(EXTENSION_FIELDS) == 40 and (2, 9) in EXTENSION_FIELDS
+    rng = Random(14)
+    for p, k in EXTENSION_FIELDS:
+        ring, want = gf(p, k), reference_gf_mul(p, k)
+        q = ring.order
+        if q <= 64:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        for a, b in pairs:
+            assert ring.mul(a, b) == want(a, b), (q, a, b)
+
+
+def test_gf_inverses_match_candidate_walk():
+    for p, k in EXTENSION_FIELDS:
+        assert dict(units(gf(p, k)).inverse_of) == reference_gf_inverses(p, k), (p, k)
 
 
 def test_gf_unit_group_is_cyclic():
@@ -402,16 +439,6 @@ def test_table_ring_rejects_json_booleans(key, value):
         table_ring_from_json(doc)
 
 
-def _prime_powers(limit):
-    return [
-        (p, k)
-        for p in range(2, limit + 1)
-        if is_prime(p)
-        for k in range(1, limit.bit_length() + 1)
-        if p**k <= limit
-    ]
-
-
 def _random_product_spec(rng, depth=0):
     leaves = [
         f"zmod:{rng.randint(1, 12)}",
@@ -478,8 +505,12 @@ def test_units_at_order_cap(spec, unit_count):
     ug = units(ring)
     assert len(ug) == unit_count
     assert len(ug.inverse_of) == unit_count
+    mul = ring.mul
+    if spec.startswith("gf:"):  # not the tables the inverses come from
+        p, _, k = spec[3:].partition("^")
+        mul = reference_gf_mul(int(p), int(k or 1))
     for x in ug.units:
-        assert ring.mul(x, ug.inverse(x)) == ring.unity
+        assert mul(x, ug.inverse(x)) == ring.unity
 
 
 @pytest.mark.parametrize(
