@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import invariants as inv
-from .graphs import (
-    is_complete,
-    lazy_property,
-    recognize_complete_multipartite,
-    unity_product_graph,
-)
+from .graphs import is_complete, lazy_property, unity_product_graph
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
@@ -192,8 +187,7 @@ def _check_trichotomy(ctx: RingContext):
 
 
 def _check_multipartite_form(ctx: RingContext):
-    comp = ctx.comp_report
-    profile = recognize_complete_multipartite(comp.graph, comp.split.co_components)
+    profile = ctx.comp_report.split.multipartite
     expected = (1,) * ctx.isolated + (2,) * ctx.pairs
     if not profile.valid or profile.part_sizes != expected:
         return _fail(

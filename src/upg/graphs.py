@@ -17,9 +17,13 @@ complement's, off the rows in C, and passes the co-components to
 ``recognize_complete_multipartite`` as (size, count) pairs.
 
 Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece
-per adjacency row, decoding the row's later neighbors in C (its binary
-digits select precomputed per-vertex strings), so no Python object is
-made per edge.  ``export_dot`` and ``export_json`` join those pieces.
+per adjacency row, joined from precomputed per-vertex strings, so no
+Python object is made per edge.  A row with one later neighbor (every
+unity product graph row) indexes its string; a row whose later
+neighbors are every vertex up to the last but at most one (every
+complement row, K_{1^s,2^p}) slices the strings and deletes that one;
+any other row's binary digits select them in C.  ``export_dot`` and
+``export_json`` join those pieces.
 """
 
 from __future__ import annotations
@@ -282,8 +286,11 @@ _BIT_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 def _later_neighbor_tails(g: SimpleGraph, tails: list[str]):
     """Yield (u, tails[v] for each neighbor v > u, ascending) per row with one.
 
-    A row with several is decoded in C: its binary digits, reversed,
-    select from ``tails[u + 1:]``; compress stops at the highest set bit.
+    A row whose later neighbors run from u + 1 to its last one with at
+    most one vertex missing, as every complement row of a ring graph
+    does, is a slice of ``tails`` with that one entry deleted.  Any other
+    row with several is decoded in C: its binary digits, reversed, select
+    from ``tails[u + 1:]``; compress stops at the highest set bit.
     """
     for u, row in enumerate(g.adj):
         later = row >> (u + 1)
@@ -293,6 +300,14 @@ def _later_neighbor_tails(g: SimpleGraph, tails: list[str]):
             # one later neighbor, as in every unity product graph row,
             # is cheaper to index than to decode
             yield u, (tails[u + later.bit_length()],)
+            continue
+        span = later.bit_length()
+        gaps = later ^ ((1 << span) - 1)  # the non-neighbors before the last neighbor
+        if gaps & (gaps - 1) == 0:
+            run = tails[u + 1 : u + 1 + span]
+            if gaps:
+                del run[gaps.bit_length() - 1]
+            yield u, run
         else:
             selector = format(later, "b").encode().translate(_BIT_SELECTOR)[::-1]
             yield u, compress(tails[u + 1 :], selector)

@@ -51,6 +51,7 @@ import json
 import math
 
 from .graphs import (
+    MultipartiteProfile,
     SimpleGraph,
     bit_indices,
     complement,
@@ -228,7 +229,7 @@ class Decomposition:
     def __init__(self, g: SimpleGraph):
         adj, n = g.adj, g.n
         full = (1 << n) - 1
-        self.adj = adj
+        self.graph = g
         self.kinds: list[str] = [_NON_EDGE if n == 2 and not adj[0] else SMALL]
         self.masks: list[int] = [full]
         self.counts: list[int] = [1]
@@ -307,8 +308,8 @@ class Decomposition:
         """The vertex count of each of the parts piece i stands for."""
         return self.masks[i].bit_count() // self.counts[i]
 
-    def complemented(self, adj: tuple[int, ...]) -> Decomposition:
-        """The split of the complement, whose rows are ``adj``.
+    def complemented(self, comp: SimpleGraph) -> Decomposition:
+        """The split of ``comp``, this graph's complement.
 
         The complement has the same pieces and runs, since connected_parts
         finds the same parts over ``adj[u]`` and over ``~adj[u]``: its
@@ -316,7 +317,7 @@ class Decomposition:
         a union becomes a join, and a run of edges a run of non-edges.
         """
         out = object.__new__(type(self))
-        out.adj = adj
+        out.graph = comp
         out.components, out.co_components = self.co_components, self.components
         out.component_count = sum(count for _, count in out.components)
         out.kinds = [
@@ -326,10 +327,16 @@ class Decomposition:
         return out
 
     @lazy_property
+    def multipartite(self) -> MultipartiteProfile:
+        """The graph's complete multipartite profile, from its co-components;
+        planarity, hamiltonicity and the claims read this one."""
+        return recognize_complete_multipartite(self.graph, self.co_components)
+
+    @lazy_property
     def _prime_cliques(self) -> dict[int, tuple[int, int]]:
         """(order, vertex mask) of a maximum clique of every prime piece."""
         return {
-            i: _clique_search(self.adj, self.masks[i])
+            i: _clique_search(self.graph.adj, self.masks[i])
             for i, kind in enumerate(self.kinds)
             if kind == PRIME
         }
@@ -382,13 +389,13 @@ class Decomposition:
             elif kind == _NON_EDGE:
                 # a non-edge part of a join: its vertices miss only each other
                 for v in bit_indices(mask):
-                    if (mask & ~self.adj[v]) >> (v + 1):
+                    if (mask & ~self.graph.adj[v]) >> (v + 1):
                         clique |= 1 << v
             elif every:
                 clique |= mask
             else:
                 low = mask & -mask
-                clique |= low | self.adj[low.bit_length() - 1] & mask
+                clique |= low | self.graph.adj[low.bit_length() - 1] & mask
         return orders[0], clique
 
     @lazy_property
@@ -398,7 +405,7 @@ class Decomposition:
         for i in reversed(range(len(self.masks))):
             kind = self.kinds[i]
             if kind == PRIME:
-                colors[i] = _chromatic_search(self.adj, self.masks[i], orders[i])
+                colors[i] = _chromatic_search(self.graph.adj, self.masks[i], orders[i])
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
             elif kind == JOIN:
@@ -422,7 +429,7 @@ class Decomposition:
             return 2
         if kind == JOIN:
             return 1 if any(self._part_size(j) == 1 for j in self.parts[i]) else 2
-        return _domination_search(self.adj, self.masks[i])
+        return _domination_search(self.graph.adj, self.masks[i])
 
 
 def _clique_search(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
@@ -629,7 +636,7 @@ def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
         return True
     if m > 3 * g.n - 6:
         return False
-    profile = recognize_complete_multipartite(g, split.co_components)
+    profile = split.multipartite
     if profile.valid:
         return multipartite_planar(profile.part_sizes)
     raise VertexBoundError("planarity", g.n)
@@ -650,7 +657,7 @@ def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     split = split or Decomposition(g)
     if split.component_count != 1:
         return False
-    profile = recognize_complete_multipartite(g, split.co_components)
+    profile = split.multipartite
     if profile.valid:
         return multipartite_hamiltonian(profile.part_sizes)
     if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
@@ -739,7 +746,7 @@ class InvariantReport:
     def complement(self) -> InvariantReport:
         """The report of the complement graph, its split derived from this one's."""
         report = InvariantReport(complement(self.graph))
-        report.split = self.split.complemented(report.graph.adj)
+        report.split = self.split.complemented(report.graph)
         return report
 
     def check(self) -> InvariantReport:

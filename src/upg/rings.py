@@ -218,8 +218,20 @@ def _monic_polys(p: int, degree: int):
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Whether the monic f, of degree k >= 2, is irreducible over GF(p).
+
+    A factor of degree 1 is a root, looked for by Horner evaluation at
+    each point of GF(p); that settles k <= 3, where every factorization
+    has one.  Factors of degree 2 .. k/2 are looked for by trial division.
+    """
+    for a in range(p):
+        value = 0
+        for c in reversed(f):
+            value = (value * a + c) % p
+        if value == 0:
+            return False
     k = len(f) - 1
-    for d in range(1, k // 2 + 1):
+    for d in range(2, k // 2 + 1):
         for g in _monic_polys(p, d):
             if _poly_mod(f, g, p) == (0,):
                 return False

@@ -540,16 +540,20 @@ def _poly_rem(num: list[int], monic: list[int], p: int) -> list[int]:
     return (num + [0] * d)[:d]
 
 
+def reference_is_irreducible(f: list[int], p: int) -> bool:
+    """True when no monic polynomial of degree 1 .. k//2 divides the monic
+    f of degree k over GF(p), by trial division by every one."""
+    k = len(f) - 1
+    divisors = (_digits(m, p, d) + [1] for d in range(1, k // 2 + 1) for m in range(p**d))
+    return all(any(_poly_rem(f, g, p)) for g in divisors)
+
+
 def _reference_modulus(p: int, k: int) -> list[int]:
-    """The first monic polynomial of degree k, counting up the index of its
-    lower coefficients, that no monic polynomial of degree 1 .. k//2
-    divides."""
+    """The first monic irreducible of degree k, counting up the index of
+    its lower coefficients."""
     for low in range(p**k):
         f = _digits(low, p, k) + [1]
-        divisors = (
-            _digits(m, p, d) + [1] for d in range(1, k // 2 + 1) for m in range(p**d)
-        )
-        if all(any(_poly_rem(f, g, p)) for g in divisors):
+        if reference_is_irreducible(f, p):
             return f
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
@@ -671,7 +675,7 @@ def expand_runs(split) -> dict:
     split's (size, count) components and co-components are the expanded
     ones.
     """
-    adj = split.adj
+    adj = split.graph.adj
     full = split.masks[0]
     kinds, masks, parts, source = [split.kinds[0]], [full], [()], [0]
     stack = [0]

@@ -372,7 +372,9 @@ def test_structural_claims_reach_no_solver(monkeypatch):
 
 def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
     # One split is built, the unity product graph's; the complement's is
-    # derived from it by complemented().
+    # derived from it by complemented().  The complement's multipartite
+    # profile is recognized once, for planarity, hamiltonicity and the
+    # claims alike.
     calls = Counter()
     solved = {}  # keeps every solved graph alive, so their ids stay distinct
     built, derived = [], []
@@ -382,9 +384,9 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
             built.append(g)
             super().__init__(g)
 
-        def complemented(self, adj):
-            derived.append(adj)
-            return super().complemented(adj)
+        def complemented(self, comp):
+            derived.append(comp)
+            return super().complemented(comp)
 
     monkeypatch.setattr(upg.invariants, "Decomposition", CountedDecomposition)
     for name in SOLVERS:
@@ -394,6 +396,13 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
             return solver(g, *args)
 
         monkeypatch.setattr(upg.invariants, name, counted)
+    recognize = upg.invariants.recognize_complete_multipartite
+
+    def recognized(g, *args):
+        calls["recognize", id(g)] += 1
+        return recognize(g, *args)
+
+    monkeypatch.setattr(upg.invariants, "recognize_complete_multipartite", recognized)
     for ring in default_rings():
         built.clear()
         derived.clear()
@@ -402,11 +411,11 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
         verdicts = run_sweep(builtin_claims(), [ring])
         assert SKIPPED not in {v.outcome for v in verdicts}, ring.label
         assert len(built) == len(derived) == 1, ring.label
-        assert derived[0] == complement(built[0]).adj, ring.label
-        assert {g.adj for g in solved.values()} <= {built[0].adj, derived[0]}, ring.label
+        assert derived[0].adj == complement(built[0]).adj, ring.label
+        assert {g.adj for g in solved.values()} <= {built[0].adj, derived[0].adj}, ring.label
         assert len(solved) <= 2, ring.label
         assert max(calls.values()) == 1, (ring.label, calls)
-        assert {name for name, _ in calls} == set(SOLVERS), ring.label
+        assert {name for name, _ in calls} == set(SOLVERS) | {"recognize"}, ring.label
 
 
 @pytest.mark.parametrize("q", [12, 18, 6, 0, 1])

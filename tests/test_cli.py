@@ -679,6 +679,17 @@ GOLDEN_DIGESTS = [
         0,
         "482807ca769b29244feebf49d4ce6b5640ca718f30ea68bb9a7593f5e2dbe0c0",
     ),
+    # dense export: every complement row is each later vertex but at most one
+    (
+        "build --ring zmod:493 --graph complement",
+        0,
+        "7c08b9f983d619063c1d992ba26f4c1c81a225526c25d08deeded252e81bb729",
+    ),
+    (
+        "build --ring zmod:493 --graph complement --format json",
+        0,
+        "5093d991a8910e19a4fedde8945ac0b84ef05232f0dd8f7593e64fe93e059566",
+    ),
 ]
 
 

@@ -362,6 +362,45 @@ def _random_label(rng: Random) -> str:
     return "".join(rng.choice(LABEL_ALPHABET) for _ in range(rng.randrange(0, 5)))
 
 
+def _one_gap_graph(n: int, rng: Random) -> SimpleGraph:
+    """A random graph in which each vertex u's later neighbors run from
+    u + 1 to a last one, often before n - 1, with no vertex missing or
+    one: the first, a middle or the last before the end."""
+    edges = []
+    for u in range(n - 1):
+        later = list(range(u + 1, rng.randrange(u + 1, n) + 1))
+        gaps = [None, 0, len(later) - 2]
+        if len(later) > 3:
+            gaps.append(rng.randrange(1, len(later) - 2))
+        gap = rng.choice(gaps) if len(later) > 2 else None
+        edges += [(u, v) for i, v in enumerate(later) if i != gap]
+    labels = [_random_label(rng) for _ in range(n)]
+    return graph_from_edges(n, edges, labels)
+
+
+def _slice_rows(g: SimpleGraph) -> Counter:
+    """Tally the rows with two or more later neighbors and at most one
+    non-neighbor before the last, by where that gap is."""
+    kinds = Counter()
+    for u, row in enumerate(g.adj):
+        later = [v for v in range(u + 1, g.n) if row >> v & 1]
+        if len(later) < 2:
+            continue
+        missing = [v for v in range(u + 1, later[-1]) if v not in later]
+        if len(missing) > 1:
+            continue
+        if not missing:
+            kinds["no gap"] += 1
+        elif missing[0] == u + 1:
+            kinds["first gap"] += 1
+        elif missing[0] == later[-1] - 1:
+            kinds["last gap"] += 1
+        else:
+            kinds["middle gap"] += 1
+        kinds["ends early"] += later[-1] < g.n - 1
+    return kinds
+
+
 def _export_cases():
     rng = Random(55)
     for n in range(15):
@@ -372,6 +411,8 @@ def _export_cases():
         g = random_graph(n, rng.random(), rng)
         labels = [_random_label(rng) for _ in range(n)]
         yield SimpleGraph(n=n, labels=tuple(labels), adj=g.adj)
+    for _ in range(60):
+        yield _one_gap_graph(rng.randrange(2, 71), rng)
     specs = [f"zmod:{n}" for n in range(1, 201)]
     specs += ["gf:2^5", "gf:3^3", "gf:7^2", "bool:1", "bool:5", f"table:@{TABLE_Z4}"]
     for spec in specs:
@@ -384,6 +425,7 @@ def test_streamed_export_matches_reference():
     # byte equality with the former per-edge exporters, over edgeless,
     # complete, random and ring graphs, with labels that need escaping
     seen = Counter()
+    slices = Counter()
     for g in _export_cases():
         doc = export_json(g)
         assert export_dot(g) == reference_export_dot(g), g
@@ -393,7 +435,10 @@ def test_streamed_export_matches_reference():
         seen["complete"] += g.n > 1 and is_complete(g)
         seen["empty label"] += "" in g.labels
         seen.update(c for c in '"\\\n\u00e9' if any(c in label for label in g.labels))
+        slices += _slice_rows(g)
     assert len(seen) == 7 and min(seen.values()) >= 30, seen
+    # rows exported as a slice of every later vertex but at most one
+    assert len(slices) == 5 and min(slices.values()) >= 200, slices
 
 
 def test_json_round_trip():

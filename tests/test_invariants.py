@@ -417,9 +417,11 @@ def test_split_reads_match_references_randomized():
         expected = reference_eccentricity_profile(g)[:2]
         assert eccentricity_profile(g, split) == eccentricity_profile(g) == expected, (trial, g)
         comp = complement(g)
-        derived, built = split.complemented(comp.adj), Decomposition(comp)
-        assert derived.adj == built.adj, (trial, g)
-        for field in ("components", "co_components", "kinds", "masks", "counts", "parts"):
+        derived, built = split.complemented(comp), Decomposition(comp)
+        assert derived.graph == built.graph, (trial, g)
+        for field in (
+            "components", "co_components", "kinds", "masks", "counts", "parts", "multipartite"
+        ):
             assert getattr(derived, field) == getattr(built, field), (trial, field, g)
         if split.component_count > 1:
             shapes["disconnected"] += 1
@@ -466,7 +468,7 @@ def test_runs_expand_to_reference_split_randomized():
         g = random_runs(disjoint_union if trial % 2 else join, rng)
         comp = complement(g)
         split = Decomposition(g)
-        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp.adj))):
+        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp))):
             assert_split_expands_to_reference(h, h_split)
         whole = reference_clique_search(g)
         assert clique_number(g, split) == whole[0], (trial, g)
@@ -492,7 +494,7 @@ def test_ring_graph_splits_expand_to_reference():
         g = unity_product_graph(units(ring))
         comp = complement(g)
         split = Decomposition(g)
-        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp.adj))):
+        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp))):
             assert_split_expands_to_reference(h, h_split)
 
 

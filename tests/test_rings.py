@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -16,6 +17,8 @@ from upg.rings import (
     OrderCapError,
     RingAxiomError,
     RingSpecError,
+    _is_irreducible,
+    _smallest_irreducible,
     boolean_ring,
     characteristic,
     cyclic_residues,
@@ -34,7 +37,13 @@ from upg.rings import (
     zmod,
 )
 
-from oracles import reference_gf_inverses, reference_gf_mul, reference_units
+from oracles import (
+    _reference_modulus,
+    reference_gf_inverses,
+    reference_gf_mul,
+    reference_is_irreducible,
+    reference_units,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -247,6 +256,24 @@ def test_gf_mul_matches_reference():
             pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
         for a, b in pairs:
             assert ring.mul(a, b) == want(a, b), (q, a, b)
+
+
+def test_irreducibility_matches_trial_division():
+    # degrees 2 and 3: irreducible iff no root; every monic one over p <= 13
+    tally = Counter()
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in (2, 3):
+            for low in range(p**k):
+                f = [low // p**i % p for i in range(k)] + [1]
+                verdict = _is_irreducible(tuple(f), p)
+                assert verdict == reference_is_irreducible(f, p), (p, f)
+                tally[k, verdict] += 1
+    assert len(tally) == 4 and min(tally.values()) >= 150, tally
+
+
+def test_smallest_irreducible_matches_reference():
+    for p, k in EXTENSION_FIELDS:
+        assert list(_smallest_irreducible(p, k)) == _reference_modulus(p, k), (p, k)
 
 
 def test_gf_inverses_match_candidate_walk():
