@@ -38,18 +38,16 @@ from .claims import (
     render_text,
     run_sweep,
 )
-from .graphs import complement, dot_chunks, json_chunks, unity_product_graph
-from .invariants import full_report
+from .graphs import complement, dot_chunks, json_chunks
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
-    NoUnityError,
     OrderCapError,
     RingError,
     boolean_ring,
+    gf,
     parse_ring_spec,
     split_top_level,
-    units,
     zmod,
 )
 
@@ -109,15 +107,11 @@ def _resolve_ring(spec: str, order_cap: int) -> FiniteRing:
         raise _CliError(EXIT_USAGE, f"ring spec {spec!r}: {exc}") from None
 
 
-def _ring_graph(ring: FiniteRing, which: str):
-    try:
-        group = units(ring)
-    except NoUnityError:
-        raise _CliError(
-            EXIT_NO_UNITY, f"ring {ring.label} has no unity element"
-        ) from None
-    g = unity_product_graph(group)
-    return complement(g) if which == "complement" else g
+def _ring_context(ring: FiniteRing) -> RingContext:
+    """The ring's lazy graphs and reports; exit 3 when it has no unity."""
+    if ring.unity is None:
+        raise _CliError(EXIT_NO_UNITY, f"ring {ring.label} has no unity element")
+    return RingContext(ring)
 
 
 def _decided(ring: FiniteRing, compute, prefix: str = ""):
@@ -134,7 +128,9 @@ def _decided(ring: FiniteRing, compute, prefix: str = ""):
 
 def cmd_build(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
-    g = _ring_graph(ring, args.graph)
+    g = _ring_context(ring).upg_report.graph
+    if args.graph == "complement":
+        g = complement(g)
     # streamed, so a cap-size graph is never held as one document
     _emit(dot_chunks(g) if args.format == "dot" else json_chunks(g), args.out)
     return EXIT_OK
@@ -142,8 +138,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
-    g = _ring_graph(ring, args.graph)
-    report = _decided(ring, lambda: full_report(g))
+    ctx = _ring_context(ring)
+    report = ctx.comp_report if args.graph == "complement" else ctx.upg_report
+    _decided(ring, report.check)
     text = report.to_text() if args.format == "text" else report.to_json()
     _emit(text, args.out)
     return EXIT_OK
@@ -212,7 +209,7 @@ def _survey_family(family: str, maximum: int, order_cap: int) -> list[FiniteRing
                 p, k = claims_mod.prime_power(q)
             except ValueError:
                 continue
-            rings.append(parse_ring_spec(f"gf:{p}^{k}", order_cap=order_cap))
+            rings.append(gf(p, k, order_cap=order_cap))
         return rings
     except OrderCapError as exc:
         raise _CliError(EXIT_BOUND, f"survey bound violation: {exc}") from None

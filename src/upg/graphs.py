@@ -12,8 +12,8 @@ points each unit's row at its inverse, an involution, so the graph is
 s*K1 + p*K2 with p edges, and ``complement`` flips the off-diagonal bits
 of a valid graph's rows, leaving C(n, 2) - m edges.  A graph whose rows
 have at most one bit each (``is_matching``) is such a union of K1's and
-K2's; the invariants' Decomposition reads its split, and its
-complement's, off the rows in C, and passes the co-components to
+K2's; the invariants' Decomposition reads its split off the rows in C,
+derives its complement's from it, and passes the co-components to
 ``recognize_complete_multipartite`` as (size, count) pairs.
 
 Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece

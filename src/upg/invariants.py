@@ -7,10 +7,11 @@ BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
 Each split keeps all its one-vertex parts as one run piece and all its
 two-vertex parts as another, each with its count, so a unity product
 graph s*K1 + p*K2 and its complement K_{1^s,2^p} are three pieces
-whatever s and p.  Their splits are read off the rows' bit counts and
-sum in C, with no BFS.  Domination, clique and chromatic numbers combine over the
-pieces: over a union by maximum or by count-weighted sum, over a join
-by count-weighted sum, and a join is dominated by one vertex or two.
+whatever s and p.  The first is split off the rows' bit counts and sum
+in C, with no BFS, and the second's split is derived from it.
+Domination, clique and chromatic numbers combine over the pieces: over
+a union by maximum or by count-weighted sum, over a join by
+count-weighted sum, and a join is dominated by one vertex or two.
 Only prime pieces, connected and co-connected, reach a search: branch
 and bound for clique, coloring (DSATUR) and domination, each run on the
 piece's vertex mask in place and on an explicit stack, each meant for
@@ -209,12 +210,12 @@ class Decomposition:
     ``components`` and ``co_components`` are the graph's own, as (part
     size, count) pairs; a disconnected graph has one co-component, all of
     it, since its complement is connected.  A graph whose rows have at
-    most one bit (every unity product graph, s*K1 + p*K2) or at least
-    n - 2 (the complement of one) is split off its rows in C: their bit
-    counts tell the shape, and their sum gives the mask of the 2p paired
-    vertices, the rest being the s single ones.  Its whole split is
-    three pieces, found with no loop over the vertices in Python and no
-    BFS.  Any other graph runs the mask BFS of connected_parts.
+    most one bit (every unity product graph, s*K1 + p*K2) is split off
+    its rows in C: their bit counts tell the shape, and their sum gives
+    the mask of the 2p paired vertices, the rest being the s single ones.
+    Its whole split is three pieces, found with no loop over the vertices
+    in Python and no BFS, and ``complemented`` derives its complement's.
+    Any other graph runs the mask BFS of connected_parts.
 
     Clique and chromatic numbers are the largest part's over a union and
     add up, count times each child's, over a join.  The domination number
@@ -239,11 +240,6 @@ class Decomposition:
             # paired vertices, so they add up to the mask of those
             pairs = sum(adj)
             self._divide(0, UNION, full ^ pairs, pairs, [])
-        elif n > 2 and min(map(int.bit_count, adj)) >= n - 2:
-            # its complement: full - adj[v] is v and its partner, if any,
-            # so those add up to full plus the mask of the paired vertices
-            pairs = (n - 1) * full - sum(adj)
-            self._divide(0, JOIN, full ^ pairs, pairs, [])
         else:
             # an explicit stack: a threshold graph's tree is n levels deep
             stack = [(0, (UNION, JOIN))]

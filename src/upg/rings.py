@@ -595,16 +595,6 @@ def units(ring: FiniteRing) -> UnitGroup:
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
 
 
-def self_inverse_count(ug: UnitGroup) -> int:
-    """Number of units equal to their own inverse."""
-    return sum(1 for x in ug.units if ug.inverse_of[x] == x)
-
-
-def inverse_pair_count(ug: UnitGroup) -> int:
-    """Number of unordered pairs {x, y}, x != y, with x * y = unity."""
-    return (len(ug.units) - self_inverse_count(ug)) // 2
-
-
 def characteristic(ring: FiniteRing) -> int:
     """Least n >= 1 with n.x = 0 for all x; additive order of unity if present."""
     if ring.unity is not None:

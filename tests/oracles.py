@@ -6,12 +6,14 @@ usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
 kept as the differential reference for the bit-parallel ones, and
 ``reference_units`` is the former unit-group scan, the reference for the
-per-family inverse hooks.  ``reference_gf_mul`` is the former schoolbook
-GF(p^k) product, over its own modulus search, and
-``reference_gf_inverses`` the former walk of candidate generators, the
-reference for the exp/log tables of ``gf``.  ``reference_is_planar`` is
-the former K5/K3,3 subdivision search, the reference for the closed-form
-planarity of forests and complete multipartite graphs.  ``reference_export_dot`` and
+per-family inverse hooks; ``self_inverse_count`` and
+``inverse_pair_count`` count a unit group's K1s and K2s from its inverse
+map.  ``reference_gf_mul`` is the former schoolbook GF(p^k) product,
+over its own modulus search, and ``reference_gf_inverses`` the former
+walk of candidate generators, the reference for the exp/log tables of
+``gf``.  ``reference_is_planar`` is the former K5/K3,3 subdivision
+search, the reference for the closed-form planarity of forests and
+complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
 Python object per edge, the reference for the streamed row-wise ones.
 ``reference_recognize_complete_multipartite`` is the former row scan of
@@ -516,6 +518,16 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
                 break
     members = tuple(sorted(inverse_of))
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
+
+
+def self_inverse_count(ug: UnitGroup) -> int:
+    """Number of units equal to their own inverse."""
+    return sum(1 for x in ug.units if ug.inverse_of[x] == x)
+
+
+def inverse_pair_count(ug: UnitGroup) -> int:
+    """Number of unordered pairs {x, y}, x != y, with x * y = unity."""
+    return (len(ug.units) - self_inverse_count(ug)) // 2
 
 
 def _digits(x: int, p: int, k: int) -> list[int]:

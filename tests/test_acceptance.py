@@ -45,7 +45,7 @@ from upg.invariants import (
     is_planar,
     multipartite_hamiltonian,
 )
-from upg.rings import is_prime, self_inverse_count, units, zmod
+from upg.rings import is_prime, units, zmod
 
 from oracles import (
     brute_chromatic,
@@ -54,6 +54,7 @@ from oracles import (
     brute_hamiltonian,
     random_graph,
     reference_is_planar,
+    self_inverse_count,
 )
 
 

@@ -255,12 +255,14 @@ def test_order_cap_flag():
     assert res.returncode == 0
 
 
-def test_no_unity_exit_3():
-    res = run_cli("build", "--ring", f"table:@{DATA / 'nounity.json'}")
-    assert res.returncode == 3
-    assert "2Z/4Z" in res.stderr and "unity" in res.stderr
-    res = run_cli("analyze", "--ring", f"table:@{DATA / 'nounity.json'}")
-    assert res.returncode == 3
+def test_no_unity_exit_3(capsys):
+    spec = f"table:@{DATA / 'nounity.json'}"
+    for command in ("build", "analyze"):
+        for graph in ("upg", "complement"):
+            assert cli.main([command, "--ring", spec, "--graph", graph]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: ring 2Z/4Z has no unity element\n"
 
 
 def test_table_ring_analyze():
@@ -414,10 +416,24 @@ def test_survey_gf_prime_powers():
     assert rings == ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)"]
 
 
-def test_survey_over_cap_exit_4():
+def test_survey_over_cap_exit_4(capsys):
     res = run_cli("survey", "--family", "bool", "--max", "13")
     assert res.returncode == 4
     assert "bound" in res.stderr
+    # each family stops at its first ring over the cap, before any row
+    cases = [
+        (["zmod", "17", "--order-cap", "16"], 17, 16),
+        (["gf", "17", "--order-cap", "16"], 17, 16),
+        (["bool", "5", "--order-cap", "16"], 32, 16),
+        (["gf", "4099"], 4099, 4096),
+    ]
+    for (family, maximum, *cap), order, limit in cases:
+        assert cli.main(["survey", "--family", family, "--max", maximum, *cap]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: survey bound violation: ring order {order} exceeds cap {limit}\n"
+        )
 
 
 def test_survey_deterministic():
@@ -536,15 +552,17 @@ def test_installed_console_script_matches_module():
 
 
 def test_analyze_vertex_bound_exit_4(monkeypatch, capsys):
-    def refuse(g):
+    def refuse(g, *args):
         raise VertexBoundError("planarity", g.n)
 
-    monkeypatch.setattr(cli, "full_report", refuse)
-    code = cli.main(["analyze", "--ring", "zmod:16"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert "planarity" in err and "Z/16" in err
-    assert "closed form" in err and "bound" not in err
+    monkeypatch.setattr(upg.invariants, "is_planar", refuse)
+    for graph in ("upg", "complement"):
+        code = cli.main(["analyze", "--ring", "zmod:16", "--graph", graph])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "planarity" in captured.err and "Z/16" in captured.err
+        assert "closed form" in captured.err and "bound" not in captured.err
 
 
 def test_survey_vertex_bound_exit_4(monkeypatch, capsys):
@@ -703,6 +721,22 @@ def test_golden_output_digests(command, code, digest, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+def test_build_computes_no_split(monkeypatch, capsys):
+    # build reads the UPG's rows and exports them or their complement; no
+    # split of either graph is made on the way
+    def refuse(self, g):
+        raise AssertionError("Decomposition built")
+
+    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    prefix = "build --ring zmod:493 --graph complement"
+    pinned = [case for case in GOLDEN_DIGESTS if case[0].startswith(prefix)]
+    assert len(pinned) == 2  # DOT and JSON
+    for command, code, digest in pinned:
+        assert cli.main(command.split()) == code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_main_in_process_smoke(capsys):

@@ -64,6 +64,52 @@ def test_private_import_detector_sees_both_forms(tmp_path):
     ]
 
 
+RING_GRAPH_BUILDERS = {"units", "unity_product_graph", "full_report"}
+
+
+def upg_names(path: Path) -> set[str]:
+    """The names a module takes from another upg module: by ``from``
+    import, or as an attribute of an imported upg module (``inv.girth``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "upg"
+        ):
+            for alias in node.names:
+                names.add(alias.name)
+                modules.add(alias.asname or alias.name)  # a module, class or function
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or "upg" for alias in node.names if alias.name.split(".")[0] == "upg"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add(node.attr)
+    return names
+
+
+def test_cli_reaches_ring_graphs_through_ring_context():
+    # every subcommand builds a ring's graphs and reports via RingContext,
+    # so none of them has its own unit group, graph or report plumbing
+    assert upg_names(PACKAGE / "cli.py") & RING_GRAPH_BUILDERS == set()
+
+
+def test_upg_names_detector(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import json\n"
+        "from collections import Counter\n"
+        "from . import claims as cm\n"
+        "from .graphs import complement, unity_product_graph as upg\n"
+        "from upg.rings import units\n"
+        "x = cm.full_report(json.dumps)\n"
+    )
+    assert upg_names(module) == {
+        "claims", "complement", "unity_product_graph", "units", "full_report"
+    }
+
+
 CACHES = {"cache", "lru_cache"}
 
 

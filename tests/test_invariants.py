@@ -499,10 +499,11 @@ def test_ring_graph_splits_expand_to_reference():
 
 
 @pytest.mark.parametrize("spec", ["zmod:4096", "gf:2^12", "bool:12", "prod:(zmod:64,zmod:64)"])
-def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch):
+def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch, capsys):
     # A ring graph at the order cap splits into at most three pieces, the
-    # whole graph and a run of each part size, read off its rows with no
-    # BFS, and no field of its report runs one either.
+    # whole graph and a run of each part size: the UPG's read off its rows
+    # and the complement's derived from it, with no BFS, and no field of
+    # either report, nor analyze of the complement, runs one either.
     g = unity_product_graph(units(parse_ring_spec(spec)))
 
     def refuse(*args):
@@ -510,10 +511,13 @@ def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch):
 
     monkeypatch.setattr(upg.graphs, "connected_parts", refuse)
     monkeypatch.setattr(upg.invariants, "connected_parts", refuse)
-    for h in (g, complement(g)):
-        report = InvariantReport(h)
+    upg_report = InvariantReport(g)
+    for report in (upg_report, upg_report.complement()):
         assert len(report.split.kinds) <= 3, spec
         report.check()
+    argv = ["analyze", "--ring", spec, "--graph", "complement", "--format", "json"]
+    assert upg.cli.main(argv) == 0
+    assert capsys.readouterr().out == upg_report.complement().check().to_json()
 
 
 @pytest.mark.parametrize("spec", ["zmod:1", "zmod:2", "zmod:3", "zmod:24", "gf:2^5", "bool:3"])

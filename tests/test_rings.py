@@ -24,12 +24,10 @@ from upg.rings import (
     cyclic_residues,
     direct_product,
     gf,
-    inverse_pair_count,
     is_boolean,
     is_cyclic,
     is_prime,
     parse_ring_spec,
-    self_inverse_count,
     table_ring,
     table_ring_from_json,
     units,
@@ -39,10 +37,12 @@ from upg.rings import (
 
 from oracles import (
     _reference_modulus,
+    inverse_pair_count,
     reference_gf_inverses,
     reference_gf_mul,
     reference_is_irreducible,
     reference_units,
+    self_inverse_count,
 )
 
 DATA = Path(__file__).parent / "data"
