@@ -3,8 +3,10 @@
 Each claim binds a hypothesis (``applicable``) and a conclusion
 (``check``) over one ring, side by side in one registry entry; a
 conclusion that is a single comparison is written there as one
-``_verdict`` call.  Sweeps evaluate claims across ring families and
-report pass/fail/not_applicable/hypothesis_gap verdicts; fails and gaps
+``_verdict`` call, and an "exactly when" statement as one ``_iff`` call,
+whose fail names the direction (forward or converse) that broke.
+Sweeps evaluate claims across ring families and report
+pass/fail/not_applicable/hypothesis_gap verdicts; fails and gaps
 always carry a witness.  A ring without unity is skipped before any
 hypothesis runs, so no hypothesis or check tests for unity.  The harness
 computes graph truth and compares: a false conclusion is reported as
@@ -28,9 +30,8 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
     UnitGroup,
-    boolean_ring,
     cyclic_residues,
-    gf,
+    family,
     is_boolean,
     is_prime,
     parse_ring_spec,
@@ -45,6 +46,7 @@ HYPOTHESIS_GAP = "hypothesis_gap"
 SKIPPED = "skipped"
 
 Witness = Mapping[str, object]
+_P3 = "complement is the path P3 which has no hamiltonian cycle"
 
 
 class UnknownClaimError(KeyError):
@@ -166,6 +168,24 @@ def _verdict(holds: bool, expected: object, computed: object, **extra: object):
     return (PASS, None) if holds else _fail(expected, computed, **extra)
 
 
+def _iff(hypothesis, conclusion, forward, converse, **extra):
+    """The check of "hypothesis exactly when conclusion", all functions of
+    the context.  A fail names the direction that broke, with the
+    (expected, computed) pair of ``forward`` and each ``extra`` field not
+    None, or of ``converse``; no witness is made for a pass."""
+
+    def check(ctx: RingContext):
+        holds = hypothesis(ctx)
+        if holds == conclusion(ctx):
+            return PASS, None
+        if not holds:
+            return _fail(*converse(ctx), direction="converse")
+        fields = {key: value for key, field in extra.items() if (value := field(ctx)) is not None}
+        return _fail(*forward(ctx), direction="forward", **fields)
+
+    return check
+
+
 def _diameter_radius(report: inv.InvariantReport) -> str:
     return f"diameter {report.text('diameter')} radius {report.text('radius')}"
 
@@ -237,21 +257,6 @@ def _check_comp_girth(ctx: RingContext, expected: inv.ExtendedNat):
     )
 
 
-def _check_diam_rad_one_iff_cyclic_24(ctx: RingContext):
-    comp = ctx.comp_report
-    metric_one = comp.diameter == 1 and comp.radius == 1
-    family = ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order)
-    if family and not metric_one:
-        return _fail("diameter 1 and radius 1", _diameter_radius(comp), direction="forward")
-    if metric_one and not family:
-        return _fail(
-            "ring isomorphic to Z/n with n over 2 dividing 24",
-            ctx.ring.label,
-            direction="converse",
-        )
-    return PASS, None
-
-
 def _check_upg_clique(ctx: RingContext):
     upg = ctx.upg_report
     if ctx.pairs >= 1:
@@ -275,31 +280,6 @@ def _check_prop_52(ctx: RingContext):
         f"complement chromatic {m} and clique {m}",
         f"chromatic {comp.chromatic_number} clique {comp.clique_number}",
     )
-
-
-def _check_comp_planar_iff(ctx: RingContext):
-    small = ctx.unit_count <= 4
-    planar = ctx.comp_report.planar
-    if small and not planar:
-        return _fail("planar", "nonplanar", direction="forward", units=ctx.unit_count)
-    if planar and not small:
-        return _fail("at most 4 units", ctx.unit_count, direction="converse")
-    return PASS, None
-
-
-def _check_comp_hamiltonian_iff(ctx: RingContext):
-    many = ctx.unit_count > 2
-    ham = ctx.comp_report.hamiltonian
-    if many and not ham:
-        path = ctx.isolated == 1 and ctx.pairs == 1
-        extra = {"structure": "complement is the path P3 which has no hamiltonian cycle"}
-        return _fail(
-            "hamiltonian", "not hamiltonian", direction="forward", units=ctx.unit_count,
-            **(extra if path else {}),
-        )
-    if ham and not many:
-        return _fail("more than 2 units", ctx.unit_count, direction="converse")
-    return PASS, None
 
 
 def builtin_claims() -> tuple[Claim, ...]:
@@ -457,7 +437,12 @@ _CLAIMS: tuple[Claim, ...] = (
         "exactly when the ring is isomorphic to Z/n with n above 2 dividing "
         "24 (restricted to finite rings).",
         _every_ring,
-        _check_diam_rad_one_iff_cyclic_24,
+        _iff(
+            lambda ctx: ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order),
+            lambda ctx: ctx.comp_report.diameter == 1 and ctx.comp_report.radius == 1,
+            lambda ctx: ("diameter 1 and radius 1", _diameter_radius(ctx.comp_report)),
+            lambda ctx: ("ring isomorphic to Z/n with n over 2 dividing 24", ctx.ring.label),
+        ),
     ),
     Claim(
         "thm-5.1",
@@ -536,7 +521,13 @@ _CLAIMS: tuple[Claim, ...] = (
         "The complement unity product graph is planar exactly when the ring "
         "has at most four units.",
         _every_ring,
-        _check_comp_planar_iff,
+        _iff(
+            lambda ctx: ctx.unit_count <= 4,
+            lambda ctx: ctx.comp_report.planar,
+            lambda ctx: ("planar", "nonplanar"),
+            lambda ctx: ("at most 4 units", ctx.unit_count),
+            units=lambda ctx: ctx.unit_count,
+        ),
     ),
     Claim(
         "thm-6.3",
@@ -549,7 +540,14 @@ _CLAIMS: tuple[Claim, ...] = (
         "The complement unity product graph is hamiltonian exactly when the "
         "ring has more than two units.",
         _every_ring,
-        _check_comp_hamiltonian_iff,
+        _iff(
+            lambda ctx: ctx.unit_count > 2,
+            lambda ctx: ctx.comp_report.hamiltonian,
+            lambda ctx: ("hamiltonian", "not hamiltonian"),
+            lambda ctx: ("more than 2 units", ctx.unit_count),
+            units=lambda ctx: ctx.unit_count,
+            structure=lambda ctx: _P3 if ctx.isolated == 1 and ctx.pairs == 1 else None,
+        ),
     ),
 )
 
@@ -562,8 +560,6 @@ _DEFAULT_PRODUCT_SPECS = (
     "prod:(zmod:4,zmod:4)",
     "prod:(gf:2^2,zmod:2)",
 )
-
-_DEFAULT_GF_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 DEFAULT_ZMOD_MAX = 60
 DEFAULT_BOOL_MAX = 6
@@ -583,10 +579,8 @@ def default_rings(
     """
     rings: list[FiniteRing] = []
     rings.extend(zmod(n, order_cap=order_cap) for n in range(2, zmod_max + 1))
-    for q in _DEFAULT_GF_ORDERS:
-        p, k = prime_power(q)
-        rings.append(gf(p, k, order_cap=order_cap))
-    rings.extend(boolean_ring(n, order_cap=order_cap) for n in range(1, DEFAULT_BOOL_MAX + 1))
+    rings.extend(family("gf", 16, order_cap=order_cap))
+    rings.extend(family("bool", DEFAULT_BOOL_MAX, order_cap=order_cap))
     rings.extend(parse_ring_spec(s, order_cap=order_cap) for s in _DEFAULT_PRODUCT_SPECS)
     rings.extend(parse_ring_spec(s, order_cap=order_cap) for s in include)
     seen: set[str] = set()
@@ -596,20 +590,6 @@ def default_rings(
             seen.add(ring.label)
             unique.append(ring)
     return unique
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k for a prime p; ValueError when q is no prime power."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            rest, k = q, 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            if rest != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
 
 
 def run_sweep(
@@ -669,15 +649,19 @@ def summarize(verdicts: Sequence[ClaimVerdict]) -> dict[str, int]:
     return counts
 
 
+def _by_claim(verdicts: Sequence[ClaimVerdict]) -> list[tuple[str, list[ClaimVerdict]]]:
+    """The verdicts grouped by claim id, ids sorted, each group in order."""
+    by_claim: dict[str, list[ClaimVerdict]] = {}
+    for v in verdicts:
+        by_claim.setdefault(v.claim_id, []).append(v)
+    return sorted(by_claim.items())
+
+
 def render_text(verdicts: Sequence[ClaimVerdict]) -> str:
     """Grouped plain-text report: per-claim counts, then non-pass detail."""
     registry = claims_by_id()
     lines = []
-    by_claim: dict[str, list[ClaimVerdict]] = {}
-    for v in verdicts:
-        by_claim.setdefault(v.claim_id, []).append(v)
-    for claim_id in sorted(by_claim):
-        rows = by_claim[claim_id]
+    for claim_id, rows in _by_claim(verdicts):
         counts = summarize(rows)
         count_text = "  ".join(f"{o} {counts[o]}" for o in _OUTCOME_ORDER)
         lines.append(f"{claim_id}: {count_text}")
@@ -695,12 +679,8 @@ def render_text(verdicts: Sequence[ClaimVerdict]) -> str:
 
 def render_json(verdicts: Sequence[ClaimVerdict]) -> str:
     registry = claims_by_id()
-    by_claim: dict[str, list[ClaimVerdict]] = {}
-    for v in verdicts:
-        by_claim.setdefault(v.claim_id, []).append(v)
     claims_doc = []
-    for claim_id in sorted(by_claim):
-        rows = by_claim[claim_id]
+    for claim_id, rows in _by_claim(verdicts):
         claim = registry.get(claim_id)
         claims_doc.append(
             {

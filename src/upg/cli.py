@@ -41,14 +41,13 @@ from .claims import (
 from .graphs import complement, dot_chunks, json_chunks
 from .rings import (
     DEFAULT_ORDER_CAP,
+    FAMILIES,
     FiniteRing,
     OrderCapError,
     RingError,
-    boolean_ring,
-    gf,
+    family,
     parse_ring_spec,
     split_top_level,
-    zmod,
 )
 
 EXIT_OK = 0
@@ -196,27 +195,11 @@ _SURVEY_COLUMNS = (
 )
 
 
-def _survey_family(family: str, maximum: int, order_cap: int) -> list[FiniteRing]:
+def cmd_survey(args: argparse.Namespace) -> int:
     try:
-        if family == "zmod":
-            return [zmod(n, order_cap=order_cap) for n in range(1, maximum + 1)]
-        if family == "bool":
-            return [boolean_ring(n, order_cap=order_cap) for n in range(1, maximum + 1)]
-        # gf: every prime power up to the bound
-        rings = []
-        for q in range(2, maximum + 1):
-            try:
-                p, k = claims_mod.prime_power(q)
-            except ValueError:
-                continue
-            rings.append(gf(p, k, order_cap=order_cap))
-        return rings
+        rings = family(args.family, args.max, order_cap=args.order_cap)
     except OrderCapError as exc:
         raise _CliError(EXIT_BOUND, f"survey bound violation: {exc}") from None
-
-
-def cmd_survey(args: argparse.Namespace) -> int:
-    rings = _survey_family(args.family, args.max, args.order_cap)
     header = ["ring", "order", "units", "isolated", "pairs"]
     header += [f"upg_{c}" for c in _SURVEY_COLUMNS]
     header += [f"comp_{c}" for c in _SURVEY_COLUMNS]
@@ -288,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_survey = sub.add_parser("survey", help="per-ring invariant CSV for a family")
-    p_survey.add_argument("--family", choices=("zmod", "gf", "bool"), required=True)
+    p_survey.add_argument("--family", choices=FAMILIES, required=True)
     p_survey.add_argument(
         "--max",
         type=_non_negative_int,

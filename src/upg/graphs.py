@@ -184,7 +184,7 @@ def complement(g: SimpleGraph) -> SimpleGraph:
 
 def is_matching(adj: tuple[int, ...]) -> bool:
     """True when no row has two bits: the graph is a union of K1's and K2's."""
-    return not any(row & (row - 1) for row in adj)
+    return max(map(int.bit_count, adj), default=0) <= 1
 
 
 def is_complete(g: SimpleGraph) -> bool:
@@ -366,7 +366,8 @@ def graph_from_json(text: str) -> SimpleGraph:
     n = doc["n"]
     labels = doc["labels"]
     edges = doc["edges"]
-    if not isinstance(n, int) or n < 0:
+    # JSON true/false load as bool, a subclass of int; neither is a count or an id
+    if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if not isinstance(labels, list) or len(labels) != n:
         raise ValueError("labels must list one string per vertex")
@@ -374,7 +375,7 @@ def graph_from_json(text: str) -> SimpleGraph:
         raise ValueError("edges must be a list of pairs")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
+        if not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e):
             raise ValueError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return graph_from_edges([str(x) for x in labels], pairs)

@@ -57,6 +57,7 @@ from .graphs import (
     bit_indices,
     complement,
     connected_parts,
+    is_matching,
     lazy_property,
     recognize_complete_multipartite,
 )
@@ -235,7 +236,7 @@ class Decomposition:
         self.masks: list[int] = [full]
         self.counts: list[int] = [1]
         self.parts: list[tuple[int, ...]] = [()]
-        if n > 2 and max(map(int.bit_count, adj)) <= 1:
+        if n > 2 and is_matching(adj):
             # s*K1 + p*K2: the rows are the distinct single bits of the
             # paired vertices, so they add up to the mask of those
             pairs = sum(adj)

@@ -453,6 +453,32 @@ def boolean_ring(n_copies: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     return direct_product([zmod(2) for _ in range(n_copies)], order_cap=order_cap)
 
 
+FAMILIES = ("zmod", "gf", "bool")
+
+
+def family(name: str, maximum: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[FiniteRing]:
+    """The rings of one family, in order: Z/1 .. Z/maximum (``zmod``),
+    GF(q) for every prime power q <= maximum (``gf``), or 1 .. maximum
+    copies of Z/2 (``bool``).
+
+    Each q is factored by trial division as the loop reaches it, so the
+    first ring over the cap raises OrderCapError at any maximum.
+    """
+    if name == "zmod":
+        return [zmod(n, order_cap=order_cap) for n in range(1, maximum + 1)]
+    if name == "bool":
+        return [boolean_ring(n, order_cap=order_cap) for n in range(1, maximum + 1)]
+    if name != "gf":
+        raise RingSpecError(f"unknown ring family {name!r}")
+    rings = []
+    for q in range(2, maximum + 1):
+        factors = _prime_factors(q)
+        if len(factors) == 1:
+            p = factors[0]  # q is exactly p^k, so the rounded log is k
+            rings.append(gf(p, round(math.log(q, p)), order_cap=order_cap))
+    return rings
+
+
 def validate_ring_axioms(ring: FiniteRing) -> None:
     """Exhaustively check the commutative-ring axioms.
 

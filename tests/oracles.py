@@ -520,6 +520,21 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p, p found by trying every divisor
+    up to q; ValueError when q is no prime power."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            rest, k = q, 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            if rest != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
+
+
 def self_inverse_count(ug: UnitGroup) -> int:
     """Number of units equal to their own inverse."""
     return sum(1 for x in ug.units if ug.inverse_of[x] == x)

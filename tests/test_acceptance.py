@@ -21,7 +21,6 @@ from upg.claims import (
     builtin_claims,
     default_rings,
     lookup,
-    prime_power,
     run_sweep,
 )
 from upg.graphs import (
@@ -52,6 +51,7 @@ from oracles import (
     brute_clique,
     brute_domination,
     brute_hamiltonian,
+    prime_power,
     random_graph,
     reference_is_planar,
     self_inverse_count,

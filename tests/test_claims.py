@@ -18,7 +18,6 @@ from upg.claims import (
     claims_by_id,
     default_rings,
     lookup,
-    prime_power,
     render_csv,
     render_json,
     render_text,
@@ -28,6 +27,8 @@ import upg.invariants
 from upg.graphs import complement, graph_from_edges
 from upg.invariants import InvariantReport, VertexBoundError
 from upg.rings import parse_ring_spec, zmod
+
+from oracles import prime_power
 
 DATA = Path(__file__).parent / "data"
 
@@ -306,10 +307,19 @@ def test_default_sweep_known_fail_profile():
 def test_default_rings_families_and_dedupe():
     labels = [r.label for r in default_rings()]
     assert len(labels) == len(set(labels))
-    assert "Z/2" in labels and "Z/60" in labels
-    assert "GF(16)" in labels and "GF(4)" in labels
-    assert "Z/2 × Z/2 × Z/2 × Z/2 × Z/2 × Z/2" in labels
-    assert "Z/4 × Z/4" in labels
+    # Z/2 .. Z/60, the fields of order up to 16, bool:2 .. bool:6 (bool:1
+    # is Z/2, dropped as a duplicate) and the six products, in that order
+    assert labels == [
+        *(f"Z/{n}" for n in range(2, 61)),
+        *(f"GF({q})" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+        *(" × ".join(["Z/2"] * k) for k in range(2, 7)),
+        "Z/2 × Z/3",
+        "Z/2 × Z/4",
+        "Z/3 × Z/3",
+        "Z/2 × Z/2 × Z/3",
+        "Z/4 × Z/4",
+        "GF(4) × Z/2",
+    ]
     # an include that duplicates a default collapses
     with_dup = default_rings(include=["gf:2^2", "zmod:7"])
     assert len(with_dup) == len(default_rings())

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -426,9 +427,15 @@ def test_survey_over_cap_exit_4(capsys):
         (["gf", "17", "--order-cap", "16"], 17, 16),
         (["bool", "5", "--order-cap", "16"], 32, 16),
         (["gf", "4099"], 4099, 4096),
+        # the first ring over the cap stops the loop, however far --max goes
+        (["gf", "100000000"], 4099, 4096),
+        (["zmod", "100000000000"], 4097, 4096),
+        (["bool", "100000000000"], 8192, 4096),
     ]
     for (family, maximum, *cap), order, limit in cases:
+        start = time.perf_counter()
         assert cli.main(["survey", "--family", family, "--max", maximum, *cap]) == 4
+        assert time.perf_counter() - start < 5.0, (family, maximum)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (

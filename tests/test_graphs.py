@@ -460,3 +460,13 @@ def test_graph_from_json_rejects_bad_documents():
         graph_from_json("[]")
     with pytest.raises((ValueError, AssertionError, KeyError)):
         graph_from_json('{"n": 2, "labels": ["a", "b"]}')
+    # JSON true/false load as bool, a subclass of int: not a count or a
+    # vertex id; floats and strings are not vertex ids either
+    for doc in (
+        '{"n": 2, "labels": ["a", "b"], "edges": [[true, false]]}',
+        '{"n": true, "labels": ["a"], "edges": []}',
+        '{"n": 2, "labels": ["a", "b"], "edges": [[0.0, 1.0]]}',
+        '{"n": 2, "labels": ["a", "b"], "edges": [[0, "1"]]}',
+    ):
+        with pytest.raises(ValueError):
+            graph_from_json(doc)

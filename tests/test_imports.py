@@ -95,6 +95,15 @@ def test_cli_reaches_ring_graphs_through_ring_context():
     assert upg_names(PACKAGE / "cli.py") & RING_GRAPH_BUILDERS == set()
 
 
+RING_CONSTRUCTORS = {"zmod", "gf", "boolean_ring", "direct_product", "prime_power"}
+
+
+def test_cli_reaches_ring_families_through_family():
+    # survey lists its rings with rings.family and the other subcommands
+    # parse a spec, so the CLI builds no ring family of its own
+    assert upg_names(PACKAGE / "cli.py") & RING_CONSTRUCTORS == set()
+
+
 def test_upg_names_detector(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(

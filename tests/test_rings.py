@@ -11,6 +11,7 @@ import pytest
 
 from upg.rings import (
     DEFAULT_ORDER_CAP,
+    FAMILIES,
     MAX_PROD_NESTING,
     FiniteRing,
     NoUnityError,
@@ -23,6 +24,7 @@ from upg.rings import (
     characteristic,
     cyclic_residues,
     direct_product,
+    family,
     gf,
     is_boolean,
     is_cyclic,
@@ -38,6 +40,7 @@ from upg.rings import (
 from oracles import (
     _reference_modulus,
     inverse_pair_count,
+    prime_power,
     reference_gf_inverses,
     reference_gf_mul,
     reference_is_irreducible,
@@ -332,6 +335,30 @@ def test_boolean_ring():
     assert boolean_ring(1).label == "Z/2"
     assert not is_boolean(zmod(6))
     assert is_boolean(zmod(2))
+
+
+def test_family_lists_each_family_in_order():
+    gf_orders = []
+    for q in range(2, 601):
+        try:
+            gf_orders.append(prime_power(q))
+        except ValueError:
+            pass
+    fields = family("gf", 600)
+    assert [r.label for r in fields] == [gf(p, k).label for p, k in gf_orders]
+    assert [r.order for r in fields] == [p**k for p, k in gf_orders]
+    rings = family("zmod", 12)
+    assert [r.label for r in rings] == [f"Z/{n}" for n in range(1, 13)]
+    assert [r.order for r in rings] == list(range(1, 13))
+    rings = family("bool", 4)
+    assert [r.label for r in rings] == [" × ".join(["Z/2"] * k) for k in range(1, 5)]
+    assert [r.order for r in rings] == [2, 4, 8, 16]
+    assert family("gf", 1) == [] and all(family(name, 0) == [] for name in FAMILIES)
+
+
+def test_family_rejects_unknown_name():
+    with pytest.raises(RingSpecError, match="unknown ring family 'prod'"):
+        family("prod", 4)
 
 
 def test_characteristic():
