@@ -145,6 +145,11 @@ def _divides_24(n: int) -> bool:
     return n >= 1 and 24 % n == 0
 
 
+def _cyclic_over_2_dividing_24(ctx: RingContext) -> bool:
+    """The ring is isomorphic to Z/n with n above 2 dividing 24."""
+    return ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -377,7 +382,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "prop-3.3-2",
         "Over Z/n with n above 2 dividing 24, the complement unity product "
         "graph is complete.",
-        lambda ctx: ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order),
+        _cyclic_over_2_dividing_24,
         lambda ctx: _verdict(
             is_complete(ctx.comp_report.graph),
             "complete graph",
@@ -438,7 +443,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "24 (restricted to finite rings).",
         _every_ring,
         _iff(
-            lambda ctx: ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order),
+            _cyclic_over_2_dividing_24,
             lambda ctx: ctx.comp_report.diameter == 1 and ctx.comp_report.radius == 1,
             lambda ctx: ("diameter 1 and radius 1", _diameter_radius(ctx.comp_report)),
             lambda ctx: ("ring isomorphic to Z/n with n over 2 dividing 24", ctx.ring.label),
@@ -461,7 +466,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "Over Z/n with n above 2 dividing 24, the complement unity product "
         "graph has chromatic and clique number equal to the unit count, one "
         "of 2, 4 or 8.",
-        lambda ctx: ctx.cyclic and ctx.ring.order > 2 and _divides_24(ctx.ring.order),
+        _cyclic_over_2_dividing_24,
         _check_prop_52,
     ),
     Claim(

@@ -72,8 +72,9 @@ class FiniteRing:
     ``unity`` is None for rings without a multiplicative identity; such
     rings can be built and inspected but have no unit group.
 
-    ``element_name`` names an element index.  Names are made on demand,
-    so a ring of order n holds no n strings.
+    ``element_name`` names an element index.  Names are made on demand:
+    a ring of order n holds no n strings until its first name is asked
+    for, and then the structured families build all n at once.
 
     ``inverses``, when set, returns the unit group as a map from each unit
     to its inverse, computed from the ring family's structure.  ``units``
@@ -217,12 +218,14 @@ def _monic_polys(p: int, degree: int):
         yield tuple(coeffs)
 
 
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
+def _is_irreducible(f: Sequence[int], p: int, divisors: Sequence | None = None) -> bool:
     """Whether the monic f, of degree k >= 2, is irreducible over GF(p).
 
     A factor of degree 1 is a root, looked for by Horner evaluation at
     each point of GF(p); that settles k <= 3, where every factorization
-    has one.  Factors of degree 2 .. k/2 are looked for by trial division.
+    has one.  Factors of degree 2 .. k/2 are looked for by trial division
+    by ``divisors``, the monic irreducibles of those degrees, which
+    ``_irreducibles`` finds when they are not given.
     """
     for a in range(p):
         value = 0
@@ -230,12 +233,20 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
             value = (value * a + c) % p
         if value == 0:
             return False
-    k = len(f) - 1
-    for d in range(2, k // 2 + 1):
-        for g in _monic_polys(p, d):
-            if _poly_mod(f, g, p) == (0,):
-                return False
-    return True
+    if divisors is None:
+        divisors = _irreducibles(p, (len(f) - 1) // 2)
+    return all(_poly_mod(f, g, p) != (0,) for g in divisors)
+
+
+def _irreducibles(p: int, top: int) -> list[tuple[int, ...]]:
+    """The monic irreducibles of degree 2 .. top over GF(p), in the order
+    _monic_polys yields them, each tested against those of degree at most
+    half its own found before it."""
+    found: list[tuple[int, ...]] = []
+    for d in range(2, top + 1):
+        smaller = [g for g in found if 2 * len(g) - 2 <= d]
+        found += [g for g in _monic_polys(p, d) if _is_irreducible(g, p, smaller)]
+    return found
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -243,27 +254,13 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     The first irreducible _monic_polys yields: it counts up the index
     sum(c_i * p^i), which orders the coefficient tuple (c_{k-1}, ..., c_0)
-    read most-significant first.
+    read most-significant first.  Its trial divisors are found once.
     """
+    divisors = _irreducibles(p, k // 2)
     for f in _monic_polys(p, k):
-        if _is_irreducible(f, p):
+        if _is_irreducible(f, p, divisors):
             return f
     raise RingSpecError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
-def _poly_name(digits: Sequence[int]) -> str:
-    terms = []
-    for i in range(len(digits) - 1, -1, -1):
-        c = digits[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("x" if c == 1 else f"{c}x")
-        else:
-            terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-    return "+".join(terms) if terms else "0"
 
 
 def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -276,9 +273,11 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     For k >= 2 the ring builds its own tables on first use: the digits of
     every index, and exp/log tables of the powers of a primitive element g,
     the first index >= p that Lagrange's test accepts (g^((q-1)/r) != 1
-    for every prime r dividing q - 1).  One walk of q - 2 schoolbook steps,
-    each over g's nonzero digits, fills exp; then mul adds logs mod q - 1
-    and g^i inverts to g^-i.
+    for every prime r dividing q - 1).  One walk of q - 2 linear steps
+    fills exp, each the sum of two precomputed images of g times a part
+    of the element, reduced mod p in all digits at once; then mul adds
+    logs mod q - 1 and g^i inverts to g^-i.  The first name asked for
+    names every element, from one ``product`` over the digits' terms.
     """
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
@@ -334,10 +333,25 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
             digits[g] for g in range(p, order)
             if all(power(digits[g], e) != one for e in cofactors)
         )
-        exp, x = [1], one
+        # g * (lo + x^h * hi) = g * lo + (g * x^h) * hi, from images packed
+        # with digit i in bits i*w onwards; adding 2^(w-1) - p to a sum of two
+        # images sets each field's top bit iff its digit sum is >= p
+        h, w = k // 2, p.bit_length() + 1
+        shifts = range(0, k * w, w)
+        fields = sum(1 << s for s in shifts)
+        fold, top = (2 ** (w - 1) - p) * fields, fields << (w - 1)
+        low, high = (
+            [sum(map(operator.lshift, times(c, ds), shifts)) for ds in digits[:n]]
+            for c, n in ((g, p**h), (times(g, digits[p**h]), p ** (k - h)))
+        )
+        columns = [[c << s for c in range(p)] for s in reversed(shifts)]
+        index = dict(zip(map(sum, product(*columns)), range(order)))
+        exp, x, split = [1], 1, p**h
         for _ in range(order - 2):
-            x = times(g, x)
-            exp.append(sum(map(operator.mul, x, weights)))
+            hi, lo = divmod(x, split)
+            v = low[lo] + high[hi]
+            x = index[v - (((v + fold) & top) * p >> (w - 1))]
+            exp.append(x)
         log = [0] * order
         for i, v in enumerate(exp):
             log[v] = i
@@ -355,7 +369,19 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
 
     def inverses() -> dict[int, int]:
         exp = tables()[1]
-        return {x: exp[-i] for i, x in enumerate(exp)}
+        return dict(zip(exp, exp[:1] + exp[:0:-1]))  # g^i -> g^-i
+
+    @cache
+    def names() -> list[str]:
+        # per position, most significant first, the term c x^i of each digit
+        powers = ["", "x"] + [f"x^{i}" for i in range(2, k)]
+        columns = [
+            [""] + [("" if c == 1 and i else str(c)) + powers[i] for c in range(1, p)]
+            for i in reversed(range(k))
+        ]
+        out = list(map("+".join, map(filter, repeat(None), product(*columns))))
+        out[0] = "0"
+        return out
 
     return FiniteRing(
         order=order,
@@ -364,7 +390,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         zero=0,
         unity=1,
         label=f"GF({order})",
-        element_name=lambda x: _poly_name(tables()[0][x]),
+        element_name=lambda x: names()[x],
         inverses=inverses,
     )
 
@@ -378,8 +404,8 @@ def direct_product(
     component has one.  The unit group is the product of the components'
     unit groups, folded by index arithmetic: each unit x of the components
     so far and unit u of the next one, of order m, give the unit x*m + u.
-    The first name asked for names every element of every component,
-    once.
+    The first name asked for names every element, "(a,b)" from one
+    ``product`` over the components' name lists.
     """
     if not components:
         raise RingSpecError("direct product needs at least one component")
@@ -430,16 +456,14 @@ def direct_product(
         return f"({lbl})" if " × " in lbl else lbl
 
     @cache
-    def component_names() -> list[list[str]]:
-        return [list(map(r.element_name, range(r.order))) for r in comps]
-
-    def element_name(v: int) -> str:
-        return "(" + ",".join(map(list.__getitem__, component_names(), decode(v))) + ")"
+    def names() -> list[str]:
+        columns = [list(map(r.element_name, range(r.order))) for r in comps]
+        return list(map("({})".format, map(",".join, product(*columns))))
 
     label = " × ".join(wrap(r.label) for r in comps)
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
-        element_name=element_name, inverses=inverses,
+        element_name=lambda v: names()[v], inverses=inverses,
     )
 
 

@@ -11,7 +11,10 @@ per-family inverse hooks; ``self_inverse_count`` and
 map.  ``reference_gf_mul`` is the former schoolbook GF(p^k) product,
 over its own modulus search, and ``reference_gf_inverses`` the former
 walk of candidate generators, the reference for the exp/log tables of
-``gf``.  ``reference_is_planar`` is the former K5/K3,3 subdivision
+``gf``; ``reference_gf_name`` and ``reference_product_name`` are the
+former one-element-at-a-time namers, the reference for the name lists
+that ``gf`` and ``direct_product`` build in one ``product``.
+``reference_is_planar`` is the former K5/K3,3 subdivision
 search, the reference for the closed-form planarity of forests and
 complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
@@ -615,6 +618,35 @@ def reference_gf_inverses(p: int, k: int) -> dict[int, int]:
         if len(powers) == order - 1:
             return {x: powers[-i] for i, x in enumerate(powers)}
     raise AssertionError(f"GF({order}) has no primitive element")
+
+
+def reference_gf_name(x: int, p: int, k: int) -> str:
+    """The name of index x of GF(p^k): its polynomial, highest term first,
+    built one digit at a time."""
+    digits = _digits(x, p, k)
+    terms = []
+    for i in range(len(digits) - 1, -1, -1):
+        c = digits[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append("x" if c == 1 else f"{c}x")
+        else:
+            terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
+    return "+".join(terms) if terms else "0"
+
+
+def reference_product_name(x: int, components) -> str:
+    """The name of index x of a direct product, given each component as
+    (order, name function), the first most significant: x decoded by
+    mixed radix into one index per component, their names joined."""
+    names = []
+    for order, name in reversed(components):
+        x, part = divmod(x, order)
+        names.append(name(part))
+    return "(" + ",".join(reversed(names)) + ")"
 
 
 def reference_export_dot(g: SimpleGraph) -> str:

@@ -5,7 +5,6 @@ budget.  Criteria 4-6 share a memoized per-ring context so repeated
 invariant computation does not distort the timings.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -17,8 +16,6 @@ from random import Random
 
 from upg.claims import (
     FAIL,
-    HYPOTHESIS_GAP,
-    builtin_claims,
     default_rings,
     lookup,
     run_sweep,
@@ -38,7 +35,6 @@ from upg.invariants import (
     clique_number,
     domination_number,
     eccentricity_profile,
-    full_report,
     girth,
     is_hamiltonian,
     is_planar,

@@ -21,7 +21,7 @@ from upg.graphs import (
     unity_product_graph,
 )
 from upg.invariants import Decomposition, InvariantReport
-from upg.rings import boolean_ring, parse_ring_spec, units, zmod
+from upg.rings import boolean_ring, parse_ring_spec, units
 
 from oracles import (
     expand_runs,

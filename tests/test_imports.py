@@ -180,3 +180,65 @@ def test_module_level_cache_detector(tmp_path):
         "line 6: @lru_cache(maxsize=None)",
         "line 8: cache(len)",
     ]
+
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, as a name or as the root
+    of an attribute.  ``from __future__`` imports are directives, not
+    names, and are skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in read
+    ]
+
+
+# a package __init__ imports to re-export, so it is not linted
+LINTED = [
+    path
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    if path.name != "__init__.py"
+]
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_detector(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "import xml.dom as dom\n"
+        "from collections import Counter, deque\n"
+        "from .graphs import complement as comp, export_dot\n"
+        "Counter = None\n"
+        "x = os.path.join(dom.__name__)\n"
+        "def f(g: deque) -> None:\n"
+        "    return comp(g)\n"
+    )
+    assert unused_imports(module) == [
+        "line 2: json",
+        "line 5: Counter",
+        "line 6: export_dot",
+    ]

@@ -13,7 +13,6 @@ from upg.rings import (
     DEFAULT_ORDER_CAP,
     FAMILIES,
     MAX_PROD_NESTING,
-    FiniteRing,
     NoUnityError,
     OrderCapError,
     RingAxiomError,
@@ -43,7 +42,9 @@ from oracles import (
     prime_power,
     reference_gf_inverses,
     reference_gf_mul,
+    reference_gf_name,
     reference_is_irreducible,
+    reference_product_name,
     reference_units,
     self_inverse_count,
 )
@@ -272,6 +273,12 @@ def test_irreducibility_matches_trial_division():
                 assert verdict == reference_is_irreducible(f, p), (p, f)
                 tally[k, verdict] += 1
     assert len(tally) == 4 and min(tally.values()) >= 150, tally
+    # degrees 4 to 6, where a factorization may have no root
+    for p in (2, 3):
+        for k in (4, 5, 6):
+            for low in range(p**k):
+                f = [low // p**i % p for i in range(k)] + [1]
+                assert _is_irreducible(tuple(f), p) == reference_is_irreducible(f, p), (p, f)
 
 
 def test_smallest_irreducible_matches_reference():
@@ -282,6 +289,31 @@ def test_smallest_irreducible_matches_reference():
 def test_gf_inverses_match_candidate_walk():
     for p, k in EXTENSION_FIELDS:
         assert dict(units(gf(p, k)).inverse_of) == reference_gf_inverses(p, k), (p, k)
+
+
+def _gf_namer(p, k):
+    return lambda x: reference_gf_name(x, p, k)
+
+
+PRODUCT_NAMERS = {
+    "prod:(gf:2^4,gf:2^4)": [(16, _gf_namer(2, 4)), (16, _gf_namer(2, 4))],
+    "prod:(zmod:2,gf:11^2)": [(2, str), (121, _gf_namer(11, 2))],
+    "prod:(prod:(zmod:2,gf:2^2),gf:3)": [
+        (8, lambda x: reference_product_name(x, [(2, str), (4, _gf_namer(2, 2))])),
+        (3, str),
+    ],
+}
+
+
+def test_element_names_match_reference():
+    for p, k in EXTENSION_FIELDS:
+        ring = gf(p, k)
+        want = [reference_gf_name(x, p, k) for x in range(ring.order)]
+        assert list(map(ring.element_name, range(ring.order))) == want, (p, k)
+    for spec, components in PRODUCT_NAMERS.items():
+        ring = parse_ring_spec(spec)
+        want = [reference_product_name(x, components) for x in range(ring.order)]
+        assert list(map(ring.element_name, range(ring.order))) == want, spec
 
 
 def test_gf_unit_group_is_cyclic():
