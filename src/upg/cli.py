@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--order-cap",
-            type=int,
+            type=_non_negative_int,
             default=DEFAULT_ORDER_CAP,
             help="largest ring order accepted (default %(default)s)",
         )

@@ -10,7 +10,10 @@ graph builders skip that check, since their rows hold by construction,
 and seed the edge count they already know: ``unity_product_graph``
 points each unit's row at its inverse, an involution, so the graph is
 s*K1 + p*K2 with p edges, and ``complement`` flips the off-diagonal bits
-of a valid graph's rows, leaving C(n, 2) - m edges.  A graph whose rows
+of a valid graph's rows, leaving C(n, 2) - m edges.  Both also leave
+the labels unmade: the unity product graph names its units, and the
+complement hands the same namer on, only when ``labels`` is first read,
+as only the exports and claim witnesses do.  A graph whose rows
 have at most one bit each (``is_matching``) is such a union of K1's and
 K2's; the invariants' Decomposition reads its split off the rows in C,
 derives its complement's from it, and passes the co-components to
@@ -32,6 +35,7 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 
 from .rings import UnitGroup
@@ -102,13 +106,22 @@ class SimpleGraph:
 
     @classmethod
     def _trusted(
-        cls, n: int, labels: tuple[str, ...], adj: tuple[int, ...], edge_count: int
+        cls, n: int, make_labels, adj: tuple[int, ...], edge_count: int
     ) -> SimpleGraph:
         """A graph whose rows the caller built loop-free, in range and
-        symmetric, with ``edge_count`` edges; nothing is checked."""
+        symmetric, with ``edge_count`` edges; nothing is checked.  Its
+        labels are ``make_labels()``, called on the first read."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, labels=labels, adj=adj, edge_count=edge_count)
+        g.__dict__.update(n=n, adj=adj, edge_count=edge_count, _make_labels=make_labels)
         return g
+
+    def __getattr__(self, name: str):
+        # reached only while a trusted graph's labels are unmade; they are
+        # stored in the instance dict, so == and hash read them as a field
+        if name != "labels" or "_make_labels" not in self.__dict__:
+            raise AttributeError(name)
+        labels = self.__dict__["labels"] = tuple(self.__dict__["_make_labels"]())
+        return labels
 
     @lazy_property  # in the instance dict, so == and hash still see only the fields
     def edge_count(self) -> int:
@@ -162,13 +175,13 @@ def unity_product_graph(ug: UnitGroup) -> SimpleGraph:
     symmetric and the graph has one edge per two non-self-inverse units.
     """
     index_of = {x: i for i, x in enumerate(ug.units)}
-    labels = tuple(ug.ring.element_name(x) for x in ug.units)
     adj = []
     for i, x in enumerate(ug.units):
         j = index_of[ug.inverse_of[x]]
         adj.append(0 if j == i else 1 << j)
     n = len(adj)
-    return SimpleGraph._trusted(n, labels, tuple(adj), (n - adj.count(0)) // 2)
+    names = partial(map, ug.ring.element_name, ug.units)
+    return SimpleGraph._trusted(n, names, tuple(adj), (n - adj.count(0)) // 2)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
@@ -179,7 +192,8 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     """
     full = (1 << g.n) - 1
     adj = tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
-    return SimpleGraph._trusted(g.n, g.labels, adj, g.n * (g.n - 1) // 2 - g.edge_count)
+    names = vars(g).get("_make_labels") or partial(tuple, g.labels)
+    return SimpleGraph._trusted(g.n, names, adj, g.n * (g.n - 1) // 2 - g.edge_count)
 
 
 def is_matching(adj: tuple[int, ...]) -> bool:

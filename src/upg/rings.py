@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from typing import Callable, Mapping, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -185,25 +184,16 @@ def _zmod_inverses(n: int) -> dict[int, int]:
     return dict(zip(units, map(pow, units, repeat(-1), repeat(n))))
 
 
-def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of num / den over GF(p); den must be nonzero."""
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], -1, p)
-    for i in range(len(num) - 1, dd - 1, -1):
-        factor = (num[i] * lead_inv) % p
-        if factor == 0:
-            continue
-        for j in range(dd + 1):
-            num[i - dd + j] = (num[i - dd + j] - factor * den[j]) % p
-    return _poly_trim(num)
+def _poly_rem(num: Sequence[int], monic: Sequence[int], p: int) -> list[int]:
+    """The remainder of num by a monic polynomial over GF(p), both low
+    coefficients first, as its len(monic) - 1 coefficients."""
+    num, d = list(num), len(monic) - 1
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            for j, m in enumerate(monic):
+                num[i - d + j] = (num[i - d + j] - c * m) % p
+    return num[:d]
 
 
 def _monic_polys(p: int, degree: int):
@@ -235,7 +225,7 @@ def _is_irreducible(f: Sequence[int], p: int, divisors: Sequence | None = None) 
             return False
     if divisors is None:
         divisors = _irreducibles(p, (len(f) - 1) // 2)
-    return all(_poly_mod(f, g, p) != (0,) for g in divisors)
+    return all(any(_poly_rem(f, g, p)) for g in divisors)
 
 
 def _irreducibles(p: int, top: int) -> list[tuple[int, ...]]:
@@ -270,14 +260,17 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     quotient by the lexicographically smallest monic irreducible of
     degree k.  For k = 1 this is arithmetic mod p.
 
-    For k >= 2 the ring builds its own tables on first use: the digits of
-    every index, and exp/log tables of the powers of a primitive element g,
-    the first index >= p that Lagrange's test accepts (g^((q-1)/r) != 1
-    for every prime r dividing q - 1).  One walk of q - 2 linear steps
-    fills exp, each the sum of two precomputed images of g times a part
-    of the element, reduced mod p in all digits at once; then mul adds
-    logs mod q - 1 and g^i inverts to g^-i.  The first name asked for
-    names every element, from one ``product`` over the digits' terms.
+    For k >= 2 the ring builds its tables on first use from packed
+    vectors: the digits of an index in one int, one w-bit field each, so
+    that one fold reduces every digit of a sum of two mod p.  ``add`` is
+    that sum.  Multiplying by c is GF(p)-linear: it maps the low and the
+    high digits through images spanned by the basis c * x^i, each got
+    from the one before by a shift.  The generator g is the first index
+    >= p whose powers, walked so, return to 1 only after q - 1 steps; a
+    candidate among the powers of one that failed is skipped.  The walk
+    of g is the exp table; mul adds logs mod q - 1 and g^i inverts to
+    g^-i.  The first name asked for names every element, from one
+    ``product`` over the digits' terms.
     """
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
@@ -291,84 +284,75 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         return replace(zmod(p, order_cap=order_cap), label=f"GF({p})")
 
     modulus = _smallest_irreducible(p, k)
-    # reduction[j] = digits of x^(k+j) mod modulus, for j = 0 .. k-2
-    reduction: list[tuple[int, ...]] = []
-    for j in range(k - 1):
-        xs = [0] * (k + j) + [1]
-        rem = _poly_mod(xs, modulus, p)
-        reduction.append(tuple(rem) + (0,) * (k - len(rem)))
-    weights = [p**i for i in range(k)]
-    one = [1] + [0] * (k - 1)
+    # digit i of a packed vector sits in bits i*w onwards: adding 2^(w-1) - p
+    # to a sum of two sets each field's top bit iff its digit sum is >= p;
+    # wrap[c] = c * x^k mod modulus, which is c times minus its lower terms
+    w, h = p.bit_length() + 1, k // 2
+    shifts = range(0, k * w, w)
+    fields = sum(1 << s for s in shifts)
+    fold, top, head = (2 ** (w - 1) - p) * fields, fields << (w - 1), k * w
+    wrap = [sum((-c * m % p) << s for m, s in zip(modulus, shifts)) for c in range(p)]
 
-    def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        # schoolbook product of two digit lists over a's nonzero digits,
-        # reduced mod the modulus
-        conv = [0] * (2 * k - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    conv[i + j] += ca * cb
-        out = conv[:k]
-        for c, row in zip(conv[k:], reduction):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        return [o % p for o in out]
-
-    def power(a: Sequence[int], e: int) -> list[int]:
-        result = one
-        while e:
-            if e & 1:
-                result = times(a, result)
-            a = times(a, a)
-            e >>= 1
-        return result
+    def plus(u: int, v: int) -> int:
+        s = u + v
+        return s - (((s + fold) & top) * p >> (w - 1))
 
     @cache
-    def tables() -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-        # the digits of each index, least significant first; exp[i] = g^i
-        # for the first g >= p that Lagrange's test accepts; log[exp[i]] = i
-        digits = [ds[::-1] for ds in product(range(p), repeat=k)]
-        cofactors = [(order - 1) // r for r in _prime_factors(order - 1)]
-        g = next(
-            digits[g] for g in range(p, order)
-            if all(power(digits[g], e) != one for e in cofactors)
-        )
-        # g * (lo + x^h * hi) = g * lo + (g * x^h) * hi, from images packed
-        # with digit i in bits i*w onwards; adding 2^(w-1) - p to a sum of two
-        # images sets each field's top bit iff its digit sum is >= p
-        h, w = k // 2, p.bit_length() + 1
-        shifts = range(0, k * w, w)
-        fields = sum(1 << s for s in shifts)
-        fold, top = (2 ** (w - 1) - p) * fields, fields << (w - 1)
-        low, high = (
-            [sum(map(operator.lshift, times(c, ds), shifts)) for ds in digits[:n]]
-            for c, n in ((g, p**h), (times(g, digits[p**h]), p ** (k - h)))
-        )
+    def vectors() -> tuple[list[int], dict[int, int]]:
         columns = [[c << s for c in range(p)] for s in reversed(shifts)]
-        index = dict(zip(map(sum, product(*columns)), range(order)))
-        exp, x, split = [1], 1, p**h
-        for _ in range(order - 2):
-            hi, lo = divmod(x, split)
-            v = low[lo] + high[hi]
-            x = index[v - (((v + fold) & top) * p >> (w - 1))]
-            exp.append(x)
+        packed = list(map(sum, product(*columns)))
+        return packed, dict(zip(packed, range(order)))
+
+    def images(c: int) -> list[list[int]]:
+        # c * lo for each value of the low h digits and c * x^h * hi of the
+        # high k - h, spanned one basis vector c * x^i at a time
+        basis = [vectors()[0][c]]
+        for _ in range(k - 1):
+            v = basis[-1] << w  # times x, the x^k digit wrapped round
+            basis.append(plus(v & ((1 << head) - 1), wrap[v >> head]))
+        spans = []
+        for part in (basis[:h], basis[h:]):
+            span = [0]
+            for b in part:
+                multiples = list(accumulate(repeat(b, p - 1), plus, initial=0))
+                span = [plus(m, s) for m in multiples for s in span]
+            spans.append(span)
+        return spans
+
+    @cache
+    def tables() -> tuple[list[int], list[int]]:
+        # exp[i] = g^i, walked as g * (lo + x^h * hi) = g * lo + (g * x^h) * hi
+        # with plus inline (a call per step costs 15-30% more); log[exp[i]] = i
+        index, split, failed = vectors()[1], p**h, set()
+        for g in range(p, order):
+            if g in failed:
+                continue
+            low, high = images(g)
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                v = low[x % split] + high[x // split]
+                x = index[v - (((v + fold) & top) * p >> (w - 1))]
+            if len(exp) == order - 1:
+                break
+            failed.update(exp)  # their orders divide this one's
         log = [0] * order
         for i, v in enumerate(exp):
             log[v] = i
-        return digits, exp, log
+        return exp, log
 
     def add(a: int, b: int) -> int:
-        digits = tables()[0]
-        return sum((x + y) % p * w for x, y, w in zip(digits[a], digits[b], weights))
+        packed, index = vectors()
+        return index[plus(packed[a], packed[b])]
 
     def mul(a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        _, exp, log = tables()
+        exp, log = tables()
         return exp[(log[a] + log[b]) % (order - 1)]
 
     def inverses() -> dict[int, int]:
-        exp = tables()[1]
+        exp = tables()[0]
         return dict(zip(exp, exp[:1] + exp[:0:-1]))  # g^i -> g^-i
 
     @cache

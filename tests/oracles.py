@@ -11,9 +11,13 @@ per-family inverse hooks; ``self_inverse_count`` and
 map.  ``reference_gf_mul`` is the former schoolbook GF(p^k) product,
 over its own modulus search, and ``reference_gf_inverses`` the former
 walk of candidate generators, the reference for the exp/log tables of
-``gf``; ``reference_gf_name`` and ``reference_product_name`` are the
-former one-element-at-a-time namers, the reference for the name lists
-that ``gf`` and ``direct_product`` build in one ``product``.
+``gf``; ``reference_gf_add`` is the digitwise sum mod p, the reference
+for the packed-vector ``add``, and ``reference_gf_generator`` the former
+Lagrange search over schoolbook powers, the reference for the generator
+that ``gf`` finds by walking candidates; ``reference_gf_name`` and
+``reference_product_name`` are the former one-element-at-a-time namers,
+the reference for the name lists that ``gf`` and ``direct_product``
+build in one ``product``.
 ``reference_is_planar`` is the former K5/K3,3 subdivision
 search, the reference for the closed-form planarity of forests and
 complete multipartite graphs.  ``reference_export_dot`` and
@@ -603,6 +607,40 @@ def reference_gf_mul(p: int, k: int):
         return sum(c * p**i for i, c in enumerate(_poly_rem(conv, modulus, p)))
 
     return mul
+
+
+def reference_gf_add(p: int, k: int):
+    """GF(p^k) addition on base-p digit indices: each digit pair summed
+    mod p."""
+
+    def add(a: int, b: int) -> int:
+        pairs = zip(_digits(a, p, k), _digits(b, p, k))
+        return sum((x + y) % p * p**i for i, (x, y) in enumerate(pairs))
+
+    return add
+
+
+def reference_gf_generator(p: int, k: int) -> int:
+    """The first index g >= p that Lagrange's test accepts as a primitive
+    element of GF(p^k): g^((q-1)/r) != 1 for every prime r dividing q - 1,
+    each power taken by square and multiply over the schoolbook product."""
+    mul, order = reference_gf_mul(p, k), p**k
+    primes = [
+        r for r in range(2, order) if (order - 1) % r == 0 and all(r % d for d in range(2, r))
+    ]
+
+    def power(a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
+    return next(
+        g for g in range(p, order) if all(power(g, (order - 1) // r) != 1 for r in primes)
+    )
 
 
 def reference_gf_inverses(p: int, k: int) -> dict[int, int]:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -523,6 +524,27 @@ def test_negative_survey_max_exit_2():
     assert "--max: must not be negative: -1" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("build", "--ring", "zmod:2"),
+        ("analyze", "--ring", "zmod:2"),
+        ("verify",),
+        ("survey", "--family", "zmod", "--max", "3"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_negative_order_cap_exit_2(args, capsys):
+    # once taken as a cap below every ring: exit 2 as "ring order 2
+    # exceeds cap -1" for verify, exit 4 as a bound violation for survey
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--order-cap", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order-cap: must not be negative: -1" in captured.err
+
+
 def test_console_script_matches_module():
     # The `upg` console script declared in pyproject.toml must print the
     # same bytes as `python -m upg`. Run its entry point the way the
@@ -730,6 +752,44 @@ def test_golden_output_digests(command, code, digest, capsys):
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
+# pyproject.toml declares requires-python >= 3.10: that floor and the later
+# releases must print the same bytes as the interpreter under test
+FLOOR_COMMANDS = (
+    "verify --claims all --format csv",
+    "build --ring gf:7^3",
+    "build --ring prod:(zmod:2,gf:11^2)",
+)
+
+
+def _interpreter_env() -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        # pyenv's shims run only the versions it has selected; select every
+        # installed one, so that each pythonX.Y shim finds its interpreter
+        bare = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True)
+        if bare.returncode == 0 and bare.stdout.split():
+            env["PYENV_VERSION"] = ":".join(bare.stdout.split())
+    return env
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_supported_pythons_print_golden_bytes(python):
+    exe = shutil.which(python)
+    if exe is None:
+        pytest.skip(f"{python} is not installed")
+    env = _interpreter_env()
+    if subprocess.run([exe, "-c", ""], capture_output=True, env=env).returncode != 0:
+        pytest.skip(f"{python} does not start")
+    cases = [case for case in GOLDEN_DIGESTS if case[0] in FLOOR_COMMANDS]
+    assert len(cases) == len(FLOOR_COMMANDS)
+    for command, code, digest in cases:
+        res = subprocess.run([exe, "-m", "upg", *command.split()], capture_output=True, env=env)
+        assert res.returncode == code, (command, res.stderr)
+        assert res.stderr == b""
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, command
+
+
 def test_build_computes_no_split(monkeypatch, capsys):
     # build reads the UPG's rows and exports them or their complement; no
     # split of either graph is made on the way
@@ -744,6 +804,45 @@ def test_build_computes_no_split(monkeypatch, capsys):
         assert cli.main(command.split()) == code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_and_analyze_name_no_graph_vertex(monkeypatch, capsys):
+    # only build and the exports read a ring graph's labels: the claim
+    # sweep names just the units its two prop-3.1 fail witnesses print
+    # ("5 inverse is 11"), and the invariant reports name none
+    asked = []
+
+    def recorded(ring):
+        def name(x):
+            asked.append((ring.label, x))
+            return ring.element_name(x)
+
+        return replace(ring, element_name=name)
+
+    commands = [
+        f"analyze --ring {spec} --graph {graph}"
+        for spec in ("gf:2^6", "bool:8", "prod:(zmod:4,zmod:9)")
+        for graph in ("upg", "complement")
+    ]
+    named = {}
+    for command in commands:
+        assert cli.main(command.split()) == 0
+        named[command] = capsys.readouterr().out
+    sweep_rings = cli.default_rings
+    monkeypatch.setattr(cli, "default_rings", lambda **kw: list(map(recorded, sweep_rings(**kw))))
+    monkeypatch.setattr(
+        cli, "parse_ring_spec", lambda spec, order_cap: recorded(rings.parse_ring_spec(spec))
+    )
+    command, code, digest = GOLDEN_DIGESTS[0]
+    assert command == "verify --claims all --format csv"
+    assert cli.main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert sorted(asked) == [("Z/18", 5), ("Z/18", 11), ("Z/30", 7), ("Z/30", 13)]
+    asked.clear()
+    for command in commands:
+        assert cli.main(command.split()) == 0
+        assert capsys.readouterr().out == named[command], command
+    assert asked == []
 
 
 def test_main_in_process_smoke(capsys):

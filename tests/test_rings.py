@@ -40,6 +40,8 @@ from oracles import (
     _reference_modulus,
     inverse_pair_count,
     prime_power,
+    reference_gf_add,
+    reference_gf_generator,
     reference_gf_inverses,
     reference_gf_mul,
     reference_gf_name,
@@ -260,6 +262,26 @@ def test_gf_mul_matches_reference():
             pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
         for a, b in pairs:
             assert ring.mul(a, b) == want(a, b), (q, a, b)
+
+
+def test_gf_add_matches_reference():
+    rng = Random(19)
+    for p, k in EXTENSION_FIELDS:
+        ring, want = gf(p, k), reference_gf_add(p, k)
+        q = ring.order
+        if q <= 64:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        for a, b in pairs:
+            assert ring.add(a, b) == want(a, b), (q, a, b)
+
+
+def test_gf_generator_matches_lagrange_search():
+    # inverses() is a dict built in exp order, g^0 = 1 first and g second,
+    # so its second key is the generator the walk accepted
+    for p, k in EXTENSION_FIELDS:
+        assert list(gf(p, k).inverses())[1] == reference_gf_generator(p, k), (p, k)
 
 
 def test_irreducibility_matches_trial_division():
