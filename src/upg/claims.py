@@ -21,8 +21,9 @@ the hamiltonicity equivalence at exactly three units.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import invariants as inv
 from .graphs import is_complete, lazy_property, unity_product_graph
@@ -107,14 +108,14 @@ class RingContext:
     def boolean(self) -> bool:
         return is_boolean(self.ring)
 
-    def unit_residues(self) -> tuple[int, ...]:
-        """Canonical residues of the units, for rings isomorphic to Z/n."""
+    def unit_residues(self) -> Iterator[int]:
+        """Canonical residues of the units, in unit order, made as they are
+        read; for rings isomorphic to Z/n."""
         assert self.residues is not None
-        return tuple(self.residues[x] for x in self.unit_group.units)
+        return map(self.residues.__getitem__, self.unit_group.units)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One verifiable statement over a single finite ring.
 
     ``applicable`` decides whether the hypothesis covers the ring (it may
@@ -129,16 +130,30 @@ class Claim:
     check: Callable[[RingContext], "tuple[str, Witness | None]"]
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
+_WITNESSED = frozenset((FAIL, HYPOTHESIS_GAP, SKIPPED))
+
+
+class _Verdict(NamedTuple):
     claim_id: str
     ring_label: str
     outcome: str
     witness: Witness | None
 
-    def __post_init__(self):
-        if self.outcome in (FAIL, HYPOTHESIS_GAP, SKIPPED):
-            assert self.witness is not None
+
+class ClaimVerdict(_Verdict):
+    """The outcome of one claim on one ring; a fail, a hypothesis gap or
+    a skip carries a witness, or is refused with ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, claim_id: str, ring_label: str, outcome: str, witness: Witness | None):
+        if witness is None and outcome in _WITNESSED:
+            raise ValueError(f"{outcome} verdict of {claim_id} on {ring_label} has no witness")
+        return tuple.__new__(cls, (claim_id, ring_label, outcome, witness))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace keeps the rule too
+        return cls(*iterable)
 
 
 def _divides_24(n: int) -> bool:
@@ -606,15 +621,18 @@ def run_sweep(
     Rings without unity and solver refusals (a graph outside the classes
     decided in closed form) yield skipped verdicts with a reason;
     everything else is pass, fail, hypothesis_gap or not_applicable.
-    Result is sorted by (claim id, ring label).
+    Result is sorted by (claim id, ring label), with no sort of the
+    verdicts: each claim id has a list, and the rings are taken in label
+    order, ties in the order given.
     """
-    verdicts: list[ClaimVerdict] = []
-    for ring in rings:
+    by_claim: dict[str, list[ClaimVerdict]] = {
+        claim_id: [] for claim_id in sorted({claim.claim_id for claim in claims})
+    }
+    for ring in sorted(rings, key=attrgetter("label")):
         ctx = RingContext(ring)
         for claim in claims:
-            verdicts.append(_evaluate(claim, ctx))
-    verdicts.sort(key=lambda v: (v.claim_id, v.ring_label))
-    return verdicts
+            by_claim[claim.claim_id].append(_evaluate(claim, ctx))
+    return list(chain.from_iterable(by_claim.values()))
 
 
 def _evaluate(claim: Claim, ctx: RingContext) -> ClaimVerdict:

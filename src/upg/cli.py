@@ -146,10 +146,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _selected_claims(claims_arg: str):
+    """The claims named by a comma separated id list, each once, in the
+    order first named; empty ids are skipped."""
     if claims_arg == "all":
         return builtin_claims()
     selected = []
-    for claim_id in split_top_level(claims_arg):
+    for claim_id in dict.fromkeys(filter(None, claims_arg.split(","))):
         try:
             selected.append(lookup(claim_id))
         except UnknownClaimError:

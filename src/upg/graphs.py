@@ -37,6 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
+from typing import NamedTuple
 
 from .rings import UnitGroup
 
@@ -232,8 +233,7 @@ def connected_parts(adj: tuple[int, ...], mask: int, complemented: bool = False)
     return parts
 
 
-@dataclass(frozen=True)
-class StructureDecomposition:
+class StructureDecomposition(NamedTuple):
     """Outcome of matching-structure recognition.
 
     valid is True when every vertex has degree <= 1; then the graph is
@@ -252,8 +252,7 @@ def decompose_matching_structure(g: SimpleGraph) -> StructureDecomposition:
     return StructureDecomposition(isolated=g.adj.count(0), pairs=g.edge_count, valid=True)
 
 
-@dataclass(frozen=True)
-class MultipartiteProfile:
+class MultipartiteProfile(NamedTuple):
     """Outcome of complete-multipartite recognition.
 
     valid is True when the graph is complete multipartite; part_sizes is

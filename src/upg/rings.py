@@ -78,6 +78,12 @@ class FiniteRing:
     ``inverses``, when set, returns the unit group as a map from each unit
     to its inverse, computed from the ring family's structure.  ``units``
     calls it lazily and falls back to scanning products when it is None.
+
+    ``residues``, when set, returns the map ``cyclic_residues`` computes:
+    each element index to its k with element = k.unity, for a ring known
+    to be Z/order.  ``zmod`` sets it to the identity, which GF(p) and
+    ``bool:1`` inherit; every other family leaves it None, and
+    ``cyclic_residues`` walks the additive orbit of unity instead.
     """
 
     order: int
@@ -88,6 +94,7 @@ class FiniteRing:
     label: str
     element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
+    residues: Callable[[], tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,7 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         label=f"Z/{n}",
         element_name=str,
         inverses=lambda: _zmod_inverses(n),
+        residues=lambda: tuple(range(n)),  # index k is k.unity
     )
 
 
@@ -660,10 +668,14 @@ def cyclic_residues(ring: FiniteRing) -> tuple[int, ...] | None:
 
     When the additive orbit of unity covers the ring, every element is
     k.unity for a unique k in 0 .. order-1; the result maps element index
-    to that k.
+    to that k.  A ring with a ``residues`` hook states the map; any other
+    is walked, one ``add`` per element, and the walk stops at the first
+    repeat, after at most the additive order of unity plus one steps.
     """
     if ring.unity is None:
         return None
+    if ring.residues is not None:
+        return ring.residues()
     residue = [-1] * ring.order
     acc = ring.zero
     for k in range(ring.order):

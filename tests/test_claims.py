@@ -12,6 +12,7 @@ from upg.claims import (
     PASS,
     SKIPPED,
     Claim,
+    ClaimVerdict,
     RingContext,
     UnknownClaimError,
     builtin_claims,
@@ -333,6 +334,51 @@ def test_run_sweep_sorted():
     )
     keys = [(v.claim_id, v.ring_label) for v in verdicts]
     assert keys == sorted(keys)
+
+
+def test_run_sweep_order_is_claim_id_then_ring_label():
+    # labels sort as strings ("Z/10" before "Z/9"); a repeated claim or
+    # label keeps the ring-major order of evaluation, as a stable sort of
+    # every verdict by (claim_id, ring_label) would
+    claims = [lookup("thm-4.1"), lookup("prop-3.1"), lookup("thm-3.2"), lookup("prop-3.1")]
+    rings = [zmod(9), zmod(10), parse_ring_spec("gf:2^2"), zmod(18), zmod(10), zmod(2)]
+    verdicts = run_sweep(claims, rings)
+    evaluated = [run_sweep([c], [r])[0] for r in rings for c in claims]
+    assert verdicts == sorted(evaluated, key=lambda v: (v.claim_id, v.ring_label))
+    assert [(v.claim_id, v.ring_label) for v in verdicts[:7]] == [
+        ("prop-3.1", "GF(4)"),
+        ("prop-3.1", "GF(4)"),
+        ("prop-3.1", "Z/10"),
+        ("prop-3.1", "Z/10"),
+        ("prop-3.1", "Z/10"),
+        ("prop-3.1", "Z/10"),
+        ("prop-3.1", "Z/18"),
+    ]
+    assert [v.outcome for v in verdicts[6:8]] == [FAIL, FAIL]
+    assert run_sweep(claims, []) == []
+    assert run_sweep([], rings) == []
+
+
+@pytest.mark.parametrize("outcome", [FAIL, HYPOTHESIS_GAP, SKIPPED])
+def test_verdict_without_witness_refused(outcome):
+    with pytest.raises(ValueError, match=f"^{outcome} verdict of thm-4.1 on Z/5 has no witness$"):
+        ClaimVerdict("thm-4.1", "Z/5", outcome, None)
+    verdict = ClaimVerdict("thm-4.1", "Z/5", outcome, {"reason": "r"})
+    with pytest.raises(ValueError):
+        verdict._replace(witness=None)
+
+
+@pytest.mark.parametrize("outcome", [PASS, NOT_APPLICABLE])
+def test_verdict_fields_read_by_name(outcome):
+    verdict = ClaimVerdict("thm-4.1", "Z/5", outcome, None)
+    assert verdict.claim_id == "thm-4.1"
+    assert verdict.ring_label == "Z/5"
+    assert verdict.outcome == outcome
+    assert verdict.witness is None
+    assert verdict == ClaimVerdict(claim_id="thm-4.1", ring_label="Z/5", outcome=outcome, witness=None)
+    assert verdict._replace(ring_label="Z/7").ring_label == "Z/7"
+    claim = lookup("thm-4.1")
+    assert (claim.claim_id, claim.statement) == claim[:2]
 
 
 def test_no_unity_ring_skipped():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -321,6 +322,28 @@ def test_verify_multiple_claims_and_includes():
     assert {"Z/62", "Z/63", "Z/5 × Z/5"} <= rings
     claims = {row.split(",")[0] for row in rows[1:]}
     assert claims == {"thm-4.1", "thm-5.3"}
+
+
+def test_verify_claim_ids_split_on_commas(capsys):
+    # ids are split on every comma, parentheses or not; empty ids are
+    # skipped and a repeated id is checked once
+    def verify(claims_arg):
+        code = cli.main(["verify", "--claims", claims_arg, "--zmod-max", "6", "--format", "csv"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    single = verify("thm-3.1")
+    assert single[0] == 0 and single[2] == ""
+    assert len(single[1].splitlines()) == 1 + len(cli.default_rings(zmod_max=6))
+    assert verify("thm-3.1,") == single
+    assert verify(",thm-3.1,,") == single
+    assert verify("thm-3.1,thm-3.1") == single
+    pair = verify("thm-3.2,thm-3.1,thm-3.2")
+    assert pair == verify("thm-3.1,thm-3.2")
+    assert pair[1].count("thm-3.2,Z/6,") == 1
+    assert verify("thm-3.1(") == (2, "", "error: unknown claim id 'thm-3.1('\n")
+    assert verify(",") == (2, "", "error: no claim ids given\n")
+    assert verify("") == (2, "", "error: no claim ids given\n")
 
 
 # Rings at the order cap, with (s, p): s self-inverse units and p pairs of
@@ -843,6 +866,30 @@ def test_sweep_and_analyze_name_no_graph_vertex(monkeypatch, capsys):
         assert cli.main(command.split()) == 0
         assert capsys.readouterr().out == named[command], command
     assert asked == []
+
+
+def test_default_sweep_walks_no_zmod(monkeypatch, capsys):
+    # a Z/n states its residues, so no claim walks its additive orbit:
+    # the default sweep prints its pinned bytes with no Z/n add call
+    added = []
+
+    def counted(ring):
+        if not re.fullmatch(r"Z/\d+", ring.label):
+            return ring
+
+        def add(a, b):
+            added.append(ring.label)
+            return ring.add(a, b)
+
+        return replace(ring, add=add)
+
+    sweep_rings = cli.default_rings
+    monkeypatch.setattr(cli, "default_rings", lambda **kw: list(map(counted, sweep_rings(**kw))))
+    command, code, digest = GOLDEN_DIGESTS[0]
+    assert command == "verify --claims all --format csv"
+    assert cli.main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert added == []
 
 
 def test_main_in_process_smoke(capsys):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -440,6 +441,42 @@ def test_cyclic_residues_is_isomorphism():
         for b in range(n):
             assert res[ring.add(a, b)] == (res[a] + res[b]) % n
             assert res[ring.mul(a, b)] == (res[a] * res[b]) % n
+
+
+def _walked_residues(ring):
+    """cyclic_residues with the ring's residues hook cleared: the walk."""
+    return cyclic_residues(replace(ring, residues=None))
+
+
+def test_zmod_residue_hook_matches_walk():
+    for n in [*range(1, 301), 4093, 4096]:
+        ring = zmod(n)
+        assert ring.residues is not None
+        assert cyclic_residues(ring) == _walked_residues(ring) == tuple(range(n)), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 4093])
+def test_prime_field_residue_hook_matches_walk(p):
+    assert cyclic_residues(gf(p)) == _walked_residues(gf(p)) == cyclic_residues(zmod(p))
+
+
+def test_residue_hook_only_on_zmod_and_prime_fields():
+    # every other family is walked, and the walk stops at the first repeat
+    hooked = [zmod(12), gf(7), boolean_ring(1)]
+    walked = [gf(2, 2), gf(3, 3), boolean_ring(3), direct_product([zmod(2), zmod(3)])]
+    walked.append(parse_ring_spec(f"table:@{DATA / 'table_z4.json'}"))
+    assert all(r.residues is not None for r in hooked)
+    assert all(r.residues is None for r in walked)
+    assert cyclic_residues(boolean_ring(1)) == (0, 1)
+    for ring in walked[:3]:
+        added = []
+
+        def add(a, b, ring=ring):
+            added.append((a, b))
+            return ring.add(a, b)
+
+        assert cyclic_residues(replace(ring, add=add)) is None
+        assert len(added) == characteristic(ring) < ring.order
 
 
 def test_table_ring_roundtrip():
