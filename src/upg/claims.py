@@ -97,7 +97,7 @@ class RingContext:
         return self.upg_report.edge_count
 
     @lazy_property
-    def residues(self) -> tuple[int, ...] | None:
+    def residues(self) -> Sequence[int] | None:
         return cyclic_residues(self.ring)
 
     @property

@@ -217,8 +217,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache  # one tree per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one tree per process; parsing leaves it unchanged
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="upg",
         description="Unity product graphs of finite commutative rings: "
@@ -284,12 +284,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_survey)
     p_survey.set_defaults(func=cmd_survey)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (argv: strings, sys.argv[1:] by default).  A call
+    that names a subcommand first is parsed once, by that subcommand's parser;
+    any other, or one with arguments left over, is parsed from the top."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    args, extra = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -352,7 +352,8 @@ def json_chunks(g: SimpleGraph):
     The labels go through json.dumps; n, the edge pairs and the braces
     are written in that layout, one piece per adjacency row.
     """
-    labels = json.dumps(list(g.labels), indent=2).replace("\n", "\n  ")
+    labels = json.dumps(list(g.labels), separators=(",\n    ", ": "))  # C encoder, indent=2 layout
+    labels = f"[\n    {labels[1:-1]}\n  ]" if g.n else "[]"
     yield f'{{\n  "n": {g.n},\n  "labels": {labels},\n  "edges": ['
     tails = [f"{v}\n    ]" for v in range(g.n)]
     sep = "\n"  # before the first pair; ",\n" before every later one

@@ -772,7 +772,9 @@ class InvariantReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        # indent=2's bytes from the C encoder, which indent would turn off
+        body = json.dumps(self.to_json_dict(), separators=(",\n  ", ": "))
+        return "{\n  " + body[1:-1] + "\n}\n"
 
     def to_text(self) -> str:
         """Two-column aligned table, fixed field order."""

@@ -81,7 +81,7 @@ class FiniteRing:
 
     ``residues``, when set, returns the map ``cyclic_residues`` computes:
     each element index to its k with element = k.unity, for a ring known
-    to be Z/order.  ``zmod`` sets it to the identity, which GF(p) and
+    to be Z/order.  ``zmod`` sets it to ``range(order)``, which GF(p) and
     ``bool:1`` inherit; every other family leaves it None, and
     ``cyclic_residues`` walks the additive orbit of unity instead.
     """
@@ -94,7 +94,7 @@ class FiniteRing:
     label: str
     element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
-    residues: Callable[[], tuple[int, ...]] | None = None
+    residues: Callable[[], Sequence[int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         label=f"Z/{n}",
         element_name=str,
         inverses=lambda: _zmod_inverses(n),
-        residues=lambda: tuple(range(n)),  # index k is k.unity
+        residues=lambda: range(n),  # index k is k.unity
     )
 
 
@@ -663,13 +663,13 @@ def is_boolean(ring: FiniteRing) -> bool:
     return all(ring.mul(x, x) == x for x in range(ring.order))
 
 
-def cyclic_residues(ring: FiniteRing) -> tuple[int, ...] | None:
+def cyclic_residues(ring: FiniteRing) -> Sequence[int] | None:
     """Residue map for rings isomorphic to Z/order, else None.
 
     When the additive orbit of unity covers the ring, every element is
     k.unity for a unique k in 0 .. order-1; the result maps element index
     to that k.  A ring with a ``residues`` hook states the map; any other
-    is walked, one ``add`` per element, and the walk stops at the first
+    is walked into a tuple, one ``add`` per element, stopping at the first
     repeat, after at most the additive order of unity plus one steps.
     """
     if ring.unity is None:

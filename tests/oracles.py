@@ -33,14 +33,25 @@ reference for the in-place searches on explicit stacks.
 that finds the components of every graph by mask BFS; ``expand_runs``
 puts a split whose like small parts are kept as runs into that form, the
 reference for the runs and for the splits read off the rows' bit counts.
+``reference_report_json`` is the former report writer, json.dumps with
+indent=2, the reference for the separator layout of ``to_json``; the
+labels block of ``export_json`` is checked against
+``reference_export_json`` the same way.  ``reference_main`` is the former
+``cli.main``, which parsed every call from the top, the subcommand's
+parser nested inside, the reference for the one-parse path; ``run_main``
+captures one call of either.
 """
 
+import contextlib
+import io
 import json
 import math
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 from random import Random
 
+from upg import cli
 from upg.graphs import (
     MultipartiteProfile,
     SimpleGraph,
@@ -823,3 +834,30 @@ def expand_runs(split) -> dict:
         "masks": masks,
         "parts": parts,
     }
+
+
+def reference_report_json(report) -> str:
+    """InvariantReport.to_json as json's indent=2 encoder writes it."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def reference_main(argv) -> int:
+    """cli.main parsing from the top: parse_args, then the subcommand."""
+    parser, _ = cli._build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except cli._CliError as exc:
+        print(f"error: {exc.message}", file=sys.stderr)
+        return exc.code
+
+
+def run_main(main, argv) -> tuple:
+    """(exit code, stdout, stderr) of one call; a SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()

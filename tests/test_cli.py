@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -15,6 +16,8 @@ import pytest
 import upg.invariants
 from upg import cli, rings
 from upg.invariants import VertexBoundError
+
+from oracles import reference_main, run_main
 
 DATA = Path(__file__).parent / "data"
 
@@ -796,14 +799,24 @@ def _interpreter_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
-def test_supported_pythons_print_golden_bytes(python):
+SUPPORTED_PYTHONS = ("python3.10", "python3.12", "python3.13")
+
+
+def _interpreter(python: str) -> tuple[str, dict[str, str]]:
+    """An installed interpreter's path and an environment it starts in; the
+    test is skipped when it is absent or does not start."""
     exe = shutil.which(python)
     if exe is None:
         pytest.skip(f"{python} is not installed")
     env = _interpreter_env()
     if subprocess.run([exe, "-c", ""], capture_output=True, env=env).returncode != 0:
         pytest.skip(f"{python} does not start")
+    return exe, env
+
+
+@pytest.mark.parametrize("python", SUPPORTED_PYTHONS)
+def test_supported_pythons_print_golden_bytes(python):
+    exe, env = _interpreter(python)
     cases = [case for case in GOLDEN_DIGESTS if case[0] in FLOOR_COMMANDS]
     assert len(cases) == len(FLOOR_COMMANDS)
     for command, code, digest in cases:
@@ -811,6 +824,83 @@ def test_supported_pythons_print_golden_bytes(python):
         assert res.returncode == code, (command, res.stderr)
         assert res.stderr == b""
         assert hashlib.sha256(res.stdout).hexdigest() == digest, command
+
+
+# a valid call of each subcommand, then calls whose usage, help or error
+# comes from the top-level parser or from argparse's nested parse
+VALID_CALLS = (
+    ("build", "--ring", "zmod:5"),
+    ("analyze", "--ring", "gf:2^3", "--graph", "complement", "--format", "json"),
+    ("verify", "--claims", "thm-6.2", "--zmod-max", "6"),
+    ("survey", "--family", "bool", "--max", "3"),
+)
+PARSE_PARITY_CALLS = VALID_CALLS + (
+    (),
+    ("-h",),
+    ("--help",),
+    ("build", "-h"),
+    ("analyze", "-h"),
+    ("verify", "-h"),
+    ("survey", "-h"),
+    ("anal", "--ring", "zmod:5"),
+    ("build", "--ring", "zmod:5", "extra"),
+    ("build", "--", "--ring", "zmod:5"),
+    ("build",),
+    ("analyze", "--ring", "zmod:5", "--graph", "both"),
+    ("analyze", "--ring", "zmod:12", "--gr", "complement"),
+    ("analyze", "--ring", "zmod:5", "--order-cap", "-1"),
+    ("--order-cap", "5", "build", "--ring", "zmod:5"),
+)
+
+# the parity table, run by another interpreter: one JSON line per call,
+# [argv, main's outcome, the reference's outcome]
+PARITY_SCRIPT = """
+import json, sys
+from oracles import reference_main, run_main
+from upg import cli
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps([argv, run_main(cli.main, argv), run_main(reference_main, argv)]))
+"""
+
+
+def test_main_matches_nested_parse():
+    for argv in PARSE_PARITY_CALLS:
+        code, out, err = run_main(cli.main, argv)
+        assert (code, out, err) == run_main(reference_main, argv), argv
+        assert code in (0, 2) and (out or err), argv
+
+
+def test_valid_calls_skip_the_nested_parse(monkeypatch):
+    nested = []
+    nested_call = argparse._SubParsersAction.__call__
+
+    def recorded(self, parser, namespace, values, option_string=None):
+        nested.append(values)
+        return nested_call(self, parser, namespace, values, option_string)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "__call__", recorded)
+    for argv in VALID_CALLS:
+        assert run_main(cli.main, argv)[0] == 0, argv
+    assert nested == []
+    # a call with an argument left over is parsed again, from the top
+    leftover = ("build", "--ring", "zmod:5", "extra")
+    assert run_main(cli.main, leftover)[0] == 2
+    assert nested == [list(leftover)]
+
+
+@pytest.mark.parametrize("python", SUPPORTED_PYTHONS)
+def test_supported_pythons_match_nested_parse(python):
+    # argparse's handling of "--", abbreviations and leftover arguments
+    # has changed between releases: the one-parse path must match each
+    exe, env = _interpreter(python)
+    env["PYTHONPATH"] = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))
+    table = json.dumps(PARSE_PARITY_CALLS)
+    res = subprocess.run([exe, "-c", PARITY_SCRIPT, table], capture_output=True, text=True, env=env)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    rows = [json.loads(line) for line in res.stdout.splitlines()]
+    assert [tuple(argv) for argv, _, _ in rows] == list(PARSE_PARITY_CALLS)
+    for argv, got, want in rows:
+        assert got == want, argv
 
 
 def test_build_computes_no_split(monkeypatch, capsys):

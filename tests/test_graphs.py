@@ -441,6 +441,19 @@ def test_streamed_export_matches_reference():
     assert len(slices) == 5 and min(slices.values()) >= 200, slices
 
 
+def test_json_labels_block_matches_indent_layout():
+    # the labels go through json's C encoder, with the indent=2 layout in
+    # its item separator: quotes, backslashes, non-ASCII, control
+    # characters and commas, one label or many, and no vertex at all
+    labels = ('say "hi"', "back\\slash", "\u00e9\U0001f600", "tab\t", "\x00\x1f\x7f\n", "a,b", ", ", "")
+    cases = [graph_from_edges(0, [])]
+    cases += [graph_from_edges(1, [], labels=(label,)) for label in labels]
+    cases.append(graph_from_edges(len(labels), [(0, 1)], labels=labels))
+    for g in cases:
+        assert export_json(g) == reference_export_json(g), g.labels
+    assert export_json(cases[0]) == '{\n  "n": 0,\n  "labels": [],\n  "edges": []\n}\n'
+
+
 def test_json_round_trip():
     rng = Random(99)
     for _ in range(20):

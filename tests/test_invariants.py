@@ -13,7 +13,7 @@ import pytest
 import upg.cli
 import upg.graphs
 import upg.invariants
-from upg.claims import default_rings
+from upg.claims import RingContext, default_rings
 from upg.graphs import (
     SimpleGraph,
     bit_indices,
@@ -65,6 +65,7 @@ from oracles import (
     reference_eccentricity_profile,
     reference_girth,
     reference_is_planar,
+    reference_report_json,
 )
 from oracles import _has_k33_subdivision, _has_k5_subdivision
 
@@ -526,6 +527,30 @@ def test_complement_report_matches_full_report(spec):
     report = InvariantReport(g).complement()
     assert report.graph == complement(g)
     assert report.check().to_json() == full_report(complement(g)).to_json()
+
+
+def test_report_json_matches_indent_layout():
+    # to_json writes json.dumps(indent=2)'s bytes through the C encoder:
+    # both reports of every default-sweep ring, and loaded graphs with a
+    # finite girth (K4, C4, K3 + K1) and with none (P4, 3 K1, the empty one)
+    reports = []
+    for ring in default_rings():
+        ctx = RingContext(ring)
+        reports += [ctx.upg_report, ctx.comp_report]
+    graphs = [
+        graph_from_edges(4, list(combinations(range(4), 2))),
+        graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        graph_from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+        graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        graph_from_edges(3, []),
+        graph_from_edges(0, []),
+    ]
+    reports += map(InvariantReport, graphs)
+    girths = Counter()
+    for report in reports:
+        assert report.to_json() == reference_report_json(report), report.graph
+        girths[report.girth == INFINITY] += 1
+    assert min(girths.values()) >= 3, girths
 
 
 def test_clique_and_chromatic_of_matching_complement_at_2100_vertices():
