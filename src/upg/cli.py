@@ -297,6 +297,21 @@ def main(argv=None) -> int:
     args, extra = sub.parse_known_args(argv[1:]) if sub else (None, None)
     if sub is None or extra:
         args = parser.parse_args(argv)
+        sub = commands[args.command]
+    # argparse before 3.13 reads the value of --opt=-- as [] and neither
+    # converts nor checks it: read "--", as 3.13 does, by the same two calls
+    given = vars(args)
+    for action in sub._actions if [] in [*given.values(), *given.get("include", ())] else ():
+        value = given.get(action.dest)
+        if action.dest == "include":
+            args.include = ["--" if spec == [] else spec for spec in value]
+        elif value == []:
+            try:
+                value = sub._get_value(action, "--")
+                sub._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                sub.error(str(exc))
+            setattr(args, action.dest, value)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -5,28 +5,20 @@ Includes the unity product graph construction, complement, the two
 structure recognizers the claim checks rely on, and DOT/JSON export.
 
 ``SimpleGraph(...)``, ``graph_from_edges`` and ``graph_from_json`` check
-their rows for loops, missing vertices and asymmetry.  The two ring
-graph builders skip that check, since their rows hold by construction,
-and seed the edge count they already know: ``unity_product_graph``
-points each unit's row at its inverse, an involution, so the graph is
-s*K1 + p*K2 with p edges, and ``complement`` flips the off-diagonal bits
-of a valid graph's rows, leaving C(n, 2) - m edges.  Both also leave
-the labels unmade: the unity product graph names its units, and the
-complement hands the same namer on, only when ``labels`` is first read,
-as only the exports and claim witnesses do.  A graph whose rows
-have at most one bit each (``is_matching``) is such a union of K1's and
-K2's; the invariants' Decomposition reads its split off the rows in C,
-derives its complement's from it, and passes the co-components to
-``recognize_complete_multipartite`` as (size, count) pairs.
+their rows.  A ring graph is held as its inverse pairing instead: in the
+``mate`` array, vertex u's entry is the index of its unit's inverse, u
+itself for a self-inverse unit, so the graph is s*K1 + p*K2, and its
+``complement``, K_{1^s,2^p}, holds the same array with ``complemented``
+set.  Its rows are made on the first read of ``adj``, which only
+``degree``, ``has_edge``, == and the general solvers do; the invariants
+read the split off the array.  Its labels, made on first read by the
+exports and claim witnesses, name the units alone.
 
-Export is streamed: ``dot_chunks`` and ``json_chunks`` yield one piece
-per adjacency row, joined from precomputed per-vertex strings, so no
-Python object is made per edge.  A row with one later neighbor (every
-unity product graph row) indexes its string; a row whose later
-neighbors are every vertex up to the last but at most one (every
-complement row, K_{1^s,2^p}) slices the strings and deletes that one;
-any other row's binary digits select them in C.  ``export_dot`` and
-``export_json`` join those pieces.
+Export is streamed: ``dot_chunks`` and ``json_chunks`` join per-vertex
+strings, with no Python object per edge.  A unity product graph's edges
+are one list comprehension over the pairs u < mate[u]; complement row u
+is every later vertex but mate[u].  Only a graph without an array has
+its rows decoded, their binary digits selecting the strings in C.
 """
 
 from __future__ import annotations
@@ -37,6 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
+from operator import eq
 from typing import NamedTuple
 
 from .rings import UnitGroup
@@ -82,6 +75,10 @@ class SimpleGraph:
     labels: tuple[str, ...]
     adj: tuple[int, ...]
 
+    # a ring graph's, in its instance dict; not fields, so == never reads them
+    mate = None
+    complemented = False
+
     def __post_init__(self):
         if len(self.labels) != self.n or len(self.adj) != self.n:
             raise ValueError("label/adjacency length does not match vertex count")
@@ -106,23 +103,27 @@ class SimpleGraph:
                         raise ValueError(f"asymmetric edge ({u}, {v})")
 
     @classmethod
-    def _trusted(
-        cls, n: int, make_labels, adj: tuple[int, ...], edge_count: int
-    ) -> SimpleGraph:
-        """A graph whose rows the caller built loop-free, in range and
-        symmetric, with ``edge_count`` edges; nothing is checked.  Its
-        labels are ``make_labels()``, called on the first read."""
+    def _trusted(cls, n: int, make_labels, edge_count: int, **held) -> SimpleGraph:
+        """A graph whose rows or mate array (``held``) the caller built valid,
+        unchecked; its labels are ``make_labels()``, called on first read."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj, edge_count=edge_count, _make_labels=make_labels)
+        g.__dict__.update(held, n=n, edge_count=edge_count, _make_labels=make_labels)
         return g
 
     def __getattr__(self, name: str):
-        # reached only while a trusted graph's labels are unmade; they are
-        # stored in the instance dict, so == and hash read them as a field
-        if name != "labels" or "_make_labels" not in self.__dict__:
+        # reached only while a trusted graph's labels or a ring graph's rows are
+        # unmade; stored in the instance dict, == and hash read them as fields
+        held = self.__dict__
+        if name == "labels" and "_make_labels" in held:
+            value = tuple(held["_make_labels"]())
+        elif name == "adj" and "mate" in held:
+            # row u is {u, mate[u]} less u, or every vertex less those two
+            full = (1 << self.n) - 1 if self.complemented else 0
+            value = tuple([(full or 1 << u) ^ (1 << u | 1 << v) for u, v in enumerate(self.mate)])
+        else:
             raise AttributeError(name)
-        labels = self.__dict__["labels"] = tuple(self.__dict__["_make_labels"]())
-        return labels
+        held[name] = value
+        return value
 
     @lazy_property  # in the instance dict, so == and hash still see only the fields
     def edge_count(self) -> int:
@@ -136,12 +137,9 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bit_indices(row):
-                out.append((u, v))
-        return out
+        if self.mate is not None and not self.complemented:
+            return [(u, v) for u, v in enumerate(self.mate) if u < v]
+        return [(u, v) for u in range(self.n) for v in bit_indices(self.adj[u] >> u + 1 << u + 1)]
 
 
 def graph_from_edges(vertices, edges, labels=None) -> SimpleGraph:
@@ -171,35 +169,27 @@ def unity_product_graph(ug: UnitGroup) -> SimpleGraph:
     """Graph on the units; x and y are adjacent iff x != y and x * y = unity.
 
     Vertices follow the unit order of ``ug`` (element-index order) and are
-    labeled by element names.  Each row holds the unit's inverse unless
-    the unit is self-inverse; inversion is an involution, so the rows are
-    symmetric and the graph has one edge per two non-self-inverse units.
+    labeled by the ring's unit names.  The mate array is made in C; one
+    edge joins each two units that are not self-inverse.
     """
-    index_of = {x: i for i, x in enumerate(ug.units)}
-    adj = []
-    for i, x in enumerate(ug.units):
-        j = index_of[ug.inverse_of[x]]
-        adj.append(0 if j == i else 1 << j)
-    n = len(adj)
-    names = partial(map, ug.ring.element_name, ug.units)
-    return SimpleGraph._trusted(n, names, tuple(adj), (n - adj.count(0)) // 2)
+    ring, n = ug.ring, len(ug.units)
+    index_of = dict(zip(ug.units, range(n)))
+    mate = tuple(map(index_of.__getitem__, map(ug.inverse_of.__getitem__, ug.units)))
+    names = ring.unit_names or partial(map, ring.element_name, ug.units)
+    return SimpleGraph._trusted(n, names, (n - sum(map(eq, mate, range(n)))) // 2, mate=mate)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
-    """Complement on the same vertex set, preserving labels.
-
-    Row v is ``full ^ adj[v] ^ (1 << v)``, which is loop-free and
-    symmetric because ``g`` is.
-    """
+    """Complement on the same vertex set, preserving labels: a ring
+    graph's mate array with ``complemented`` flipped, or else the rows
+    ``full ^ adj[v] ^ (1 << v)``."""
+    names = vars(g).get("_make_labels") or partial(tuple, g.labels)
+    m = g.n * (g.n - 1) // 2 - g.edge_count
+    if g.mate is not None:
+        return SimpleGraph._trusted(g.n, names, m, mate=g.mate, complemented=not g.complemented)
     full = (1 << g.n) - 1
     adj = tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
-    names = vars(g).get("_make_labels") or partial(tuple, g.labels)
-    return SimpleGraph._trusted(g.n, names, adj, g.n * (g.n - 1) // 2 - g.edge_count)
-
-
-def is_matching(adj: tuple[int, ...]) -> bool:
-    """True when no row has two bits: the graph is a union of K1's and K2's."""
-    return max(map(int.bit_count, adj), default=0) <= 1
+    return SimpleGraph._trusted(g.n, names, m, adj=adj)
 
 
 def is_complete(g: SimpleGraph) -> bool:
@@ -247,7 +237,7 @@ class StructureDecomposition(NamedTuple):
 
 def decompose_matching_structure(g: SimpleGraph) -> StructureDecomposition:
     """Recognize a disjoint union of K1's and K2's: no row has two bits."""
-    if not is_matching(g.adj):
+    if max(map(int.bit_count, g.adj), default=0) > 1:
         return StructureDecomposition(isolated=0, pairs=0, valid=False)
     return StructureDecomposition(isolated=g.adj.count(0), pairs=g.edge_count, valid=True)
 
@@ -296,44 +286,46 @@ def recognize_complete_multipartite(
 _BIT_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _later_neighbor_tails(g: SimpleGraph, tails: list[str]):
-    """Yield (u, tails[v] for each neighbor v > u, ascending) per row with one.
-
-    A row whose later neighbors run from u + 1 to its last one with at
-    most one vertex missing, as every complement row of a ring graph
-    does, is a slice of ``tails`` with that one entry deleted.  Any other
-    row with several is decoded in C: its binary digits, reversed, select
-    from ``tails[u + 1:]``; compress stops at the highest set bit.
+def _edge_pieces(g: SimpleGraph, names: list[str], head: str, sep: str, tail: str):
+    """Yield, in nonempty pieces, head + names[u] + sep + names[v] + tail
+    for every edge u < v, ascending: a unity product graph's in one piece,
+    any other graph's one piece per row.  A complement's row u is a slice
+    of ``names`` with mate[u] deleted; a row without a mate array is
+    decoded in C, its binary digits, reversed, selecting from
+    ``names[u + 1:]`` up to the highest set bit.
     """
-    for u, row in enumerate(g.adj):
-        later = row >> (u + 1)
-        if not later:
-            continue
-        if later & (later - 1) == 0:
-            # one later neighbor, as in every unity product graph row,
-            # is cheaper to index than to decode
-            yield u, (tails[u + later.bit_length()],)
-            continue
-        span = later.bit_length()
-        gaps = later ^ ((1 << span) - 1)  # the non-neighbors before the last neighbor
-        if gaps & (gaps - 1) == 0:
-            run = tails[u + 1 : u + 1 + span]
-            if gaps:
-                del run[gaps.bit_length() - 1]
-            yield u, run
+    mate = g.mate
+    if mate is not None and not g.complemented:
+        pairs = enumerate(mate)
+        text = "".join([f"{head}{names[u]}{sep}{names[v]}{tail}" for u, v in pairs if u < v])
+        if text:
+            yield text
+        return
+    for u in range(g.n):
+        if mate is not None:
+            later = names[u + 1 :]
+            if mate[u] > u:
+                del later[mate[u] - u - 1]
+        elif row := g.adj[u] >> (u + 1):
+            selector = format(row, "b").encode().translate(_BIT_SELECTOR)[::-1]
+            later = list(compress(names[u + 1 :], selector))
         else:
-            selector = format(later, "b").encode().translate(_BIT_SELECTOR)[::-1]
-            yield u, compress(tails[u + 1 :], selector)
+            continue
+        if later:
+            start = f"{head}{names[u]}{sep}"
+            yield start + (tail + start).join(later) + tail
 
 
 def dot_chunks(g: SimpleGraph):
-    """Yield export_dot's text in pieces: the vertex lines, then one per row."""
-    quoted = [f'"{_dot_escape(label)}"' for label in g.labels]
-    yield "graph {\n" + "".join(f"  {q};\n" for q in quoted)
-    tails = [f" -- {q};\n" for q in quoted]
-    for u, later in _later_neighbor_tails(g, tails):
-        head = f"  {quoted[u]}"
-        yield head + head.join(later)
+    """Yield export_dot's text in pieces: the vertex lines, then the edges."""
+    labels = g.labels
+    text = "".join(labels)
+    if "\\" in text or '"' in text:
+        labels = [label.replace("\\", "\\\\").replace('"', '\\"') for label in labels]
+    quoted = [f'"{label}"' for label in labels]
+    lines = ";\n  ".join(quoted)
+    yield f"graph {{\n  {lines};\n" if quoted else "graph {\n"
+    yield from _edge_pieces(g, quoted, "  ", " -- ", ";\n")
     yield "}\n"
 
 
@@ -342,26 +334,21 @@ def export_dot(g: SimpleGraph) -> str:
     return "".join(dot_chunks(g))
 
 
-def _dot_escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def json_chunks(g: SimpleGraph):
     """Yield export_json's text in pieces, byte for byte json.dumps(indent=2).
 
     The labels go through json.dumps; n, the edge pairs and the braces
-    are written in that layout, one piece per adjacency row.
+    are written in that layout.  Every pair is written after a comma,
+    which the first piece drops.
     """
     labels = json.dumps(list(g.labels), separators=(",\n    ", ": "))  # C encoder, indent=2 layout
     labels = f"[\n    {labels[1:-1]}\n  ]" if g.n else "[]"
     yield f'{{\n  "n": {g.n},\n  "labels": {labels},\n  "edges": ['
-    tails = [f"{v}\n    ]" for v in range(g.n)]
-    sep = "\n"  # before the first pair; ",\n" before every later one
-    for u, later in _later_neighbor_tails(g, tails):
-        head = f"    [\n      {u},\n      "
-        yield sep + head + (",\n" + head).join(later)
-        sep = ",\n"
-    yield "\n  ]\n}\n" if sep == ",\n" else "]\n}\n"
+    pieces = _edge_pieces(g, list(map(str, range(g.n))), ",\n    [\n      ", ",\n      ", "\n    ]")
+    first = next(pieces, ",")  # a lone comma: no edge
+    yield first[1:]
+    yield from pieces
+    yield "]\n}\n" if first == "," else "\n  ]\n}\n"
 
 
 def export_json(g: SimpleGraph) -> str:

@@ -7,8 +7,8 @@ BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
 Each split keeps all its one-vertex parts as one run piece and all its
 two-vertex parts as another, each with its count, so a unity product
 graph s*K1 + p*K2 and its complement K_{1^s,2^p} are three pieces
-whatever s and p.  The first is split off the rows' bit counts and sum
-in C, with no BFS, and the second's split is derived from it.
+whatever s and p, read off the graph's mate array in C with no BFS and
+no row.
 Domination, clique and chromatic numbers combine over the pieces: over
 a union by maximum or by count-weighted sum, over a join by
 count-weighted sum, and a join is dominated by one vertex or two.
@@ -30,9 +30,10 @@ the same pieces with every label flipped.  ``full_report`` computes and
 checks every field.
 
 Girth and eccentricity work on the split and on whole adjacency rows:
-girth settles forests by their edge count and cyclic graphs with a
-triangle by one row AND per edge, and runs a per-root BFS only on
-triangle-free cyclic graphs; eccentricities are read off the split for
+girth settles forests by their edge count, a join by its co-components
+and the others with a triangle by one row AND per edge, and runs a
+per-root BFS only on triangle-free cyclic graphs that are not joins;
+eccentricities are read off the split for
 a union (all infinite) or a join (1 or 2, from the co-component sizes),
 and only a connected and co-connected graph runs a direction-switching
 BFS over vertex masks.  Planarity and hamiltonicity are decided in
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import eq
 
 from .graphs import (
     MultipartiteProfile,
@@ -57,7 +59,6 @@ from .graphs import (
     bit_indices,
     complement,
     connected_parts,
-    is_matching,
     lazy_property,
     recognize_complete_multipartite,
 )
@@ -93,10 +94,15 @@ def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
     with a cycle reach the per-root BFS: a non-tree edge (u, v) seen from
     root r closes a walk of length dist[u] + dist[v] + 1 containing a
     cycle no longer than itself, and for r on a shortest cycle the bound
-    is attained.
+    is attained.  A cyclic join is read off its co-components: three of
+    them, or one holding an edge, give a triangle, and two independent
+    ones K_{a,b}, of girth 4 (a star is a forest).
     """
-    if g.edge_count == g.n - (split or Decomposition(g)).component_count:
+    split = split or Decomposition(g)
+    if g.edge_count == g.n - split.component_count:
         return INFINITY
+    if sum(count for _, count in split.co_components) > 1:
+        return 4 if len(split.multipartite.part_sizes) == 2 else 3
     adj = g.adj
     for u in range(g.n):
         row = adj[u]
@@ -148,7 +154,7 @@ def eccentricity_profile(
     bottom-up by keeping the unvisited vertices whose row meets the
     frontier.
     """
-    if g.n == 0:
+    if g.n <= 1:
         return 0, 0
     split = split or Decomposition(g)
     if split.component_count > 1:
@@ -187,6 +193,8 @@ JOIN = "join"
 _NON_EDGE = "non-edge"
 # a piece's kind in the complement, for pieces whose parts have two or more vertices
 _FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: _NON_EDGE, _NON_EDGE: SMALL, PRIME: PRIME}
+# maps flag bytes 0 and 1 to the ASCII digits int(..., 2) reads
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Decomposition:
@@ -210,13 +218,11 @@ class Decomposition:
 
     ``components`` and ``co_components`` are the graph's own, as (part
     size, count) pairs; a disconnected graph has one co-component, all of
-    it, since its complement is connected.  A graph whose rows have at
-    most one bit (every unity product graph, s*K1 + p*K2) is split off
-    its rows in C: their bit counts tell the shape, and their sum gives
-    the mask of the 2p paired vertices, the rest being the s single ones.
-    Its whole split is three pieces, found with no loop over the vertices
-    in Python and no BFS, and ``complemented`` derives its complement's.
-    Any other graph runs the mask BFS of connected_parts.
+    it, since its complement is connected.  A ring graph, s*K1 + p*K2 or
+    its complement, is split off its mate array in C, with no BFS and no
+    row: the vertices that are their own mates are the s single ones, the
+    rest the 2p paired ones.  Any other graph runs the mask BFS of
+    connected_parts.
 
     Clique and chromatic numbers are the largest part's over a union and
     add up, count times each child's, over a join.  The domination number
@@ -229,18 +235,17 @@ class Decomposition:
     """
 
     def __init__(self, g: SimpleGraph):
-        adj, n = g.adj, g.n
+        n = g.n
         full = (1 << n) - 1
         self.graph = g
-        self.kinds: list[str] = [_NON_EDGE if n == 2 and not adj[0] else SMALL]
+        self.kinds: list[str] = [_NON_EDGE if n == 2 and not g.edge_count else SMALL]
         self.masks: list[int] = [full]
         self.counts: list[int] = [1]
         self.parts: list[tuple[int, ...]] = [()]
-        if n > 2 and is_matching(adj):
-            # s*K1 + p*K2: the rows are the distinct single bits of the
-            # paired vertices, so they add up to the mask of those
-            pairs = sum(adj)
-            self._divide(0, UNION, full ^ pairs, pairs, [])
+        if n > 2 and g.mate is not None:
+            # bit v of singles is mate[v] == v: the flags, last first, as binary digits
+            singles = int(bytes(map(eq, g.mate, range(n)))[::-1].translate(_BINARY_DIGITS), 2)
+            self._divide(0, JOIN if g.complemented else UNION, singles, full ^ singles, [])
         else:
             # an explicit stack: a threshold graph's tree is n levels deep
             stack = [(0, (UNION, JOIN))]
@@ -250,7 +255,7 @@ class Decomposition:
                 if mask.bit_count() <= 2:
                     continue
                 for kind in tries:
-                    split = connected_parts(adj, mask, kind == JOIN)
+                    split = connected_parts(g.adj, mask, kind == JOIN)
                     if len(split) > 1:
                         break
                 else:
@@ -698,7 +703,8 @@ class InvariantReport:
 
     @lazy_property
     def isolated_count(self) -> int:
-        return self.graph.adj.count(0)
+        # the one-vertex components, a run of them
+        return dict(self.split.components).get(1, 0)
 
     @property
     def connected(self) -> bool:

@@ -74,6 +74,9 @@ class FiniteRing:
     ``element_name`` names an element index.  Names are made on demand:
     a ring of order n holds no n strings until its first name is asked
     for, and then the structured families build all n at once.
+    ``unit_names``, when set, returns the units' names alone, in unit
+    order, in bulk (GF(q) and products); ``bool:8`` names one unit, not
+    256 elements.
 
     ``inverses``, when set, returns the unit group as a map from each unit
     to its inverse, computed from the ring family's structure.  ``units``
@@ -95,6 +98,7 @@ class FiniteRing:
     element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
     residues: Callable[[], Sequence[int]] | None = None
+    unit_names: Callable[[], Sequence[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,9 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     >= p whose powers, walked so, return to 1 only after q - 1 steps; a
     candidate among the powers of one that failed is skipped.  The walk
     of g is the exp table; mul adds logs mod q - 1 and g^i inverts to
-    g^-i.  The first name asked for names every element, from one
-    ``product`` over the digits' terms.
+    g^-i.  The first name asked for names every element: one ``"".join``
+    per element over its digits' terms, each ending in "+", then one
+    ``replace`` drops the last "+" of every name.
     """
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
@@ -365,13 +370,14 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
 
     @cache
     def names() -> list[str]:
-        # per position, most significant first, the term c x^i of each digit
+        # per position, most significant first, the term "c x^i+" of each digit
         powers = ["", "x"] + [f"x^{i}" for i in range(2, k)]
         columns = [
-            [""] + [("" if c == 1 and i else str(c)) + powers[i] for c in range(1, p)]
+            [""] + [("" if c == 1 and i else str(c)) + powers[i] + "+" for c in range(1, p)]
             for i in reversed(range(k))
         ]
-        out = list(map("+".join, map(filter, repeat(None), product(*columns))))
+        # the last name, every digit p - 1, ends in the one "+" no newline follows
+        out = "\n".join(map("".join, product(*columns))).replace("+\n", "\n")[:-1].split("\n")
         out[0] = "0"
         return out
 
@@ -384,6 +390,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         label=f"GF({order})",
         element_name=lambda x: names()[x],
         inverses=inverses,
+        unit_names=lambda: names()[1:],
     )
 
 
@@ -395,9 +402,10 @@ def direct_product(
     The first component is most significant.  Unity exists iff every
     component has one.  The unit group is the product of the components'
     unit groups, folded by index arithmetic: each unit x of the components
-    so far and unit u of the next one, of order m, give the unit x*m + u.
-    The first name asked for names every element, "(a,b)" from one
-    ``product`` over the components' name lists.
+    so far and unit u of the next one, of order m, give the unit x*m + u,
+    in ``product`` order.  An element is named "(a,b)" from its
+    components' names; ``unit_names`` joins the components' unit names
+    in one ``product``.
     """
     if not components:
         raise RingSpecError("direct product needs at least one component")
@@ -427,12 +435,13 @@ def direct_product(
         da, db = decode(a), decode(b)
         return encode([r.mul(x, y) for r, x, y in zip(comps, da, db)])
 
+    groups = cache(lambda: [units(r) for r in comps])  # the components' unit groups
+
     def inverses() -> dict[int, int]:
         # (R x S)^x = R^x x S^x, inverted componentwise
         inverse_of = {0: 0}
-        for r in comps:
-            ug, m = units(r), r.order
-            inv = ug.inverse_of
+        for r, ug in zip(comps, groups()):
+            m, inv = r.order, ug.inverse_of
             inverse_of = {
                 x * m + u: y * m + inv[u] for x, y in inverse_of.items() for u in ug.units
             }
@@ -447,15 +456,20 @@ def direct_product(
     def wrap(lbl: str) -> str:
         return f"({lbl})" if " × " in lbl else lbl
 
-    @cache
-    def names() -> list[str]:
-        columns = [list(map(r.element_name, range(r.order))) for r in comps]
-        return list(map("({})".format, map(",".join, product(*columns))))
+    def element_name(v: int) -> str:
+        return "(" + ",".join([r.element_name(x) for r, x in zip(comps, decode(v))]) + ")"
+
+    def unit_names() -> list[str]:
+        columns = [
+            r.unit_names() if r.unit_names else map(r.element_name, ug.units)
+            for r, ug in zip(comps, groups())
+        ]
+        return [f"({name})" for name in map(",".join, product(*columns))]
 
     label = " × ".join(wrap(r.label) for r in comps)
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
-        element_name=lambda v: names()[v], inverses=inverses,
+        element_name=element_name, inverses=inverses, unit_names=unit_names,
     )
 
 

@@ -4,7 +4,9 @@ Deliberately dumb and independent of the package internals: subset
 enumeration, submask dynamic programming and permutation search.  Only
 usable on small graphs.  ``reference_girth`` and
 ``reference_eccentricity_profile`` are the former list-based BFS solvers,
-kept as the differential reference for the bit-parallel ones, and
+kept as the differential reference for the bit-parallel ones and for
+the girth read off a join's co-components (on ``random_join`` graphs),
+and
 ``reference_units`` is the former unit-group scan, the reference for the
 per-family inverse hooks; ``self_inverse_count`` and
 ``inverse_pair_count`` count a unit group's K1s and K2s from its inverse
@@ -17,12 +19,14 @@ Lagrange search over schoolbook powers, the reference for the generator
 that ``gf`` finds by walking candidates; ``reference_gf_name`` and
 ``reference_product_name`` are the former one-element-at-a-time namers,
 the reference for the name lists that ``gf`` and ``direct_product``
-build in one ``product``.
+build in one ``product`` and for the unit names a ring graph's labels
+come from.
 ``reference_is_planar`` is the former K5/K3,3 subdivision
 search, the reference for the closed-form planarity of forests and
 complete multipartite graphs.  ``reference_export_dot`` and
 ``reference_export_json`` are the former exporters, built from one
-Python object per edge, the reference for the streamed row-wise ones.
+Python object per edge, the reference for the streamed ones, which
+write a ring graph's edges off its mate array.
 ``reference_recognize_complete_multipartite`` is the former row scan of
 each co-component, the reference for the edge-count test.
 ``reference_clique_search``, ``reference_chromatic_search`` (DSATUR
@@ -32,23 +36,27 @@ reference for the in-place searches on explicit stacks.
 ``reference_decomposition`` is the former split, one piece per part,
 that finds the components of every graph by mask BFS; ``expand_runs``
 puts a split whose like small parts are kept as runs into that form, the
-reference for the runs and for the splits read off the rows' bit counts.
+reference for the runs and for the splits read off a ring graph's mate
+array.
 ``reference_report_json`` is the former report writer, json.dumps with
 indent=2, the reference for the separator layout of ``to_json``; the
 labels block of ``export_json`` is checked against
 ``reference_export_json`` the same way.  ``reference_main`` is the former
 ``cli.main``, which parsed every call from the top, the subcommand's
 parser nested inside, the reference for the one-parse path; ``run_main``
-captures one call of either.
+captures one call of either.  ``bench_workloads`` loads the benchmark's
+ring lists, which some tests reuse.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import sys
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 from random import Random
 
 from upg import cli
@@ -861,3 +869,29 @@ def run_main(main, argv) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, whose ring lists the tests
+    reuse; it imports ``bench/oracle.py`` by name."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
+def random_join(part_sizes, inner: float, rng: Random) -> SimpleGraph:
+    """The join of independent sets of the given sizes, every pair of
+    vertices in different parts adjacent, with each pair inside a part
+    made an edge with probability ``inner``."""
+    part_of = [i for i, size in enumerate(part_sizes) for _ in range(size)]
+    n = len(part_of)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if part_of[u] != part_of[v] or rng.random() < inner
+    ]
+    return graph_from_edges(n, edges)

@@ -15,9 +15,10 @@ import pytest
 
 import upg.invariants
 from upg import cli, rings
+from upg.graphs import SimpleGraph
 from upg.invariants import VertexBoundError
 
-from oracles import reference_main, run_main
+from oracles import bench_workloads, reference_main, run_main
 
 DATA = Path(__file__).parent / "data"
 
@@ -852,14 +853,49 @@ PARSE_PARITY_CALLS = VALID_CALLS + (
     ("--order-cap", "5", "build", "--ring", "zmod:5"),
 )
 
+# --opt=--: argparse before 3.13 reads the value as [] and neither converts
+# nor checks it, and the nested parse then fails in the subcommand or
+# reads the wrong value; 3.13 reads "--".  Every version's main must give
+# 3.13's exit code, stdout and last stderr line, pinned here.
+RING_DASH = "error: ring spec '--': malformed ring spec '--'"
+DASH_VALUE_CALLS = {
+    ("build", "--ring=--"): (2, "", RING_DASH),
+    ("analyze", "--ring=--"): (2, "", RING_DASH),
+    ("verify", "--claims=--"): (2, "", "error: unknown claim id '--'"),
+    ("verify", "--claims", "thm-6.2", "--include=--"): (
+        2, "", "error: bad ring spec: malformed ring spec '--'"
+    ),
+    ("build", "--ring", "zmod:5", "--out=--"): (0, "", ""),  # the file "--"
+    ("survey", "--family", "bool", "--max", "2", "--out=--"): (0, "", ""),
+    ("build", "--ring", "zmod:5", "--order-cap=--"): (
+        2, "", "upg build: error: argument --order-cap: invalid int value: '--'"
+    ),
+    ("survey", "--family=--", "--max", "3"): (
+        2, "", "upg survey: error: argument --family: invalid choice: '--' "
+        "(choose from 'zmod', 'gf', 'bool')",
+    ),
+}
+
+
+def _pinned(outcome) -> tuple:
+    """(exit code, stdout, last stderr line) of one call's outcome."""
+    code, out, err = outcome
+    return code, out, (err.splitlines() or [""])[-1]
+
+
 # the parity table, run by another interpreter: one JSON line per call,
-# [argv, main's outcome, the reference's outcome]
+# [argv, main's outcome, the reference's outcome or the name of what it raised]
 PARITY_SCRIPT = """
 import json, sys
 from oracles import reference_main, run_main
 from upg import cli
+def reference(argv):
+    try:
+        return run_main(reference_main, argv)
+    except Exception as exc:
+        return type(exc).__name__
 for argv in json.loads(sys.argv[1]):
-    print(json.dumps([argv, run_main(cli.main, argv), run_main(reference_main, argv)]))
+    print(json.dumps([argv, run_main(cli.main, argv), reference(argv)]))
 """
 
 
@@ -888,19 +924,37 @@ def test_valid_calls_skip_the_nested_parse(monkeypatch):
     assert nested == [list(leftover)]
 
 
+def test_dash_values_read_as_python_313_reads_them(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for argv, pinned in DASH_VALUE_CALLS.items():
+        assert _pinned(run_main(cli.main, argv)) == pinned, argv
+        if "--out=--" in argv:
+            written = (tmp_path / "--").read_text()
+            assert written == run_main(cli.main, argv[:-1])[1], argv
+
+
 @pytest.mark.parametrize("python", SUPPORTED_PYTHONS)
-def test_supported_pythons_match_nested_parse(python):
+def test_supported_pythons_match_nested_parse(python, tmp_path):
     # argparse's handling of "--", abbreviations and leftover arguments
-    # has changed between releases: the one-parse path must match each
+    # has changed between releases: the one-parse path must match each,
+    # and give the --opt=-- calls 3.13's outcome, which is its nested parse's
     exe, env = _interpreter(python)
     env["PYTHONPATH"] = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))
-    table = json.dumps(PARSE_PARITY_CALLS)
-    res = subprocess.run([exe, "-c", PARITY_SCRIPT, table], capture_output=True, text=True, env=env)
+    calls = PARSE_PARITY_CALLS + tuple(DASH_VALUE_CALLS)
+    res = subprocess.run(
+        [exe, "-c", PARITY_SCRIPT, json.dumps(calls)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,  # --out=-- writes ./--
+    )
     assert res.returncode == 0 and res.stderr == "", res.stderr
     rows = [json.loads(line) for line in res.stdout.splitlines()]
-    assert [tuple(argv) for argv, _, _ in rows] == list(PARSE_PARITY_CALLS)
+    assert [tuple(argv) for argv, _, _ in rows] == list(calls)
     for argv, got, want in rows:
-        assert got == want, argv
+        if tuple(argv) not in DASH_VALUE_CALLS:
+            assert got == want, argv
+            continue
+        assert _pinned(got) == DASH_VALUE_CALLS[tuple(argv)], (python, argv)
+        if python == "python3.13":
+            assert got == want, argv
 
 
 def test_build_computes_no_split(monkeypatch, capsys):
@@ -930,7 +984,11 @@ def test_sweep_and_analyze_name_no_graph_vertex(monkeypatch, capsys):
             asked.append((ring.label, x))
             return ring.element_name(x)
 
-        return replace(ring, element_name=name)
+        def unit_names():
+            asked.append((ring.label, "units"))
+            return ring.unit_names()
+
+        return replace(ring, element_name=name, unit_names=ring.unit_names and unit_names)
 
     commands = [
         f"analyze --ring {spec} --graph {graph}"
@@ -956,6 +1014,31 @@ def test_sweep_and_analyze_name_no_graph_vertex(monkeypatch, capsys):
         assert cli.main(command.split()) == 0
         assert capsys.readouterr().out == named[command], command
     assert asked == []
+
+
+def test_sweep_survey_and_analyze_build_no_ring_graph_rows(monkeypatch):
+    # a ring graph's invariants are read off its mate array: with every
+    # read of adjacency rows refused, the default sweep prints its pinned
+    # bytes, and survey and analyze print what they print with rows allowed
+    commands = [
+        ["survey", "--family", family, "--max", str(top)]
+        for family, top in (("zmod", 60), ("gf", 64), ("bool", 6))
+    ]
+    commands += [list(op.argv) for op in bench_workloads().analyze(1)]
+    assert len(commands) == 3 + 2 * 48  # both graphs of the 48 analyze rings
+    printed = [run_main(cli.main, argv) for argv in commands]
+
+    def refuse(self):
+        raise AssertionError("adjacency rows read")
+
+    monkeypatch.setattr(SimpleGraph, "adj", property(refuse), raising=False)
+    command, code, digest = GOLDEN_DIGESTS[0]
+    assert command == "verify --claims all --format csv"
+    got, out, err = run_main(cli.main, command.split())
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    for argv, want in zip(commands, printed):
+        assert run_main(cli.main, argv) == want, argv
 
 
 def test_default_sweep_walks_no_zmod(monkeypatch, capsys):

@@ -20,15 +20,18 @@ from upg.graphs import (
     recognize_complete_multipartite,
     unity_product_graph,
 )
-from upg.invariants import Decomposition, InvariantReport
-from upg.rings import boolean_ring, parse_ring_spec, units
+from upg.invariants import INFINITY, Decomposition, InvariantReport, girth
+from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
+    bench_workloads,
     expand_runs,
     random_graph,
+    random_join,
     reference_decomposition,
     reference_export_dot,
     reference_export_json,
+    reference_girth,
     reference_recognize_complete_multipartite,
 )
 
@@ -299,6 +302,58 @@ def test_trusted_ring_graphs_pass_the_public_check():
             assert SimpleGraph(h.n, h.labels, h.adj) == h, ring.label
             assert h.edge_count == sum(row.bit_count() for row in h.adj) // 2, ring.label
         _assert_split_matches_reference(g)
+
+
+def test_mate_split_matches_reference():
+    # a ring graph and its complement are split off the mate array, with
+    # no row; the row-based split must agree, and so must the isolated
+    # vertex count read off the split
+    rings = default_rings() + [zmod(n) for n in range(1, 301)]
+    for ring in rings:
+        g = unity_product_graph(units(ring))
+        for h in (g, complement(g)):
+            split, report = Decomposition(h), InvariantReport(h)
+            isolated = report.isolated_count
+            assert "adj" not in vars(h), ring.label
+            assert expand_runs(split) == reference_decomposition(h), ring.label
+            assert isolated == h.adj.count(0), ring.label
+
+
+def test_join_girth_matches_reference():
+    # a cyclic join's girth is read off its co-components: 3 with three
+    # or more, or with an edge inside one; 4 for K_{a,b}; a star is a forest
+    rng = Random(2210)
+    cases = [random_join((1, b), 0, rng) for b in range(1, 8)]
+    cases += [random_join((a, b), 0, rng) for a in range(2, 6) for b in range(a, 7)]
+    for _ in range(300):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        cases.append(random_join(sizes, rng.choice((0.0, 0.2, 0.6, 1.0)), rng))
+    found = Counter()
+    for g in cases:
+        split = Decomposition(g)
+        assert sum(count for _, count in split.co_components) > 1, g
+        found[girth(g, split)] += 1
+        assert girth(g, split) == reference_girth(g), g
+    assert set(found) == {3, 4, INFINITY} and min(found.values()) >= 7, found
+
+
+def _bench_build_specs() -> list[str]:
+    workloads = bench_workloads()
+    specs = [workloads.oracle.spec(ring) for ring in workloads.BUILD_RING]
+    return specs + [f"zmod:{n}" for n in workloads.BUILD_DENSE]
+
+
+def test_mate_exports_match_reference():
+    # both graphs of every benchmark build ring and default-sweep ring are
+    # exported off the mate array, byte for byte the per-edge exporters'
+    rings = [parse_ring_spec(spec) for spec in _bench_build_specs()] + default_rings()
+    for ring in rings:
+        g = unity_product_graph(units(ring))
+        for h in (g, complement(g)):
+            dot, doc = export_dot(h), export_json(h)
+            assert "adj" not in vars(h), ring.label
+            assert dot == reference_export_dot(h), ring.label
+            assert doc == reference_export_json(h), ring.label
 
 
 def test_lazy_property_stores_once_and_keeps_seeded_values():

@@ -339,6 +339,35 @@ def test_element_names_match_reference():
         assert list(map(ring.element_name, range(ring.order))) == want, spec
 
 
+def _bool_namer(k):
+    return lambda x: reference_product_name(x, [(2, str)] * k)
+
+
+# products whose units are few among their elements: only units are named
+UNIT_NAMERS = {
+    "prod:(zmod:16,bool:3)": [(16, str), (8, _bool_namer(3))],
+    "prod:(zmod:2,gf:11^2)": [(2, str), (121, _gf_namer(11, 2))],
+    **{f"bool:{k}": [(2, str)] * k for k in range(2, 13)},
+}
+
+
+def test_unit_labels_match_reference():
+    # a ring graph's labels come from the units' names alone, made in bulk
+    from upg.graphs import unity_product_graph
+
+    for ring in family("gf", 4096):
+        p, k = prime_power(ring.order)
+        ug = units(ring)
+        want = tuple(reference_gf_name(x, p, k) for x in ug.units)
+        assert unity_product_graph(ug).labels == want, ring.label
+    assert unity_product_graph(units(boolean_ring(1))).labels == ("1",)
+    for spec, components in {**UNIT_NAMERS, **PRODUCT_NAMERS}.items():
+        ug = units(parse_ring_spec(spec))
+        want = tuple(reference_product_name(x, components) for x in ug.units)
+        assert unity_product_graph(ug).labels == want, spec
+        assert tuple(map(ug.ring.element_name, ug.units)) == want, spec
+
+
 def test_gf_unit_group_is_cyclic():
     # multiplicative group of a finite field has a generator
     for p, k in ((2, 2), (2, 3), (3, 2), (2, 4)):
