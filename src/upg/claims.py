@@ -210,6 +210,22 @@ def _diameter_radius(report: inv.InvariantReport) -> str:
     return f"diameter {report.text('diameter')} radius {report.text('radius')}"
 
 
+def _eccentricities_are(report: inv.InvariantReport, diameter, radius):
+    """Pass when the report's diameter and radius are these, else fail."""
+    if report.diameter == diameter and report.radius == radius:
+        return PASS, None
+    expected = f"diameter {inv.fmt_extended(diameter)} and radius {inv.fmt_extended(radius)}"
+    return _fail(expected, _diameter_radius(report))
+
+
+def _girth_is(report: inv.InvariantReport, expected: inv.ExtendedNat, quantity: str):
+    """Pass when the report's girth is ``expected``, else fail."""
+    if report.girth == expected:
+        return PASS, None
+    shown = "inf" if expected == inv.INFINITY else expected
+    return _fail(shown, report.text("girth"), quantity=quantity)
+
+
 def _k1_k2_branches(ctx: RingContext, detail: str):
     """Pass for mK1, or for two or four K1s beside the K2s; else a gap."""
     if ctx.pairs == 0 or ctx.isolated in (2, 4):
@@ -269,12 +285,7 @@ def _check_comp_girth(ctx: RingContext, expected: inv.ExtendedNat):
             "complement_girth": comp.text("girth"),
             "detail": "no girth statement covers rings with exactly three units",
         }
-    return _verdict(
-        comp.girth == expected,
-        "inf" if expected == inv.INFINITY else expected,
-        comp.text("girth"),
-        quantity="complement girth",
-    )
+    return _girth_is(comp, expected, "complement girth")
 
 
 def _check_upg_clique(ctx: RingContext):
@@ -408,12 +419,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "thm-4.1",
         "The unity product graph is acyclic: its girth is infinite.",
         _every_ring,
-        lambda ctx: _verdict(
-            ctx.upg_report.girth == inv.INFINITY,
-            "inf",
-            ctx.upg_report.text("girth"),
-            quantity="girth",
-        ),
+        lambda ctx: _girth_is(ctx.upg_report, inv.INFINITY, "girth"),
     ),
     Claim(
         "thm-4.2",
@@ -434,22 +440,14 @@ _CLAIMS: tuple[Claim, ...] = (
         "With at least two units, the unity product graph has infinite "
         "diameter and infinite radius.",
         lambda ctx: ctx.unit_count >= 2,
-        lambda ctx: _verdict(
-            ctx.upg_report.diameter == inv.INFINITY and ctx.upg_report.radius == inv.INFINITY,
-            "diameter inf and radius inf",
-            _diameter_radius(ctx.upg_report),
-        ),
+        lambda ctx: _eccentricities_are(ctx.upg_report, inv.INFINITY, inv.INFINITY),
     ),
     Claim(
         "thm-4.5",
         "When the complement unity product graph is not complete, its "
         "diameter is 2 and its radius is 1.",
         lambda ctx: not is_complete(ctx.comp_report.graph),
-        lambda ctx: _verdict(
-            ctx.comp_report.diameter == 2 and ctx.comp_report.radius == 1,
-            "diameter 2 and radius 1",
-            _diameter_radius(ctx.comp_report),
-        ),
+        lambda ctx: _eccentricities_are(ctx.comp_report, 2, 1),
     ),
     Claim(
         "prop-4.1-2",

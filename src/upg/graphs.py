@@ -11,7 +11,7 @@ itself for a self-inverse unit, so the graph is s*K1 + p*K2, and its
 ``complement``, K_{1^s,2^p}, holds the same array with ``complemented``
 set.  Its rows are made on the first read of ``adj``, which only
 ``degree``, ``has_edge``, == and the general solvers do; the invariants
-read the split off the array.  Its labels, made on first read by the
+split it in closed form from its edge count.  Its labels, made on first read by the
 exports and claim witnesses, name the units alone.
 
 Export is streamed: ``dot_chunks`` and ``json_chunks`` join per-vertex

@@ -1,33 +1,32 @@
 """Exact graph invariants.
 
-All solvers are exact.  A Decomposition splits a graph into components
-and co-components (the components of the complement, found by a mask
-BFS over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
+All solvers are exact.  A ring graph, s*K1 + p*K2 or its complement
+K_{1^s,2^p}, is split in closed form by RingSplit, from n, s and its
+``complemented`` flag, with no BFS and no row.  Every other graph is
+split by Decomposition, the rows-only engine, into components and
+co-components (the components of the complement, found by a mask BFS
+over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
 (1985), on an explicit stack, so it never recurses once per vertex.
 Each split keeps all its one-vertex parts as one run piece and all its
-two-vertex parts as another, each with its count, so a unity product
-graph s*K1 + p*K2 and its complement K_{1^s,2^p} are three pieces
-whatever s and p, read off the graph's mate array in C with no BFS and
-no row.
+two-vertex parts as another, each with its count.
 Domination, clique and chromatic numbers combine over the pieces: over
 a union by maximum or by count-weighted sum, over a join by
 count-weighted sum, and a join is dominated by one vertex or two.
 Only prime pieces, connected and co-connected, reach a search: branch
 and bound for clique, coloring (DSATUR) and domination, each run on the
 piece's vertex mask in place and on an explicit stack, each meant for
-small pieces.  Every ring graph splits into runs of parts of at most two
-vertices and never reaches a search.
+small pieces.  No ring graph reaches a search.
 
 InvariantReport is the one handle per graph that ``analyze``, ``survey``
-and the claim checks read: it builds the graph's Decomposition once, on
-first need, and computes each invariant on its first read, passing the
-split to every solver that takes one, so the component count, girth,
-eccentricities, planarity, hamiltonicity and the complete multipartite
-test share it and read the component count and the co-component sizes
-from its counts.  ``InvariantReport.complement`` gives the complement's
-report with its split derived from this one, since the complement has
-the same pieces with every label flipped.  ``full_report`` computes and
-checks every field.
+and the claim checks read: it makes the graph's split once, on first
+need (``split_of``), and computes each invariant on its first read,
+passing the split to every solver that takes one, so the component
+count, girth, eccentricities, planarity, hamiltonicity and the complete
+multipartite test share it and read the component count and the
+co-component sizes from its counts.  ``InvariantReport.complement``
+gives the complement's report with its split derived from this one,
+since the complement has the same pieces with every label flipped.
+``full_report`` computes and checks every field.
 
 Girth and eccentricity work on the split and on whole adjacency rows:
 girth settles forests by their edge count, a join by its co-components
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import eq
 
 from .graphs import (
     MultipartiteProfile,
@@ -85,7 +83,7 @@ def fmt_extended(value: ExtendedNat) -> str:
     return "inf" if value == INFINITY else str(int(value))
 
 
-def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
+def girth(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> ExtendedNat:
     """Length of a shortest cycle, INFINITY for forests.
 
     A graph is a forest iff it has n - (component count) edges.  Otherwise
@@ -98,7 +96,7 @@ def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
     them, or one holding an edge, give a triangle, and two independent
     ones K_{a,b}, of girth 4 (a star is a forest).
     """
-    split = split or Decomposition(g)
+    split = split or split_of(g)
     if g.edge_count == g.n - split.component_count:
         return INFINITY
     if sum(count for _, count in split.co_components) > 1:
@@ -134,7 +132,7 @@ def girth(g: SimpleGraph, split: Decomposition | None = None) -> ExtendedNat:
 
 
 def eccentricity_profile(
-    g: SimpleGraph, split: Decomposition | None = None
+    g: SimpleGraph, split: Decomposition | RingSplit | None = None
 ) -> tuple[ExtendedNat, ExtendedNat]:
     """(diameter, radius).
 
@@ -156,7 +154,7 @@ def eccentricity_profile(
     """
     if g.n <= 1:
         return 0, 0
-    split = split or Decomposition(g)
+    split = split or split_of(g)
     if split.component_count > 1:
         return INFINITY, INFINITY
     if sum(count for _, count in split.co_components) > 1:
@@ -193,8 +191,6 @@ JOIN = "join"
 _NON_EDGE = "non-edge"
 # a piece's kind in the complement, for pieces whose parts have two or more vertices
 _FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: _NON_EDGE, _NON_EDGE: SMALL, PRIME: PRIME}
-# maps flag bytes 0 and 1 to the ASCII digits int(..., 2) reads
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Decomposition:
@@ -218,11 +214,9 @@ class Decomposition:
 
     ``components`` and ``co_components`` are the graph's own, as (part
     size, count) pairs; a disconnected graph has one co-component, all of
-    it, since its complement is connected.  A ring graph, s*K1 + p*K2 or
-    its complement, is split off its mate array in C, with no BFS and no
-    row: the vertices that are their own mates are the s single ones, the
-    rest the 2p paired ones.  Any other graph runs the mask BFS of
-    connected_parts.
+    it, since its complement is connected.  This is the rows-only engine
+    for graphs from ``graph_from_edges``, ``graph_from_json`` and
+    ``SimpleGraph``; a ring graph is split by RingSplit in closed form.
 
     Clique and chromatic numbers are the largest part's over a union and
     add up, count times each child's, over a join.  The domination number
@@ -236,44 +230,52 @@ class Decomposition:
 
     def __init__(self, g: SimpleGraph):
         n = g.n
-        full = (1 << n) - 1
         self.graph = g
         self.kinds: list[str] = [_NON_EDGE if n == 2 and not g.edge_count else SMALL]
-        self.masks: list[int] = [full]
+        self.masks: list[int] = [(1 << n) - 1]
         self.counts: list[int] = [1]
         self.parts: list[tuple[int, ...]] = [()]
-        if n > 2 and g.mate is not None:
-            # bit v of singles is mate[v] == v: the flags, last first, as binary digits
-            singles = int(bytes(map(eq, g.mate, range(n)))[::-1].translate(_BINARY_DIGITS), 2)
-            self._divide(0, JOIN if g.complemented else UNION, singles, full ^ singles, [])
-        else:
-            # an explicit stack: a threshold graph's tree is n levels deep
-            stack = [(0, (UNION, JOIN))]
-            while stack:
-                i, tries = stack.pop()
-                mask = self.masks[i]
-                if mask.bit_count() <= 2:
-                    continue
-                for kind in tries:
-                    split = connected_parts(g.adj, mask, kind == JOIN)
-                    if len(split) > 1:
-                        break
+        # an explicit stack: a threshold graph's tree is n levels deep
+        stack = [(0, (UNION, JOIN))]
+        while stack:
+            i, tries = stack.pop()
+            mask = self.masks[i]
+            if mask.bit_count() <= 2:
+                continue
+            for kind in tries:
+                split = connected_parts(g.adj, mask, kind == JOIN)
+                if len(split) > 1:
+                    break
+            else:
+                self.kinds[i] = PRIME
+                continue
+            singles = pairs = 0
+            large = []
+            for part in split:
+                size = part.bit_count()
+                if size == 1:
+                    singles |= part
+                elif size == 2:
+                    pairs |= part
                 else:
-                    self.kinds[i] = PRIME
-                    continue
-                singles = pairs = 0
-                large = []
-                for part in split:
-                    size = part.bit_count()
-                    if size == 1:
-                        singles |= part
-                    elif size == 2:
-                        pairs |= part
-                    else:
-                        large.append(part)
-                first = self._divide(i, kind, singles, pairs, large)
-                other = (JOIN,) if kind == UNION else (UNION,)
-                stack.extend((j, other) for j in range(first, first + len(large)))
+                    large.append(part)
+            # piece i is a run of the single vertices, a run of the two-vertex
+            # parts and one piece per larger part, which the stack splits again
+            self.kinds[i] = kind
+            first = len(self.masks)
+            for run, size in ((singles, 1), (pairs, 2)):
+                if run:
+                    self.kinds.append(_NON_EDGE if size == 2 and kind == JOIN else SMALL)
+                    self.masks.append(run)
+                    self.counts.append(run.bit_count() // size)
+            self.parts[i] = tuple(range(first, len(self.masks) + len(large)))
+            other = (JOIN,) if kind == UNION else (UNION,)
+            for part in large:
+                stack.append((len(self.masks), other))
+                self.kinds.append(SMALL)  # until the stack reaches it
+                self.masks.append(part)
+                self.counts.append(1)
+            self.parts += [()] * (len(self.masks) - len(self.parts))
         if n == 2:
             # two vertices are two components or two co-components
             kind, sized = (UNION if self.kinds[0] == _NON_EDGE else JOIN), [(1, 2)]
@@ -284,27 +286,6 @@ class Decomposition:
         self.components = sized if kind == UNION else whole
         self.co_components = sized if kind == JOIN else whole
         self.component_count = sum(count for _, count in self.components)
-
-    def _divide(self, i: int, kind: str, singles: int, pairs: int, large: list[int]) -> int:
-        """Make piece i a ``kind`` of a run of the single vertices in
-        ``singles``, a run of the two-vertex parts covering ``pairs`` and
-        one piece per mask in ``large``; return the index of the first
-        piece made from ``large``."""
-        self.kinds[i] = kind
-        first = len(self.masks)
-        for mask, size in ((singles, 1), (pairs, 2)):
-            if mask:
-                self.kinds.append(_NON_EDGE if size == 2 and kind == JOIN else SMALL)
-                self.masks.append(mask)
-                self.counts.append(mask.bit_count() // size)
-        self.parts[i] = tuple(range(first, len(self.masks) + len(large)))
-        first = len(self.masks)
-        for part in large:
-            self.kinds.append(SMALL)  # until the stack reaches it
-            self.masks.append(part)
-            self.counts.append(1)
-        self.parts += [()] * (len(self.masks) - len(self.parts))
-        return first
 
     def _part_size(self, i: int) -> int:
         """The vertex count of each of the parts piece i stands for."""
@@ -432,6 +413,60 @@ class Decomposition:
         if kind == JOIN:
             return 1 if any(self._part_size(j) == 1 for j in self.parts[i]) else 2
         return _domination_search(self.graph.adj, self.masks[i])
+
+
+class RingSplit:
+    """The split of a ring graph, s*K1 + p*K2 or its complement
+    K_{1^s,2^p}, in closed form from n, s and ``complemented``: what
+    Decomposition answers, with no BFS and no row.  s is n - 2p, with p
+    the unity product graph's seeded edge count.  Its components are a
+    run of s single vertices and one of p edges, its co-component all of
+    it (K2 alone is a join of two vertices); the complement's are the
+    other way round, its clique and chromatic numbers s + p, one vertex
+    per part, and its domination number 1 with a single vertex, else 2
+    (each vertex misses its mate), or n below 2.
+    """
+
+    def __init__(self, g: SimpleGraph):
+        n = g.n
+        self.graph = g
+        pairs = n * (n - 1) // 2 - g.edge_count if g.complemented else g.edge_count
+        singles = n - 2 * pairs
+        runs = [(size, count) for size, count in ((1, singles), (2, pairs)) if count]
+        whole = [(1, 2)] if runs == [(2, 1)] else [(n, 1)] if n else []
+        if g.complemented:
+            self.components, self.co_components = whole, runs
+            self.clique_order = self.chromatic = singles + pairs
+            self.domination = 1 if singles else min(n, 2)
+        else:
+            self.components, self.co_components = runs, whole
+            self.clique_order = self.chromatic = 2 if pairs else min(n, 1)
+            self.domination = singles + pairs
+        self.component_count = sum(count for _, count in self.components)
+
+    def complemented(self, comp: SimpleGraph) -> RingSplit:
+        """The split of ``comp``, this graph's complement."""
+        return RingSplit(comp)
+
+    multipartite = Decomposition.multipartite
+
+    @lazy_property
+    def clique(self) -> tuple[int, int]:
+        """(order, vertex mask) of a maximum clique, Decomposition's, read
+        off the mate array: the complement's single vertices and the lesser
+        of each pair; the least edge of the unity product graph, or vertex 0."""
+        mate = self.graph.mate
+        if self.graph.complemented:
+            mask = sum([1 << u for u, v in enumerate(mate) if u <= v])
+        else:
+            u = next((u for u, v in enumerate(mate) if u != v), 0)
+            mask = 1 << u | 1 << mate[u] if mate else 0
+        return self.clique_order, mask
+
+
+def split_of(g: SimpleGraph) -> Decomposition | RingSplit:
+    """g's split: in closed form for a ring graph, else from its rows."""
+    return Decomposition(g) if g.mate is None else RingSplit(g)
 
 
 def _clique_search(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
@@ -571,27 +606,27 @@ def _domination_search(adj: tuple[int, ...], mask: int) -> int:
     return best
 
 
-def domination_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
+def domination_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
     """Minimum size of a set whose closed neighborhoods cover the graph.
 
-    ``split``, here and below, is g's decomposition, which an
+    ``split``, here and below, is g's split (``split_of``), which an
     InvariantReport passes so that its fields share one."""
-    return (split or Decomposition(g)).domination
+    return (split or split_of(g)).domination
 
 
-def max_clique(g: SimpleGraph, split: Decomposition | None = None) -> tuple[int, int]:
+def max_clique(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> tuple[int, int]:
     """(order, vertex mask) of a maximum clique."""
-    return (split or Decomposition(g)).clique
+    return (split or split_of(g)).clique
 
 
-def clique_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
+def clique_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
     """Order of a maximum clique (1 for nonempty edgeless graphs)."""
-    return (split or Decomposition(g)).clique_order
+    return (split or split_of(g)).clique_order
 
 
-def chromatic_number(g: SimpleGraph, split: Decomposition | None = None) -> int:
+def chromatic_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
     """Fewest colors of a proper vertex coloring."""
-    return (split or Decomposition(g)).chromatic
+    return (split or split_of(g)).chromatic
 
 
 def multipartite_planar(part_sizes: tuple[int, ...]) -> bool:
@@ -622,7 +657,7 @@ def multipartite_hamiltonian(part_sizes: tuple[int, ...]) -> bool:
     return n >= 3 and 2 * max(part_sizes) <= n
 
 
-def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
+def is_planar(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
     """Exact planarity of a ring graph.
 
     Pipeline: graphs on at most 4 vertices and forests (every unity
@@ -633,7 +668,7 @@ def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     m = g.edge_count
     if g.n <= 4:
         return True
-    split = split or Decomposition(g)
+    split = split or split_of(g)
     if m == g.n - split.component_count:
         return True
     if m > 3 * g.n - 6:
@@ -644,7 +679,7 @@ def is_planar(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     raise VertexBoundError("planarity", g.n)
 
 
-def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
+def is_hamiltonian(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
     """Exact hamiltonicity of a ring graph.
 
     Graphs on fewer than 3 vertices and disconnected graphs (every unity
@@ -656,7 +691,7 @@ def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
     """
     if g.n < 3:
         return False
-    split = split or Decomposition(g)
+    split = split or split_of(g)
     if split.component_count != 1:
         return False
     profile = split.multipartite
@@ -670,8 +705,9 @@ def is_hamiltonian(g: SimpleGraph, split: Decomposition | None = None) -> bool:
 class InvariantReport:
     """The invariants of one graph, each computed on its first read.
 
-    The report owns the graph's Decomposition, built when a field first
-    needs it, and hands it to the solvers that read the split.  girth,
+    The report owns the graph's split, made when a field first needs it,
+    RingSplit for a ring graph and Decomposition for any other, and hands
+    it to the solvers that read it.  girth,
     diameter and radius are extended naturals; everything else is finite.
     ``check`` computes every field and asserts their consistency.
     """
@@ -686,8 +722,8 @@ class InvariantReport:
         self.graph = g
 
     @lazy_property
-    def split(self) -> Decomposition:
-        return Decomposition(self.graph)
+    def split(self) -> Decomposition | RingSplit:
+        return split_of(self.graph)
 
     @property
     def n(self) -> int:

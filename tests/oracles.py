@@ -38,6 +38,10 @@ that finds the components of every graph by mask BFS; ``expand_runs``
 puts a split whose like small parts are kept as runs into that form, the
 reference for the runs and for the splits read off a ring graph's mate
 array.
+``pairing_graph`` is the unity product graph of a stand-in unit group
+with s self-inverse units and p inverse pairs, and ``SPLIT_FIELDS`` the
+answers a split gives, on which a ring graph's closed-form split is
+checked against the rows-only Decomposition.
 ``reference_report_json`` is the former report writer, json.dumps with
 indent=2, the reference for the separator layout of ``to_json``; the
 labels block of ``export_json`` is checked against
@@ -66,9 +70,10 @@ from upg.graphs import (
     bit_indices,
     connected_parts,
     graph_from_edges,
+    unity_product_graph,
 )
 from upg.invariants import JOIN, PRIME, SMALL, UNION
-from upg.rings import FiniteRing, NoUnityError, UnitGroup
+from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
 
 INFINITY = math.inf
 
@@ -895,3 +900,26 @@ def random_join(part_sizes, inner: float, rng: Random) -> SimpleGraph:
         if part_of[u] != part_of[v] or rng.random() < inner
     ]
     return graph_from_edges(n, edges)
+
+
+SPLIT_FIELDS = (
+    "components", "co_components", "component_count", "multipartite",
+    "domination", "clique_order", "chromatic", "clique",
+)
+
+
+def pairing_graph(singles: int, pairs: int, rng: Random | None = None) -> SimpleGraph:
+    """The unity product graph of a unit group of singles + 2 * pairs
+    units, the first ``singles`` self-inverse and the rest inverse to
+    their neighbor, in index order or shuffled by ``rng``; its ring is
+    Z/n, which only names the units."""
+    n = singles + 2 * pairs
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    inverse_of = {u: u for u in order[:singles]}
+    rest = order[singles:]
+    for u, v in zip(rest[::2], rest[1::2]):
+        inverse_of[u], inverse_of[v] = v, u
+    ug = UnitGroup(ring=zmod(max(n, 1)), units=tuple(range(n)), inverse_of=inverse_of)
+    return unity_product_graph(ug)

@@ -427,24 +427,25 @@ def test_structural_claims_reach_no_solver(monkeypatch):
 
 
 def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
-    # One split is built, the unity product graph's; the complement's is
-    # derived from it by complemented().  The complement's multipartite
-    # profile is recognized once, for planarity, hamiltonicity and the
-    # claims alike.
+    # Two splits are made per ring, both in closed form: the unity product
+    # graph's, and the complement's through complemented().  No
+    # Decomposition is built.  Each solver runs at most once per graph, and
+    # the complement's multipartite profile is recognized once, for
+    # planarity, hamiltonicity and the claims alike.
     calls = Counter()
     solved = {}  # keeps every solved graph alive, so their ids stay distinct
-    built, derived = [], []
+    made = []
 
-    class CountedDecomposition(upg.invariants.Decomposition):
+    def refuse(self, g):
+        raise AssertionError("Decomposition built")
+
+    class CountedRingSplit(upg.invariants.RingSplit):
         def __init__(self, g):
-            built.append(g)
+            made.append(g)
             super().__init__(g)
 
-        def complemented(self, comp):
-            derived.append(comp)
-            return super().complemented(comp)
-
-    monkeypatch.setattr(upg.invariants, "Decomposition", CountedDecomposition)
+    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    monkeypatch.setattr(upg.invariants, "RingSplit", CountedRingSplit)
     for name in SOLVERS:
         def counted(g, *args, solver=getattr(upg.invariants, name), name=name):
             solved[id(g)] = g
@@ -460,15 +461,14 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(upg.invariants, "recognize_complete_multipartite", recognized)
     for ring in default_rings():
-        built.clear()
-        derived.clear()
+        made.clear()
         calls.clear()
         solved.clear()
         verdicts = run_sweep(builtin_claims(), [ring])
         assert SKIPPED not in {v.outcome for v in verdicts}, ring.label
-        assert len(built) == len(derived) == 1, ring.label
-        assert derived[0].adj == complement(built[0]).adj, ring.label
-        assert {g.adj for g in solved.values()} <= {built[0].adj, derived[0].adj}, ring.label
+        assert len(made) == 2, ring.label
+        assert made[1].adj == complement(made[0]).adj, ring.label
+        assert {g.adj for g in solved.values()} <= {made[0].adj, made[1].adj}, ring.label
         assert len(solved) <= 2, ring.label
         assert max(calls.values()) == 1, (ring.label, calls)
         assert {name for name, _ in calls} == set(SOLVERS) | {"recognize"}, ring.label

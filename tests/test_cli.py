@@ -572,6 +572,38 @@ def test_negative_order_cap_exit_2(args, capsys):
     assert "--order-cap: must not be negative: -1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("survey", "--family", "zmod", "--max", "1_0"),
+        ("survey", "--family", "zmod", "--max", "+8"),
+        ("survey", "--family", "zmod", "--max", "\u0663"),
+        ("verify", "--zmod-max", "1_0"),
+        ("verify", "--zmod-max", "+8"),
+        ("verify", "--zmod-max", "9" * 5000),  # more digits than int() converts
+        ("analyze", "--ring", "zmod:3", "--order-cap", "\u0663"),
+        ("build", "--ring", "zmod:3", "--order-cap", "+8"),
+        ("survey", "--family", "gf", "--max", "8", "--order-cap", "1_0"),
+        ("verify", "--order-cap", " "),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(args, capsys):
+    # the integers a ring spec refuses exit 2 here too, as --ring zmod:1_0 does
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"invalid int value: {args[-1]!r}\n")
+
+
+def test_integer_options_take_surrounding_whitespace(capsys):
+    assert cli.main(["survey", "--family", "zmod", "--max", " 7 ", "--order-cap", "\t64\n"]) == 0
+    padded = capsys.readouterr().out
+    assert cli.main(["survey", "--family", "zmod", "--max", "7", "--order-cap", "64"]) == 0
+    assert capsys.readouterr().out == padded
+
+
 def test_console_script_matches_module():
     # The `upg` console script declared in pyproject.toml must print the
     # same bytes as `python -m upg`. Run its entry point the way the
@@ -971,6 +1003,23 @@ def test_build_computes_no_split(monkeypatch, capsys):
         assert cli.main(command.split()) == code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_analyze_survey_and_verify_build_no_decomposition(monkeypatch, capsys):
+    # a ring graph is split in closed form: every pinned analyze (of both
+    # graphs), survey and verify prints its bytes with no Decomposition built
+    def refuse(self, g):
+        raise AssertionError("Decomposition built")
+
+    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    pinned = [case for case in GOLDEN_DIGESTS if not case[0].startswith("build")]
+    graphs = {command.split()[4] for command, _, _ in pinned if command.startswith("analyze")}
+    assert {command.split()[0] for command, _, _ in pinned} == {"analyze", "survey", "verify"}
+    assert graphs == {"upg", "complement"}
+    for command, code, digest in pinned:
+        assert cli.main(command.split()) == code, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
 
 
 def test_sweep_and_analyze_name_no_graph_vertex(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from upg.invariants import INFINITY, Decomposition, InvariantReport, girth
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
+    SPLIT_FIELDS,
     bench_workloads,
     expand_runs,
     random_graph,
@@ -305,17 +306,21 @@ def test_trusted_ring_graphs_pass_the_public_check():
 
 
 def test_mate_split_matches_reference():
-    # a ring graph and its complement are split off the mate array, with
-    # no row; the row-based split must agree, and so must the isolated
-    # vertex count read off the split
+    # a ring graph and its complement are split in closed form, with no
+    # row; the Decomposition of the same graph on its rows must agree, and
+    # expand to the reference split, and the isolated vertex count read
+    # off the split must be the rows' count of empty rows
     rings = default_rings() + [zmod(n) for n in range(1, 301)]
     for ring in rings:
         g = unity_product_graph(units(ring))
         for h in (g, complement(g)):
-            split, report = Decomposition(h), InvariantReport(h)
-            isolated = report.isolated_count
+            report = InvariantReport(h)
+            split, isolated = report.split, report.isolated_count
+            read = [getattr(split, field) for field in SPLIT_FIELDS]
             assert "adj" not in vars(h), ring.label
-            assert expand_runs(split) == reference_decomposition(h), ring.label
+            rows = Decomposition(h)
+            assert read == [getattr(rows, field) for field in SPLIT_FIELDS], ring.label
+            assert expand_runs(rows) == reference_decomposition(h), ring.label
             assert isolated == h.adj.count(0), ring.label
 
 

@@ -50,6 +50,7 @@ from upg.invariants import (
 from upg.rings import parse_ring_spec, units
 
 from oracles import (
+    SPLIT_FIELDS,
     brute_chromatic,
     brute_chromatic_assignments,
     brute_clique,
@@ -57,6 +58,7 @@ from oracles import (
     brute_girth,
     brute_hamiltonian,
     expand_runs,
+    pairing_graph,
     random_graph,
     reference_chromatic_search,
     reference_clique_search,
@@ -501,10 +503,10 @@ def test_ring_graph_splits_expand_to_reference():
 
 @pytest.mark.parametrize("spec", ["zmod:4096", "gf:2^12", "bool:12", "prod:(zmod:64,zmod:64)"])
 def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch, capsys):
-    # A ring graph at the order cap splits into at most three pieces, the
-    # whole graph and a run of each part size: the UPG's read off its rows
-    # and the complement's derived from it, with no BFS, and no field of
-    # either report, nor analyze of the complement, runs one either.
+    # A ring graph at the order cap is split in closed form into at most
+    # three pieces, the whole graph and a run of each part size, with no
+    # BFS and no row: no field of either report, nor analyze of the
+    # complement, runs connected_parts or makes the graph's rows.
     g = unity_product_graph(units(parse_ring_spec(spec)))
 
     def refuse(*args):
@@ -514,11 +516,45 @@ def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch, capsys)
     monkeypatch.setattr(upg.invariants, "connected_parts", refuse)
     upg_report = InvariantReport(g)
     for report in (upg_report, upg_report.complement()):
-        assert len(report.split.kinds) <= 3, spec
+        split = report.split
+        assert len(split.components) + len(split.co_components) <= 3, spec
         report.check()
+        assert "adj" not in vars(report.graph), spec
     argv = ["analyze", "--ring", spec, "--graph", "complement", "--format", "json"]
     assert upg.cli.main(argv) == 0
     assert capsys.readouterr().out == upg_report.complement().check().to_json()
+
+
+def test_ring_split_matches_rows_engine():
+    # Every pairing of s self-inverse units and p inverse pairs with
+    # s + 2p <= 24, the empty graph, K1, 2K1 and K2 among them, its units
+    # in index order and shuffled: the closed-form split of the unity
+    # product graph, of the complement derived from it by complemented()
+    # and of the complement built directly gives the answers of the
+    # Decomposition of the same graph rebuilt from rows, with no row made,
+    # and every report field is the rebuilt graph's
+    rng = Random(2310)
+    for singles in range(25):
+        for pairs in range((24 - singles) // 2 + 1):
+            for shuffle in (None, rng):
+                g = pairing_graph(singles, pairs, shuffle)
+                upg_report = InvariantReport(g)
+                reports = (upg_report, upg_report.complement(), InvariantReport(complement(g)))
+                for report in reports:
+                    h, split = report.graph, report.split
+                    case = (singles, pairs, h.complemented)
+                    edges = [e for e in combinations(range(h.n), 2) if h.mate[e[0]] == e[1]]
+                    if h.complemented:
+                        edges = [e for e in combinations(range(h.n), 2) if e not in edges]
+                    rows = graph_from_edges(h.n, edges)
+                    built = Decomposition(rows)
+                    for field in SPLIT_FIELDS:
+                        assert getattr(split, field) == getattr(built, field), (case, field)
+                    order, clique = max_clique(h, split)
+                    assert clique.bit_count() == order, case
+                    assert all(rows.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique))
+                    assert report.check().to_json() == full_report(rows).to_json(), case
+                    assert "adj" not in vars(h), case
 
 
 @pytest.mark.parametrize("spec", ["zmod:1", "zmod:2", "zmod:3", "zmod:24", "gf:2^5", "bool:3"])
