@@ -33,6 +33,7 @@ from .graphs import (
     graph_from_edges,
     graph_from_json,
     recognize_complete_multipartite,
+    ring_graph,
     unity_product_graph,
 )
 from .invariants import (
@@ -68,6 +69,7 @@ from .rings import (
     parse_ring_spec,
     table_ring,
     table_ring_from_json,
+    unit_counts,
     units,
     zmod,
 )

@@ -10,7 +10,8 @@ pass/fail/not_applicable/hypothesis_gap verdicts; fails and gaps
 always carry a witness.  A ring without unity is skipped before any
 hypothesis runs, so no hypothesis or check tests for unity.  The harness
 computes graph truth and compares: a false conclusion is reported as
-fail, never suppressed.
+fail, never suppressed.  Only prop-3.1's fail witness, which names a
+unit and its inverse, builds a ring's unit group.
 
 Trichotomy-style claims (the K1/K2 structure splits on the count of
 square roots of unity) emit hypothesis_gap for rings outside every
@@ -21,21 +22,22 @@ the hamiltonicity equivalence at exactly three units.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import invariants as inv
-from .graphs import is_complete, lazy_property, unity_product_graph
+from .graphs import is_complete, lazy_property, ring_graph
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
     UnitGroup,
-    cyclic_residues,
     family,
     is_boolean,
+    is_cyclic,
     is_prime,
     parse_ring_spec,
+    unit_counts,
     units,
     zmod,
 )
@@ -64,9 +66,11 @@ class RingContext:
     The unity product graph and its complement each have one
     InvariantReport, ``upg_report`` and ``comp_report``, whose fields are
     computed on first read, so a claim touches only the invariants it
-    needs and structural claims never reach a solver.  ``isolated`` and
-    ``pairs`` are the unity product graph's K1 and K2 counts when it is a
-    disjoint union of them, as every one is.
+    needs and structural claims never reach a solver.  The graph is made
+    from the ring's ``unit_counts``, and the unit group only when its
+    vertices are read.  ``isolated`` and ``pairs`` are the unity product
+    graph's K1 and K2 counts when it is a disjoint union of them, as every
+    one is.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -76,13 +80,18 @@ class RingContext:
     def unit_group(self) -> UnitGroup:
         return units(self.ring)
 
+    @lazy_property
+    def counts(self) -> tuple[int, int]:
+        return unit_counts(self.ring)
+
     @property
     def unit_count(self) -> int:
-        return len(self.unit_group.units)
+        return self.counts[0]
 
     @lazy_property
     def upg_report(self) -> inv.InvariantReport:
-        return inv.InvariantReport(unity_product_graph(self.unit_group))
+        n, s = self.counts
+        return inv.InvariantReport(ring_graph(self.ring, n, (n - s) // 2, lambda: self.unit_group))
 
     @lazy_property
     def comp_report(self) -> inv.InvariantReport:
@@ -97,22 +106,12 @@ class RingContext:
         return self.upg_report.edge_count
 
     @lazy_property
-    def residues(self) -> Sequence[int] | None:
-        return cyclic_residues(self.ring)
-
-    @property
     def cyclic(self) -> bool:
-        return self.residues is not None
+        return is_cyclic(self.ring)
 
     @lazy_property
     def boolean(self) -> bool:
         return is_boolean(self.ring)
-
-    def unit_residues(self) -> Iterator[int]:
-        """Canonical residues of the units, in unit order, made as they are
-        read; for rings isomorphic to Z/n."""
-        assert self.residues is not None
-        return map(self.residues.__getitem__, self.unit_group.units)
 
 
 class Claim(NamedTuple):
@@ -169,8 +168,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _composite(k: int) -> bool:
-    return k >= 4 and not is_prime(k)
+def _no_composite_unit(ctx: RingContext) -> bool:
+    """Z/n with no composite unit residue: the least composite prime to n
+    is q^2, for q the least prime not dividing n."""
+    n = ctx.ring.order
+    return ctx.cyclic and next(q for q in count(2) if n % q and is_prime(q)) ** 2 >= n
 
 
 def _every_ring(ctx: RingContext) -> bool:
@@ -393,8 +395,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "prop-3.1",
         "If a ring isomorphic to Z/n has no composite canonical residue "
         "among its units, every unit is its own inverse.",
-        lambda ctx: ctx.cyclic
-        and not any(_composite(k) for k in ctx.unit_residues()),
+        _no_composite_unit,
         _check_self_inverse_units,
     ),
     Claim(

@@ -5,14 +5,12 @@ Includes the unity product graph construction, complement, the two
 structure recognizers the claim checks rely on, and DOT/JSON export.
 
 ``SimpleGraph(...)``, ``graph_from_edges`` and ``graph_from_json`` check
-their rows.  A ring graph is held as its inverse pairing instead: in the
-``mate`` array, vertex u's entry is the index of its unit's inverse, u
-itself for a self-inverse unit, so the graph is s*K1 + p*K2, and its
-``complement``, K_{1^s,2^p}, holds the same array with ``complemented``
-set.  Its rows are made on the first read of ``adj``, which only
-``degree``, ``has_edge``, == and the general solvers do; the invariants
-split it in closed form from its edge count.  Its labels, made on first read by the
-exports and claim witnesses, name the units alone.
+their rows.  A ring graph (``paired``) is held as its counts instead:
+n units, p inverse pairs, so s*K1 + p*K2, or K_{1^s,2^p} with
+``complemented`` set, split in closed form by the invariants.  Made
+from the unit group on first read are its ``mate`` array, vertex u's
+entry the index of its unit's inverse; its rows, read by ``degree``,
+``has_edge``, == and the general solvers; and its labels, the units'.
 
 Export is streamed: ``dot_chunks`` and ``json_chunks`` join per-vertex
 strings, with no Python object per edge.  A unity product graph's edges
@@ -29,10 +27,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from operator import eq
 from typing import NamedTuple
 
-from .rings import UnitGroup
+from .rings import FiniteRing, UnitGroup
 
 
 class lazy_property:
@@ -76,7 +73,7 @@ class SimpleGraph:
     adj: tuple[int, ...]
 
     # a ring graph's, in its instance dict; not fields, so == never reads them
-    mate = None
+    paired = False
     complemented = False
 
     def __post_init__(self):
@@ -104,7 +101,7 @@ class SimpleGraph:
 
     @classmethod
     def _trusted(cls, n: int, make_labels, edge_count: int, **held) -> SimpleGraph:
-        """A graph whose rows or mate array (``held``) the caller built valid,
+        """A graph whose rows or counts (``held``) the caller built valid,
         unchecked; its labels are ``make_labels()``, called on first read."""
         g = object.__new__(cls)
         g.__dict__.update(held, n=n, edge_count=edge_count, _make_labels=make_labels)
@@ -116,7 +113,7 @@ class SimpleGraph:
         held = self.__dict__
         if name == "labels" and "_make_labels" in held:
             value = tuple(held["_make_labels"]())
-        elif name == "adj" and "mate" in held:
+        elif name == "adj" and self.paired:
             # row u is {u, mate[u]} less u, or every vertex less those two
             full = (1 << self.n) - 1 if self.complemented else 0
             value = tuple([(full or 1 << u) ^ (1 << u | 1 << v) for u, v in enumerate(self.mate)])
@@ -129,6 +126,9 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
+    # a ring graph's mate array, made on first read; None for any other graph
+    mate = lazy_property(lambda g: tuple(g._make_mate()) if g.paired else None)
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -137,7 +137,7 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
-        if self.mate is not None and not self.complemented:
+        if self.paired and not self.complemented:
             return [(u, v) for u, v in enumerate(self.mate) if u < v]
         return [(u, v) for u in range(self.n) for v in bit_indices(self.adj[u] >> u + 1 << u + 1)]
 
@@ -165,28 +165,39 @@ def graph_from_edges(vertices, edges, labels=None) -> SimpleGraph:
     return SimpleGraph(n=n, labels=names, adj=tuple(adj))
 
 
-def unity_product_graph(ug: UnitGroup) -> SimpleGraph:
-    """Graph on the units; x and y are adjacent iff x != y and x * y = unity.
+def ring_graph(ring: FiniteRing, n: int, pairs: int, unit_group) -> SimpleGraph:
+    """The unity product graph of a ring with n units, ``pairs`` inverse
+    pairs among them.  Its mate array (made in C) and labels come from
+    ``unit_group()``, a UnitGroup, on first read; vertices are in unit
+    (element-index) order."""
 
-    Vertices follow the unit order of ``ug`` (element-index order) and are
-    labeled by the ring's unit names.  The mate array is made in C; one
-    edge joins each two units that are not self-inverse.
-    """
-    ring, n = ug.ring, len(ug.units)
-    index_of = dict(zip(ug.units, range(n)))
-    mate = tuple(map(index_of.__getitem__, map(ug.inverse_of.__getitem__, ug.units)))
-    names = ring.unit_names or partial(map, ring.element_name, ug.units)
-    return SimpleGraph._trusted(n, names, (n - sum(map(eq, mate, range(n)))) // 2, mate=mate)
+    def mate():
+        ug = unit_group()
+        index_of = dict(zip(ug.units, range(n)))
+        return map(index_of.__getitem__, map(ug.inverse_of.__getitem__, ug.units))
+
+    names = ring.unit_names or (lambda: map(ring.element_name, unit_group().units))
+    return SimpleGraph._trusted(n, names, pairs, paired=True, _make_mate=mate)
+
+
+def unity_product_graph(ug: UnitGroup) -> SimpleGraph:
+    """Graph on the units; x and y are adjacent iff x != y and x * y = unity:
+    the ``ring_graph`` of ug's counts."""
+    n, s = ug.counts()
+    return ring_graph(ug.ring, n, (n - s) // 2, lambda: ug)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
-    """Complement on the same vertex set, preserving labels: a ring
-    graph's mate array with ``complemented`` flipped, or else the rows
-    ``full ^ adj[v] ^ (1 << v)``."""
+    """Complement on the same vertex set, preserving labels: a ring graph
+    with ``complemented`` flipped, sharing its mate array, or else the
+    rows ``full ^ adj[v] ^ (1 << v)``."""
     names = vars(g).get("_make_labels") or partial(tuple, g.labels)
     m = g.n * (g.n - 1) // 2 - g.edge_count
-    if g.mate is not None:
-        return SimpleGraph._trusted(g.n, names, m, mate=g.mate, complemented=not g.complemented)
+    if g.paired:
+        mate = partial(getattr, g, "mate")  # one array for both graphs
+        return SimpleGraph._trusted(
+            g.n, names, m, paired=True, complemented=not g.complemented, _make_mate=mate
+        )
     full = (1 << g.n) - 1
     adj = tuple([full ^ row ^ (1 << v) for v, row in enumerate(g.adj)])
     return SimpleGraph._trusted(g.n, names, m, adj=adj)

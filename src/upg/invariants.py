@@ -466,7 +466,7 @@ class RingSplit:
 
 def split_of(g: SimpleGraph) -> Decomposition | RingSplit:
     """g's split: in closed form for a ring graph, else from its rows."""
-    return Decomposition(g) if g.mate is None else RingSplit(g)
+    return RingSplit(g) if g.paired else Decomposition(g)
 
 
 def _clique_search(adj: tuple[int, ...], mask: int) -> tuple[int, int]:

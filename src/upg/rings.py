@@ -4,6 +4,9 @@ Every ring here lives on the index set ``0 .. order-1``; ``add`` and ``mul``
 are total functions on that domain.  Constructors cover modular integers,
 prime fields and their extensions, boolean rings, direct products, and
 arbitrary rings given by explicit Cayley tables.
+
+``unit_counts`` counts a ring's units and self-inverse ones; the
+structured families state both from the order alone, with no ``units``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate, compress, product, repeat
+from operator import eq
 from typing import Callable, Mapping, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -82,6 +86,9 @@ class FiniteRing:
     to its inverse, computed from the ring family's structure.  ``units``
     calls it lazily and falls back to scanning products when it is None.
 
+    ``counts``, when set, returns ``unit_counts`` with no unit group
+    (Z/n, GF(q) and products).
+
     ``residues``, when set, returns the map ``cyclic_residues`` computes:
     each element index to its k with element = k.unity, for a ring known
     to be Z/order.  ``zmod`` sets it to ``range(order)``, which GF(p) and
@@ -97,6 +104,7 @@ class FiniteRing:
     label: str
     element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
+    counts: Callable[[], tuple[int, int]] | None = None
     residues: Callable[[], Sequence[int]] | None = None
     unit_names: Callable[[], Sequence[str]] | None = None
 
@@ -119,6 +127,11 @@ class UnitGroup:
     def __len__(self) -> int:
         return len(self.units)
 
+    def counts(self) -> tuple[int, int]:
+        """(u, s): the number of units and of self-inverse units."""
+        inverses = map(self.inverse_of.__getitem__, self.units)
+        return len(self.units), sum(map(eq, self.units, inverses))
+
 
 def _check_cap(order: int, cap: int) -> None:
     if order > cap:
@@ -135,18 +148,9 @@ def _check_power_cap(p: int, k: int, cap: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        return n >= 2
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -163,22 +167,34 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         label=f"Z/{n}",
         element_name=str,
         inverses=lambda: _zmod_inverses(n),
+        counts=lambda: _zmod_counts(n),
         residues=lambda: range(n),  # index k is k.unity
     )
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    factors, p = [], 2
+def _prime_factors(n: int) -> dict[int, int]:
+    """Each prime factor of n >= 1, ascending, mapped to its exponent, by
+    trial division."""
+    factors, p = {}, 2
     while p * p <= n:
-        if n % p == 0:
-            factors.append(p)
-            while n % p == 0:
-                n //= p
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
         p += 1
     if n > 1:
-        factors.append(n)
+        factors[n] = 1
     return factors
+
+
+def _zmod_counts(n: int) -> tuple[int, int]:
+    """(u, s) of Z/n: (Z/n)^x is the product of the (Z/p^e)^x, of order
+    (p - 1) p^(e-1), with two square roots of 1 for odd p and one, two or
+    four for 2, 4 or 2^e, e >= 3 (Ireland and Rosen, ch. 4)."""
+    u = s = 1
+    for p, e in _prime_factors(n).items():
+        u *= (p - 1) * p ** (e - 1)
+        s *= 2 if p > 2 else min(2 ** (e - 1), 4)
+    return u, s
 
 
 def _zmod_inverses(n: int) -> dict[int, int]:
@@ -209,15 +225,10 @@ def _poly_rem(num: Sequence[int], monic: Sequence[int], p: int) -> list[int]:
 
 
 def _monic_polys(p: int, degree: int):
-    """Yield all monic polynomials of the given degree, low coeffs first."""
-    for m in range(p**degree):
-        coeffs = []
-        v = m
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        yield tuple(coeffs)
+    """Yield all monic polynomials of the given degree, low coeffs first,
+    counting up the index sum(c_i * p^i)."""
+    for high_first in product(range(p), repeat=degree):
+        yield high_first[::-1] + (1,)
 
 
 def _is_irreducible(f: Sequence[int], p: int, divisors: Sequence | None = None) -> bool:
@@ -275,15 +286,16 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     For k >= 2 the ring builds its tables on first use from packed
     vectors: the digits of an index in one int, one w-bit field each, so
     that one fold reduces every digit of a sum of two mod p.  ``add`` is
-    that sum.  Multiplying by c is GF(p)-linear: it maps the low and the
-    high digits through images spanned by the basis c * x^i, each got
-    from the one before by a shift.  The generator g is the first index
-    >= p whose powers, walked so, return to 1 only after q - 1 steps; a
-    candidate among the powers of one that failed is skipped.  The walk
-    of g is the exp table; mul adds logs mod q - 1 and g^i inverts to
-    g^-i.  The first name asked for names every element: one ``"".join``
-    per element over its digits' terms, each ending in "+", then one
-    ``replace`` drops the last "+" of every name.
+    that sum; only the exp table needs the modulus, which is searched for
+    then.  Multiplying by c is GF(p)-linear: it maps the low and the high
+    digits through images spanned by the basis c * x^i, each got from the
+    one before by a shift.  The generator g is the first index >= p whose
+    powers, walked so, return to 1 only after q - 1 steps; a candidate
+    among the powers of one that failed is skipped.  The walk of g is the
+    exp table; mul adds logs mod q - 1 and g^i inverts to g^-i.  The
+    first name asked for names every element: one ``"".join`` per element
+    over its digits' terms, each ending in "+", then one ``replace`` drops
+    the last "+" of every name.
     """
     if k < 1:
         raise RingSpecError(f"gf: extension degree must be >= 1, got {k}")
@@ -296,15 +308,12 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if k == 1:
         return replace(zmod(p, order_cap=order_cap), label=f"GF({p})")
 
-    modulus = _smallest_irreducible(p, k)
     # digit i of a packed vector sits in bits i*w onwards: adding 2^(w-1) - p
-    # to a sum of two sets each field's top bit iff its digit sum is >= p;
-    # wrap[c] = c * x^k mod modulus, which is c times minus its lower terms
+    # to a sum of two sets each field's top bit iff its digit sum is >= p
     w, h = p.bit_length() + 1, k // 2
     shifts = range(0, k * w, w)
     fields = sum(1 << s for s in shifts)
     fold, top, head = (2 ** (w - 1) - p) * fields, fields << (w - 1), k * w
-    wrap = [sum((-c * m % p) << s for m, s in zip(modulus, shifts)) for c in range(p)]
 
     def plus(u: int, v: int) -> int:
         s = u + v
@@ -316,7 +325,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         packed = list(map(sum, product(*columns)))
         return packed, dict(zip(packed, range(order)))
 
-    def images(c: int) -> list[list[int]]:
+    def images(c: int, wrap: list[int]) -> list[list[int]]:
         # c * lo for each value of the low h digits and c * x^h * hi of the
         # high k - h, spanned one basis vector c * x^i at a time
         basis = [vectors()[0][c]]
@@ -335,12 +344,15 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     @cache
     def tables() -> tuple[list[int], list[int]]:
         # exp[i] = g^i, walked as g * (lo + x^h * hi) = g * lo + (g * x^h) * hi
-        # with plus inline (a call per step costs 15-30% more); log[exp[i]] = i
+        # with plus inline (a call per step costs 15-30% more); log[exp[i]] = i;
+        # wrap[c] = c * x^k mod the modulus, which is c times minus its lower terms
+        modulus = _smallest_irreducible(p, k)
+        wrap = [sum((-c * m % p) << s for m, s in zip(modulus, shifts)) for c in range(p)]
         index, split, failed = vectors()[1], p**h, set()
         for g in range(p, order):
             if g in failed:
                 continue
-            low, high = images(g)
+            low, high = images(g, wrap)
             exp, x = [1], g
             while x != 1:
                 exp.append(x)
@@ -390,6 +402,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         label=f"GF({order})",
         element_name=lambda x: names()[x],
         inverses=inverses,
+        counts=lambda: (order - 1, 1 if p == 2 else 2),  # x^2 = 1 has the roots 1 and -1
         unit_names=lambda: names()[1:],
     )
 
@@ -403,9 +416,10 @@ def direct_product(
     component has one.  The unit group is the product of the components'
     unit groups, folded by index arithmetic: each unit x of the components
     so far and unit u of the next one, of order m, give the unit x*m + u,
-    in ``product`` order.  An element is named "(a,b)" from its
-    components' names; ``unit_names`` joins the components' unit names
-    in one ``product``.
+    in ``product`` order; its counts are the products of the components'
+    ``unit_counts``.  An element is named "(a,b)" from its components'
+    names; ``unit_names`` joins the components' unit names in one
+    ``product``.
     """
     if not components:
         raise RingSpecError("direct product needs at least one component")
@@ -466,10 +480,13 @@ def direct_product(
         ]
         return [f"({name})" for name in map(",".join, product(*columns))]
 
+    def counts() -> tuple[int, int]:  # a unit is self-inverse iff each part is
+        return tuple(map(math.prod, zip(*map(unit_counts, comps))))
+
     label = " × ".join(wrap(r.label) for r in comps)
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
-        element_name=element_name, inverses=inverses, unit_names=unit_names,
+        element_name=element_name, inverses=inverses, counts=counts, unit_names=unit_names,
     )
 
 
@@ -504,8 +521,7 @@ def family(name: str, maximum: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> li
     for q in range(2, maximum + 1):
         factors = _prime_factors(q)
         if len(factors) == 1:
-            p = factors[0]  # q is exactly p^k, so the rounded log is k
-            rings.append(gf(p, round(math.log(q, p)), order_cap=order_cap))
+            rings.append(gf(*factors.popitem(), order_cap=order_cap))
     return rings
 
 
@@ -624,6 +640,14 @@ def table_ring(
     )
     validate_ring_axioms(ring)
     return replace(ring, unity=_find_unity(ring))
+
+
+def unit_counts(ring: FiniteRing) -> tuple[int, int]:
+    """(u, s), the number of units and of self-inverse ones, from the ring's
+    ``counts`` hook or else ``units``; NoUnityError without unity."""
+    if ring.unity is None:
+        raise NoUnityError(ring.label)
+    return ring.counts() if ring.counts is not None else units(ring).counts()
 
 
 def units(ring: FiniteRing) -> UnitGroup:

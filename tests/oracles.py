@@ -50,6 +50,9 @@ labels block of ``export_json`` is checked against
 parser nested inside, the reference for the one-parse path; ``run_main``
 captures one call of either.  ``bench_workloads`` loads the benchmark's
 ring lists, which some tests reuse.
+``reference_prop_31_hypothesis`` is prop-3.1's former hypothesis, a walk
+of the units' canonical residues up to the first composite one, the
+reference for the rule the claim now decides it by.
 """
 
 import contextlib
@@ -73,7 +76,7 @@ from upg.graphs import (
     unity_product_graph,
 )
 from upg.invariants import JOIN, PRIME, SMALL, UNION
-from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
+from upg.rings import FiniteRing, NoUnityError, UnitGroup, cyclic_residues, zmod
 
 INFINITY = math.inf
 
@@ -549,6 +552,18 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
                 break
     members = tuple(sorted(inverse_of))
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
+
+
+def reference_prop_31_hypothesis(ring: FiniteRing, unit_indices) -> bool:
+    """Whether the ring is isomorphic to Z/n with no composite canonical
+    residue among the units at ``unit_indices``, walked in order and
+    stopping at the first composite; composites are found by trial
+    division."""
+    residues = cyclic_residues(ring)
+    if residues is None:
+        return False
+    composite = (k for k in map(residues.__getitem__, unit_indices) if k >= 4)
+    return not any(any(k % d == 0 for d in range(2, math.isqrt(k) + 1)) for k in composite)
 
 
 def prime_power(q: int) -> tuple[int, int]:

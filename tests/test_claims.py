@@ -27,9 +27,9 @@ from upg.claims import (
 import upg.invariants
 from upg.graphs import complement, graph_from_edges
 from upg.invariants import InvariantReport, VertexBoundError
-from upg.rings import parse_ring_spec, zmod
+from upg.rings import is_cyclic, parse_ring_spec, zmod
 
-from oracles import prime_power
+from oracles import prime_power, reference_prop_31_hypothesis, reference_units
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,6 +87,27 @@ def test_prop31_fails_exactly_18_and_30():
     assert "inverse" in str(by_label["Z/18"].witness)
     # composite units take the ring out of the hypothesis, never to fail
     assert by_label["Z/45"].outcome == NOT_APPLICABLE
+
+
+def test_prop31_hypothesis_matches_residue_walk():
+    # prop-3.1 decides its hypothesis by q^2 >= n, q the least prime not
+    # dividing n; the former walk of the units' residues is the reference,
+    # on every Z/n up to the order cap (units by gcd) and on every ring of
+    # the default sweep, cyclic or not (units by the all-products scan)
+    claim = lookup("prop-3.1")
+    for n in range(1, 4097):
+        ring = zmod(n)
+        residues = (k for k in range(n) if math.gcd(k, n) == 1)
+        assert claim.applicable(RingContext(ring)) == reference_prop_31_hypothesis(ring, residues), n
+    rings = default_rings()
+    cyclic = {ring.label for ring in rings if is_cyclic(ring)}
+    assert {"GF(2)", "GF(13)", "Z/2 × Z/3", "Z/60"} <= cyclic and "GF(4)" not in cyclic
+    applicable = set()
+    for ring in rings:
+        want = reference_prop_31_hypothesis(ring, reference_units(ring).units)
+        assert claim.applicable(RingContext(ring)) == want, ring.label
+        applicable |= {ring.label} if want else set()
+    assert {"Z/24", "Z/30", "GF(3)", "Z/2 × Z/3"} <= applicable and "GF(7)" not in applicable
 
 
 def brute_isolated_pairs(n):

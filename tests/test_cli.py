@@ -799,10 +799,31 @@ GOLDEN_DIGESTS = [
 ]
 
 
+# the same for whole families at the order cap; their md5s are ec36b6cf,
+# 6a9ed4ce and 344889e6
+FAMILY_DIGESTS = [
+    (
+        "survey --family zmod --max 4096",
+        0,
+        "b8f76b13285b0fe048e9707b6f43d788ec40dd50521350149c366a45d73e0d90",
+    ),
+    (
+        "survey --family gf --max 4096",
+        0,
+        "058e85a0cc6b4e6b7a3e205d7d93e507b8493ff7fa79ebb46c0e372144c5d1d8",
+    ),
+    (
+        "verify --claims all --zmod-max 4096 --format csv",
+        1,
+        "e525e1757a2f8003a0048eb83e68d232e7449f2013982b0ceba683e33a345f75",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "command,code,digest",
-    GOLDEN_DIGESTS,
-    ids=[c.replace(" --", "-").replace(" ", "-") for c, _, _ in GOLDEN_DIGESTS],
+    GOLDEN_DIGESTS + FAMILY_DIGESTS,
+    ids=[c.replace(" --", "-").replace(" ", "-") for c, _, _ in GOLDEN_DIGESTS + FAMILY_DIGESTS],
 )
 def test_golden_output_digests(command, code, digest, capsys):
     assert cli.main(command.split()) == code
@@ -1088,6 +1109,88 @@ def test_sweep_survey_and_analyze_build_no_ring_graph_rows(monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     for argv, want in zip(commands, printed):
         assert run_main(cli.main, argv) == want, argv
+
+
+def _patch_units(monkeypatch, replacement) -> None:
+    """Put ``replacement`` in place of rings.units in every upg module."""
+    original = rings.units
+    for name, module in list(sys.modules.items()):
+        if (name == "upg" or name.startswith("upg.")) and vars(module).get("units") is original:
+            monkeypatch.setattr(module, "units", replacement)
+
+
+def test_analyze_and_survey_build_no_unit_group(monkeypatch):
+    # a ring graph is made from the ring's unit counts: with unit groups
+    # and the GF(p^k) modulus search refused, every pinned analyze and
+    # survey prints its bytes, and the benchmark's analyze calls print
+    # what they print with both allowed
+    pinned = [
+        case for case in GOLDEN_DIGESTS + FAMILY_DIGESTS
+        if case[0].startswith(("analyze", "survey"))
+    ]
+    assert len(pinned) == 4 + 6  # four analyze calls, six surveys
+    commands = [list(op.argv) for seed in (1, 2) for op in bench_workloads().analyze(seed)]
+    printed = [run_main(cli.main, argv) for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("unit group or GF(p^k) modulus built")
+
+    _patch_units(monkeypatch, refuse)
+    monkeypatch.setattr(rings, "_smallest_irreducible", refuse)
+    for command, code, digest in pinned:
+        got, out, err = run_main(cli.main, command.split())
+        assert (got, err) == (code, ""), command
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
+    for argv, want in zip(commands, printed):
+        assert run_main(cli.main, argv) == want, argv
+
+
+def test_default_sweep_builds_unit_groups_for_prop31_fails_only(monkeypatch):
+    # every claim reads unit counts, save prop-3.1's fail witness, which
+    # names a unit and its inverse
+    built = []
+    original = rings.units
+
+    def recorded(ring):
+        built.append(ring.label)
+        return original(ring)
+
+    _patch_units(monkeypatch, recorded)
+    command, code, digest = GOLDEN_DIGESTS[0]
+    assert command == "verify --claims all --format csv"
+    got, out, err = run_main(cli.main, command.split())
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert built == ["Z/18", "Z/30"]
+
+
+def _oracle_reason(oracle, op, out: str) -> str | None:
+    """What bench/oracle.py finds wrong with one operation's output."""
+    if op.output == "csv":
+        return oracle.check_sweep(out)[0]
+    units, self_inverse = oracle.unit_counts(op.ring)
+    if op.output == "report":
+        return oracle.check_report(out, units, self_inverse, op.graph)
+    check = oracle.check_dot if op.output == "dot" else oracle.check_graph_json
+    return check(out, units, oracle.expected_edges(units, self_inverse, op.graph))
+
+
+def test_benchmark_operations_pass_their_oracle():
+    # every operation of the four benchmark workloads, seeds 1 and 2, run
+    # once as the benchmark runs it: in process, output captured, with its
+    # expected exit code, nothing on stderr and output its oracle accepts
+    workloads = bench_workloads()
+    ops = {
+        op.argv: op
+        for name in workloads.WORKLOADS
+        for seed in (1, 2)
+        for op in workloads.generate(name, seed)
+    }
+    assert {op.output for op in ops.values()} == {"csv", "report", "dot", "json"}
+    for op in ops.values():
+        code, out, err = run_main(cli.main, op.argv)
+        assert (code, err) == (op.expect_exit, ""), op.argv
+        assert _oracle_reason(workloads.oracle, op, out) is None, op.argv
 
 
 def test_default_sweep_walks_no_zmod(monkeypatch, capsys):

@@ -32,13 +32,16 @@ from upg.rings import (
     parse_ring_spec,
     table_ring,
     table_ring_from_json,
+    unit_counts,
     units,
     validate_ring_axioms,
     zmod,
 )
+from upg.claims import default_rings
 
 from oracles import (
     _reference_modulus,
+    bench_workloads,
     inverse_pair_count,
     prime_power,
     reference_gf_add,
@@ -686,6 +689,38 @@ def test_units_at_order_cap(spec, unit_count):
         mul = reference_gf_mul(int(p), int(k or 1))
     for x in ug.units:
         assert mul(x, ug.inverse(x)) == ring.unity
+
+
+def test_unit_counts_match_unit_group():
+    # the counts hooks against the unit group: its size, and the units x
+    # with x * x = 1; a table ring, alone or as a product component, has
+    # no hook and is counted off its unit group
+    workloads = bench_workloads()
+    bench_specs = {
+        op.argv[op.argv.index("--ring") + 1]
+        for name in workloads.WORKLOADS
+        for seed in (1, 2)
+        for op in workloads.generate(name, seed)
+        if "--ring" in op.argv
+    }
+    assert sum(spec.startswith("prod:") for spec in bench_specs) >= 30
+    table = parse_ring_spec(f"table:@{DATA / 'table_z4.json'}")
+    with_table = parse_ring_spec(f"prod:(zmod:3,table:@{DATA / 'table_z4.json'},gf:2^2)")
+    structured = [
+        *(zmod(n) for n in (*range(1, 301), 4093, 4096)),
+        *(gf(p, k) for p, k in _prime_powers(4096)),
+        *(boolean_ring(k) for k in range(1, 13)),
+        *default_rings(),
+        *(parse_ring_spec(spec) for spec in sorted(bench_specs)),
+        parse_ring_spec("prod:(zmod:1,zmod:1)"),
+        with_table,
+    ]
+    assert table.counts is None and all(ring.counts is not None for ring in structured)
+    for ring in [*structured, table]:
+        ug = units(ring)
+        squares = [ring.mul(x, x) for x in ug.units]
+        assert unit_counts(ring) == (len(ug), squares.count(ring.unity)), ring.label
+    assert unit_counts(with_table) == (2 * 2 * 3, 2 * 2 * 1)  # Z/3 x Z/4 x GF(4)
 
 
 @pytest.mark.parametrize(
