@@ -45,6 +45,7 @@ from .rings import (
     FiniteRing,
     OrderCapError,
     RingError,
+    decimal_int,
     family,
     parse_ring_spec,
     split_top_level,
@@ -89,14 +90,10 @@ def _emit(output: str | Iterable[str], out: str | None) -> None:
 
 
 def _non_negative_int(text: str) -> int:
-    """ASCII decimal digits, signed and space-padded as in a ring spec, not
-    negative; ``int`` alone would also take ``+5``, ``1_0`` and non-ASCII digits."""
-    digits = text.strip().removeprefix("-")
+    """An integer spelled as in a ring spec (``decimal_int``), not negative."""
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(text)
-        value = int(text)
-    except ValueError:  # not digits, or more than int() converts
+        value = decimal_int(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")

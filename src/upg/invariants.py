@@ -6,12 +6,11 @@ K_{1^s,2^p}, is split in closed form by RingSplit, from n, s and its
 split by Decomposition, the rows-only engine, into components and
 co-components (the components of the complement, found by a mask BFS
 over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
-(1985), on an explicit stack, so it never recurses once per vertex.
-Each split keeps all its one-vertex parts as one run piece and all its
-two-vertex parts as another, each with its count.
+(1985), one piece per part, on an explicit stack, so it never recurses
+once per vertex.
 Domination, clique and chromatic numbers combine over the pieces: over
-a union by maximum or by count-weighted sum, over a join by
-count-weighted sum, and a join is dominated by one vertex or two.
+a union by maximum or by sum, over a join by sum, and a join is
+dominated by one vertex or two.
 Only prime pieces, connected and co-connected, reach a search: branch
 and bound for clique, coloring (DSATUR) and domination, each run on the
 piece's vertex mask in place and on an explicit stack, each meant for
@@ -23,9 +22,7 @@ need (``split_of``), and computes each invariant on its first read,
 passing the split to every solver that takes one, so the component
 count, girth, eccentricities, planarity, hamiltonicity and the complete
 multipartite test share it and read the component count and the
-co-component sizes from its counts.  ``InvariantReport.complement``
-gives the complement's report with its split derived from this one,
-since the complement has the same pieces with every label flipped.
+co-component sizes from its (size, count) pairs.
 ``full_report`` computes and checks every field.
 
 Girth and eccentricity work on the split and on whole adjacency rows:
@@ -50,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 from .graphs import (
     MultipartiteProfile,
@@ -189,43 +187,35 @@ PRIME = "prime"
 UNION = "union"
 JOIN = "join"
 _NON_EDGE = "non-edge"
-# a piece's kind in the complement, for pieces whose parts have two or more vertices
-_FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: _NON_EDGE, _NON_EDGE: SMALL, PRIME: PRIME}
 
 
 class Decomposition:
-    """A graph split into components and co-components, down to pieces
-    that split no further, with like parts of at most two vertices kept
-    as one run.
+    """A graph split into components and co-components, one piece per
+    part, down to pieces that split no further.
 
     Piece 0 is the whole graph.  A disconnected piece is a ``union`` of
-    its components; a connected piece whose complement is disconnected is
-    a ``join`` of its co-components.  A split puts all its one-vertex
-    parts into one run piece and all its two-vertex parts into another;
-    ``masks[i]`` is the union of the ``counts[i]`` parts that piece i
-    stands for, and a part of three or more vertices is a piece of its
-    own, of count 1.  A piece whose parts have at most two vertices is
-    ``small`` when they are cliques and ``non-edge`` otherwise, and a
-    larger piece that neither split divides is ``prime``.  A component is
-    connected and a co-component co-connected, so each child tries only
-    the other split, and a two-vertex part is an edge under a union and a
-    non-edge under a join.  Children come after their parent, so a
-    reverse pass over the pieces meets every child before its parent.
+    its components and a connected piece whose complement is disconnected
+    a ``join`` of its co-components, ``parts[i]`` their pieces by least
+    vertex.  A piece of at most two vertices is ``small`` when it is a
+    clique and ``non-edge`` otherwise, and a larger piece that neither
+    split divides is ``prime``.  A component is connected and a
+    co-component co-connected, so each child tries only the other split.
+    Children come after their parent, so a reverse pass over the pieces
+    meets every child before its parent.
 
-    ``components`` and ``co_components`` are the graph's own, as (part
-    size, count) pairs; a disconnected graph has one co-component, all of
-    it, since its complement is connected.  This is the rows-only engine
-    for graphs from ``graph_from_edges``, ``graph_from_json`` and
-    ``SimpleGraph``; a ring graph is split by RingSplit in closed form.
+    ``components`` and ``co_components`` are the graph's own, as sorted
+    (part size, count) pairs; a disconnected graph has one co-component,
+    all of it.  This is the rows-only engine for graphs from
+    ``graph_from_edges``, ``graph_from_json`` and ``SimpleGraph``; a ring
+    graph is split by RingSplit in closed form.
 
     Clique and chromatic numbers are the largest part's over a union and
-    add up, count times each child's, over a join.  The domination number
-    adds up, count times each child's, over the components; a join is
-    dominated by one vertex iff some part is a single vertex (a
-    co-connected part of two or more vertices has no vertex adjacent to
-    all of it), and otherwise by one vertex from each of two parts.  Only
-    prime pieces reach a search, run on the rows of the whole graph
-    within the piece's vertex mask.
+    the sum over a join.  The domination number is the sum over the
+    components; a join is dominated by one vertex iff some part is a
+    single vertex (a co-connected part of two or more vertices has no
+    vertex adjacent to all of it), and otherwise by two.  Only prime
+    pieces reach a search, run on the whole graph's rows within the
+    piece's vertex mask.
     """
 
     def __init__(self, g: SimpleGraph):
@@ -233,7 +223,6 @@ class Decomposition:
         self.graph = g
         self.kinds: list[str] = [_NON_EDGE if n == 2 and not g.edge_count else SMALL]
         self.masks: list[int] = [(1 << n) - 1]
-        self.counts: list[int] = [1]
         self.parts: list[tuple[int, ...]] = [()]
         # an explicit stack: a threshold graph's tree is n levels deep
         stack = [(0, (UNION, JOIN))]
@@ -249,65 +238,25 @@ class Decomposition:
             else:
                 self.kinds[i] = PRIME
                 continue
-            singles = pairs = 0
-            large = []
-            for part in split:
-                size = part.bit_count()
-                if size == 1:
-                    singles |= part
-                elif size == 2:
-                    pairs |= part
-                else:
-                    large.append(part)
-            # piece i is a run of the single vertices, a run of the two-vertex
-            # parts and one piece per larger part, which the stack splits again
             self.kinds[i] = kind
-            first = len(self.masks)
-            for run, size in ((singles, 1), (pairs, 2)):
-                if run:
-                    self.kinds.append(_NON_EDGE if size == 2 and kind == JOIN else SMALL)
-                    self.masks.append(run)
-                    self.counts.append(run.bit_count() // size)
-            self.parts[i] = tuple(range(first, len(self.masks) + len(large)))
+            self.parts[i] = tuple(range(len(self.masks), len(self.masks) + len(split)))
             other = (JOIN,) if kind == UNION else (UNION,)
-            for part in large:
+            pair = SMALL if kind == UNION else _NON_EDGE
+            for part in split:
                 stack.append((len(self.masks), other))
-                self.kinds.append(SMALL)  # until the stack reaches it
+                self.kinds.append(pair if part.bit_count() == 2 else SMALL)
                 self.masks.append(part)
-                self.counts.append(1)
-            self.parts += [()] * (len(self.masks) - len(self.parts))
+                self.parts.append(())
         if n == 2:
             # two vertices are two components or two co-components
-            kind, sized = (UNION if self.kinds[0] == _NON_EDGE else JOIN), [(1, 2)]
+            kind, sizes = (UNION if self.kinds[0] == _NON_EDGE else JOIN), [1, 1]
         else:
-            kind = self.kinds[0]
-            sized = [(self._part_size(j), self.counts[j]) for j in self.parts[0]]
+            kind, sizes = self.kinds[0], [self.masks[j].bit_count() for j in self.parts[0]]
+        sized = sorted(Counter(sizes).items())
         whole = [(n, 1)] if n else []
         self.components = sized if kind == UNION else whole
         self.co_components = sized if kind == JOIN else whole
         self.component_count = sum(count for _, count in self.components)
-
-    def _part_size(self, i: int) -> int:
-        """The vertex count of each of the parts piece i stands for."""
-        return self.masks[i].bit_count() // self.counts[i]
-
-    def complemented(self, comp: SimpleGraph) -> Decomposition:
-        """The split of ``comp``, this graph's complement.
-
-        The complement has the same pieces and runs, since connected_parts
-        finds the same parts over ``adj[u]`` and over ``~adj[u]``: its
-        components are this graph's co-components and the other way round,
-        a union becomes a join, and a run of edges a run of non-edges.
-        """
-        out = object.__new__(type(self))
-        out.graph = comp
-        out.components, out.co_components = self.co_components, self.components
-        out.component_count = sum(count for _, count in out.components)
-        out.kinds = [
-            kind if self._part_size(i) < 2 else _FLIPPED[kind] for i, kind in enumerate(self.kinds)
-        ]
-        out.masks, out.counts, out.parts = self.masks, self.counts, self.parts
-        return out
 
     @lazy_property
     def multipartite(self) -> MultipartiteProfile:
@@ -326,12 +275,12 @@ class Decomposition:
 
     @lazy_property
     def _clique_orders(self) -> list[int]:
-        """The order of a maximum clique of one part of every piece."""
+        """The order of a maximum clique of every piece."""
         out = [0] * len(self.masks)
         for i in reversed(range(len(self.masks))):
             kind = self.kinds[i]
             if kind == SMALL:
-                out[i] = self._part_size(i)
+                out[i] = self.masks[i].bit_count()
             elif kind == _NON_EDGE:
                 out[i] = 1
             elif kind == PRIME:
@@ -339,7 +288,7 @@ class Decomposition:
             elif kind == UNION:
                 out[i] = max(out[j] for j in self.parts[i])
             else:
-                out[i] = sum(self.counts[j] * out[j] for j in self.parts[i])
+                out[i] = sum(out[j] for j in self.parts[i])
         return out
 
     @property
@@ -348,37 +297,24 @@ class Decomposition:
 
     @lazy_property
     def clique(self) -> tuple[int, int]:
-        """(order, vertex mask) of a maximum clique.
-
-        The mask is read off the rows, from the root down: a union takes
-        one part of its child of largest clique, a join every part of
-        every child.  One part of a run is its least vertex and that
-        vertex's neighbor in the run, if any; every part of a run of
-        single vertices is the whole run, and of a run of non-edges the
-        lesser vertex of each pair.
-        """
+        """(order, vertex mask) of a maximum clique, from the root down: a
+        union's first part of largest clique, a join's every part."""
         orders = self._clique_orders
         clique = 0
-        stack = [(0, True)]  # a piece, and whether a clique of every part is wanted
+        stack = [0]
         while stack:
-            i, every = stack.pop()
+            i = stack.pop()
             kind, mask = self.kinds[i], self.masks[i]
             if kind == UNION:
-                stack.append((max(self.parts[i], key=orders.__getitem__), False))
+                stack.append(max(self.parts[i], key=orders.__getitem__))
             elif kind == JOIN:
-                stack.extend((j, True) for j in self.parts[i])
+                stack.extend(self.parts[i])
             elif kind == PRIME:
                 clique |= self._prime_cliques[i][1]
             elif kind == _NON_EDGE:
-                # a non-edge part of a join: its vertices miss only each other
-                for v in bit_indices(mask):
-                    if (mask & ~self.graph.adj[v]) >> (v + 1):
-                        clique |= 1 << v
-            elif every:
-                clique |= mask
+                clique |= mask & -mask
             else:
-                low = mask & -mask
-                clique |= low | self.graph.adj[low.bit_length() - 1] & mask
+                clique |= mask
         return orders[0], clique
 
     @lazy_property
@@ -392,7 +328,7 @@ class Decomposition:
             elif kind == UNION:
                 colors[i] = max(colors[j] for j in self.parts[i])
             elif kind == JOIN:
-                colors[i] = sum(self.counts[j] * colors[j] for j in self.parts[i])
+                colors[i] = sum(colors[j] for j in self.parts[i])
             else:
                 colors[i] = orders[i]
         return colors[0]
@@ -400,10 +336,10 @@ class Decomposition:
     @lazy_property
     def domination(self) -> int:
         components = self.parts[0] if self.kinds[0] == UNION else (0,)
-        return sum(self.counts[i] * self._dominate(i) for i in components)
+        return sum(map(self._dominate, components))
 
     def _dominate(self, i: int) -> int:
-        """The domination number of one part of piece i, a connected piece."""
+        """The domination number of piece i, a connected piece."""
         kind = self.kinds[i]
         if kind == SMALL:
             # a clique is dominated by any one of its vertices
@@ -411,7 +347,7 @@ class Decomposition:
         if kind == _NON_EDGE:
             return 2
         if kind == JOIN:
-            return 1 if any(self._part_size(j) == 1 for j in self.parts[i]) else 2
+            return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
         return _domination_search(self.graph.adj, self.masks[i])
 
 
@@ -419,9 +355,9 @@ class RingSplit:
     """The split of a ring graph, s*K1 + p*K2 or its complement
     K_{1^s,2^p}, in closed form from n, s and ``complemented``: what
     Decomposition answers, with no BFS and no row.  s is n - 2p, with p
-    the unity product graph's seeded edge count.  Its components are a
-    run of s single vertices and one of p edges, its co-component all of
-    it (K2 alone is a join of two vertices); the complement's are the
+    the unity product graph's seeded edge count.  Its components are s
+    single vertices and p edges, (1, s) and (2, p), its co-component all
+    of it (K2 alone is a join of two vertices); the complement's are the
     other way round, its clique and chromatic numbers s + p, one vertex
     per part, and its domination number 1 with a single vertex, else 2
     (each vertex misses its mate), or n below 2.
@@ -443,10 +379,6 @@ class RingSplit:
             self.clique_order = self.chromatic = 2 if pairs else min(n, 1)
             self.domination = singles + pairs
         self.component_count = sum(count for _, count in self.components)
-
-    def complemented(self, comp: SimpleGraph) -> RingSplit:
-        """The split of ``comp``, this graph's complement."""
-        return RingSplit(comp)
 
     multipartite = Decomposition.multipartite
 
@@ -739,7 +671,7 @@ class InvariantReport:
 
     @lazy_property
     def isolated_count(self) -> int:
-        # the one-vertex components, a run of them
+        # the one-vertex components, counted by size
         return dict(self.split.components).get(1, 0)
 
     @property
@@ -783,10 +715,8 @@ class InvariantReport:
         return is_hamiltonian(self.graph, self.split)
 
     def complement(self) -> InvariantReport:
-        """The report of the complement graph, its split derived from this one's."""
-        report = InvariantReport(complement(self.graph))
-        report.split = self.split.complemented(report.graph)
-        return report
+        """The complement graph's report, its split made afresh (split_of)."""
+        return InvariantReport(complement(self.graph))
 
     def check(self) -> InvariantReport:
         """Compute every field, in report order, and assert consistency."""

@@ -695,8 +695,10 @@ def _additive_order(ring: FiniteRing, x: int) -> int:
 
 
 def is_boolean(ring: FiniteRing) -> bool:
-    """True when the ring has unity and every element is idempotent."""
-    if ring.unity is None:
+    """True when the ring has unity and every element is idempotent.  Its
+    one unit is then 1 (x = x^2 * x^-1 = 1), so a ring whose ``counts``
+    hook gives more units is ruled out with no product taken."""
+    if ring.unity is None or ring.counts is not None and ring.counts()[0] != 1:
         return False
     return all(ring.mul(x, x) == x for x in range(ring.order))
 
@@ -750,17 +752,21 @@ def split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _parse_int(text: str, what: str) -> int:
-    """An integer written in ASCII decimal digits, with an optional minus
-    sign and surrounding whitespace; ``int`` alone would also take ``+5``,
-    ``1_0`` and non-ASCII digits."""
+def decimal_int(text: str) -> int:
+    """An integer in ASCII decimal digits, with an optional minus sign and
+    surrounding whitespace, else ValueError; ``int`` alone would also take
+    ``+5``, ``1_0`` and non-ASCII digits."""
     digits = text.strip().removeprefix("-")
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise RingSpecError(f"{what}: expected an integer, got {text!r}")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)  # a ValueError too past the digits int() converts
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return decimal_int(text)
+    except ValueError:
+        raise RingSpecError(f"{what}: expected an integer, got {text!r}") from None
 
 
 def parse_ring_spec(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

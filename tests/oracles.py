@@ -33,11 +33,9 @@ each co-component, the reference for the edge-count test.
 bound, then exact k-colorability) and ``reference_domination_search``
 are the former recursive prime-piece searches, run on whole graphs, the
 reference for the in-place searches on explicit stacks.
-``reference_decomposition`` is the former split, one piece per part,
-that finds the components of every graph by mask BFS; ``expand_runs``
-puts a split whose like small parts are kept as runs into that form, the
-reference for the runs and for the splits read off a ring graph's mate
-array.
+``reference_decomposition`` is the split, one piece per part, that
+finds the components of every graph by mask BFS;
+``assert_matches_reference`` checks a Decomposition against it.
 ``pairing_graph`` is the unity product graph of a stand-in unit group
 with s self-inverse units and p inverse pairs, and ``SPLIT_FIELDS`` the
 answers a split gives, on which a ring graph's closed-form split is
@@ -800,68 +798,16 @@ def reference_decomposition(g: SimpleGraph) -> dict:
     }
 
 
-def expand_runs(split) -> dict:
-    """The fields of ``reference_decomposition`` for a run-compressed split.
-
-    Each run piece becomes one piece per part, found from the rows: a
-    vertex alone, or with its neighbor (a run of edges) or its one
-    non-neighbor (a run of non-edges) in the run.  Parts are ordered by
-    least vertex and the pieces numbered as the reference's stack meets
-    them.  Asserts that every run holds ``count`` parts and that the
-    split's (size, count) components and co-components are the expanded
-    ones.
-    """
-    adj = split.graph.adj
-    full = split.masks[0]
-    kinds, masks, parts, source = [split.kinds[0]], [full], [()], [0]
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if source[i] is None:
-            continue
-        children = []  # (mask, kind, piece of the split or None for a run's part)
-        for j in split.parts[source[i]]:
-            mask, kind, count = split.masks[j], split.kinds[j], split.counts[j]
-            if mask.bit_count() > 2 * count:
-                assert count == 1, (j, count)
-                children.append((mask, kind, j))
-                continue
-            run = [1 << v for v in bit_indices(mask)]
-            if len(run) == 2 * count:
-                run = []
-                for v in bit_indices(mask):
-                    other = mask & (adj[v] if kind == SMALL else ~adj[v] ^ (1 << v))
-                    if other >> v:
-                        run.append(1 << v | other)
-            assert len(run) == count and sum(run) == mask, (j, run)
-            children += [(part, kind, None) for part in run]
-        children.sort(key=lambda child: child[0] & -child[0])
-        parts[i] = tuple(range(len(masks), len(masks) + len(children)))
-        for mask, kind, j in children:
-            stack.append(len(masks))
-            kinds.append(kind)
-            masks.append(mask)
-            parts.append(())
-            source.append(j)
-    whole = [full] if full else []
-    top, kind = [masks[j] for j in parts[0]], kinds[0]
-    if full == 0b11:
-        # two vertices are two components or two co-components
-        top, kind = [1, 2], (UNION if kind == "non-edge" else JOIN)
-    components = top if kind == UNION else whole
-    co_components = top if kind == JOIN else whole
-    for field, expanded in (("components", components), ("co_components", co_components)):
-        sized = Counter()
-        for size, count in getattr(split, field):
-            sized[size] += count
-        assert sized == Counter(map(int.bit_count, expanded)), (field, sized)
-    return {
-        "components": components,
-        "co_components": co_components,
-        "kinds": kinds,
-        "masks": masks,
-        "parts": parts,
-    }
+def assert_matches_reference(split) -> None:
+    """A split's kinds, masks and parts are ``reference_decomposition``'s,
+    and its sorted (size, count) components and co-components count the
+    sizes of the reference's."""
+    g = split.graph
+    ref = reference_decomposition(g)
+    assert (split.kinds, split.masks, split.parts) == (ref["kinds"], ref["masks"], ref["parts"]), g
+    for field in ("components", "co_components"):
+        sized = sorted(Counter(map(int.bit_count, ref[field])).items())
+        assert getattr(split, field) == sized, (field, g)
 
 
 def reference_report_json(report) -> str:

@@ -449,7 +449,7 @@ def test_structural_claims_reach_no_solver(monkeypatch):
 
 def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
     # Two splits are made per ring, both in closed form: the unity product
-    # graph's, and the complement's through complemented().  No
+    # graph's, and the complement's through its report's complement().  No
     # Decomposition is built.  Each solver runs at most once per graph, and
     # the complement's multipartite profile is recognized once, for
     # planarity, hamiltonicity and the claims alike.

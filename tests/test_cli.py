@@ -1145,6 +1145,21 @@ def test_analyze_and_survey_build_no_unit_group(monkeypatch):
         assert run_main(cli.main, argv) == want, argv
 
 
+def test_default_sweep_builds_no_gf_table(monkeypatch):
+    # is_boolean rules out a ring with more than one unit from its unit
+    # counts, so the default sweep prints its pinned bytes with no GF(p^k)
+    # modulus searched
+    def refuse(*args):
+        raise AssertionError("GF(p^k) modulus built")
+
+    monkeypatch.setattr(rings, "_smallest_irreducible", refuse)
+    command, code, digest = GOLDEN_DIGESTS[0]
+    assert command == "verify --claims all --format csv"
+    got, out, err = run_main(cli.main, command.split())
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_default_sweep_builds_unit_groups_for_prop31_fails_only(monkeypatch):
     # every claim reads unit counts, save prop-3.1's fail witness, which
     # names a unit and its inverse
@@ -1175,10 +1190,16 @@ def _oracle_reason(oracle, op, out: str) -> str | None:
     return check(out, units, oracle.expected_edges(units, self_inverse, op.graph))
 
 
-def test_benchmark_operations_pass_their_oracle():
+def test_benchmark_operations_pass_their_oracle(monkeypatch):
     # every operation of the four benchmark workloads, seeds 1 and 2, run
     # once as the benchmark runs it: in process, output captured, with its
-    # expected exit code, nothing on stderr and output its oracle accepts
+    # expected exit code, nothing on stderr and output its oracle accepts;
+    # and no Decomposition built, since every graph they read is a ring
+    # graph, split in closed form
+    def refuse(self, g):
+        raise AssertionError("Decomposition built")
+
+    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
     workloads = bench_workloads()
     ops = {
         op.argv: op

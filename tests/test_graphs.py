@@ -25,11 +25,10 @@ from upg.rings import boolean_ring, parse_ring_spec, units, zmod
 
 from oracles import (
     SPLIT_FIELDS,
+    assert_matches_reference,
     bench_workloads,
-    expand_runs,
     random_graph,
     random_join,
-    reference_decomposition,
     reference_export_dot,
     reference_export_json,
     reference_girth,
@@ -286,10 +285,6 @@ def test_ring_complements_are_complete_multipartite():
         assert profile.part_sizes == expected
 
 
-def _assert_split_matches_reference(g: SimpleGraph):
-    assert expand_runs(Decomposition(g)) == reference_decomposition(g), g
-
-
 def test_trusted_ring_graphs_pass_the_public_check():
     # unity_product_graph and complement skip SimpleGraph's row checks and
     # seed edge_count; the checked constructor must accept the same rows,
@@ -302,13 +297,13 @@ def test_trusted_ring_graphs_pass_the_public_check():
         for h in (g, complement(g)):
             assert SimpleGraph(h.n, h.labels, h.adj) == h, ring.label
             assert h.edge_count == sum(row.bit_count() for row in h.adj) // 2, ring.label
-        _assert_split_matches_reference(g)
+        assert_matches_reference(Decomposition(g))
 
 
 def test_mate_split_matches_reference():
     # a ring graph and its complement are split in closed form, with no
     # row; the Decomposition of the same graph on its rows must agree, and
-    # expand to the reference split, and the isolated vertex count read
+    # be the reference split, and the isolated vertex count read
     # off the split must be the rows' count of empty rows
     rings = default_rings() + [zmod(n) for n in range(1, 301)]
     for ring in rings:
@@ -320,7 +315,7 @@ def test_mate_split_matches_reference():
             assert "adj" not in vars(h), ring.label
             rows = Decomposition(h)
             assert read == [getattr(rows, field) for field in SPLIT_FIELDS], ring.label
-            assert expand_runs(rows) == reference_decomposition(h), ring.label
+            assert_matches_reference(rows)
             assert isolated == h.adj.count(0), ring.label
 
 
@@ -393,7 +388,7 @@ def test_matching_split_matches_reference_randomized():
             order = rng.sample(range(n), n)
             pairs = rng.randint(0, n // 2)
             edges = [(order[2 * i], order[2 * i + 1]) for i in range(pairs)]
-            _assert_split_matches_reference(graph_from_edges(n, edges))
+            assert_matches_reference(Decomposition(graph_from_edges(n, edges)))
 
 
 def test_complement_at_order_cap_gf4096():

@@ -51,18 +51,17 @@ from upg.rings import parse_ring_spec, units
 
 from oracles import (
     SPLIT_FIELDS,
+    assert_matches_reference,
     brute_chromatic,
     brute_chromatic_assignments,
     brute_clique,
     brute_domination,
     brute_girth,
     brute_hamiltonian,
-    expand_runs,
     pairing_graph,
     random_graph,
     reference_chromatic_search,
     reference_clique_search,
-    reference_decomposition,
     reference_domination_search,
     reference_eccentricity_profile,
     reference_girth,
@@ -401,11 +400,16 @@ def test_decomposition_solvers_match_references_randomized():
     assert min(paths[PRIME], paths[UNION], paths[JOIN], paths["chi > omega"]) >= 100, paths
 
 
+# a piece's kind in the complement, for pieces of two or more vertices
+FLIPPED = {UNION: JOIN, JOIN: UNION, SMALL: "non-edge", "non-edge": SMALL, PRIME: PRIME}
+
+
 def test_split_reads_match_references_randomized():
     # Eccentricities read off the split against the BFS reference, and the
-    # complement's split derived from the graph's against one built from
-    # scratch: random graphs, nested unions and joins relabeled at random,
-    # and every graph on at most two vertices.
+    # complement's split against the graph's: the same pieces with every
+    # kind flipped, components and co-components swapped.  Random graphs,
+    # nested unions and joins relabeled at random, and every graph on at
+    # most two vertices.
     rng = Random(20261018)
     cases = [random_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(600)]
     for _ in range(300):
@@ -419,16 +423,17 @@ def test_split_reads_match_references_randomized():
         split = Decomposition(g)
         expected = reference_eccentricity_profile(g)[:2]
         assert eccentricity_profile(g, split) == eccentricity_profile(g) == expected, (trial, g)
-        comp = complement(g)
-        derived, built = split.complemented(comp), Decomposition(comp)
-        assert derived.graph == built.graph, (trial, g)
-        for field in (
-            "components", "co_components", "kinds", "masks", "counts", "parts", "multipartite"
-        ):
-            assert getattr(derived, field) == getattr(built, field), (trial, field, g)
+        built = Decomposition(complement(g))
+        assert (built.masks, built.parts) == (split.masks, split.parts), (trial, g)
+        flipped = [
+            kind if mask.bit_count() < 2 else FLIPPED[kind]
+            for kind, mask in zip(split.kinds, split.masks)
+        ]
+        assert built.kinds == flipped, (trial, g)
+        assert (built.components, built.co_components) == (split.co_components, split.components)
         if split.component_count > 1:
             shapes["disconnected"] += 1
-        elif derived.component_count > 1:
+        elif built.component_count > 1:
             shapes["join"] += 1
         else:
             shapes["connected and co-connected"] += 1
@@ -452,8 +457,8 @@ def random_runs(combine, rng):
     return relabeled(g, order)
 
 
-def assert_split_expands_to_reference(g, split):
-    assert expand_runs(split) == reference_decomposition(g), g
+def assert_split_matches_reference(g, split):
+    assert_matches_reference(split)
     order, clique = max_clique(g, split)
     assert clique.bit_count() == order == clique_number(g, split), g
     assert all(g.adj[v] & clique == clique ^ 1 << v for v in bit_indices(clique)), g
@@ -461,44 +466,56 @@ def assert_split_expands_to_reference(g, split):
 
 def test_runs_expand_to_reference_split_randomized():
     # Unions and joins of many one- and two-vertex parts beside prime and
-    # nested ones: the runs, expanded one piece per part, are the former
-    # split, the complement's split derived from them is the split built
-    # from its rows, and omega, chi and gamma combined over the counts are
-    # the searches' on the whole graph.
+    # nested ones: the split of the graph and of its complement, one piece
+    # per part, is the reference split, and omega, chi and gamma combined
+    # over the pieces are the searches' on the whole graph.
     rng = Random(20261019)
     shapes = Counter()
     for trial in range(300):
         g = random_runs(disjoint_union if trial % 2 else join, rng)
         comp = complement(g)
         split = Decomposition(g)
-        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp))):
-            assert_split_expands_to_reference(h, h_split)
+        for h, h_split in ((g, split), (comp, Decomposition(comp))):
+            assert_split_matches_reference(h, h_split)
         whole = reference_clique_search(g)
         assert clique_number(g, split) == whole[0], (trial, g)
         assert chromatic_number(g, split) == reference_chromatic_search(g, whole), (trial, g)
         assert domination_number(g, split) == reference_domination_search(g), (trial, g)
-        shapes.update(
-            (split.kinds[0], split.kinds[i], split.counts[i] > 1) for i in split.parts[0]
+        small = Counter(
+            (split.kinds[i], split.masks[i].bit_count())
+            for i in split.parts[0]
+            if split.masks[i].bit_count() <= 2
         )
+        shapes.update((split.kinds[0], kind) for (kind, _), count in small.items() if count > 1)
         shapes[PRIME] += PRIME in split.kinds
-    # runs of several parts of each kind under both splits, and prime pieces
-    for kind, run in ((UNION, SMALL), (JOIN, SMALL), (JOIN, "non-edge")):
-        assert shapes[kind, run, True] >= 50, shapes
+    # several one- or two-vertex parts of each kind under both splits, and prime pieces
+    for kind, part in ((UNION, SMALL), (JOIN, SMALL), (JOIN, "non-edge")):
+        assert shapes[kind, part] >= 50, shapes
     assert shapes[PRIME] >= 50, shapes
+
+
+def test_split_is_reference_split():
+    # one piece per part, as the reference numbers them: the graphs on at
+    # most two vertices, then random graphs, sparse ones with many single
+    # vertices and two-vertex parts among them
+    rng = Random(2501)
+    cases = [graph_from_edges(n, []) for n in (0, 1, 2)] + [graph_from_edges(2, [(0, 1)])]
+    for _ in range(400):
+        cases.append(random_graph(rng.randrange(3, 16), rng.choice((0.1, 0.5, 0.9)), rng))
+    for g in cases:
+        assert_matches_reference(Decomposition(g))
 
 
 def test_ring_graph_splits_expand_to_reference():
     # The unity product graph and its complement of every default ring up
-    # to Z/200 and a few others: the UPG split from its rows' bit counts,
-    # the complement's from its rows' or derived from the UPG's.
+    # to Z/200 and a few others, each split from its rows.
     specs = ("gf:2^3", "gf:3^2", "gf:2^6", "bool:3", "prod:(zmod:4,zmod:4)")
     rings = default_rings(zmod_max=200) + [parse_ring_spec(spec) for spec in specs]
     for ring in rings:
         g = unity_product_graph(units(ring))
         comp = complement(g)
-        split = Decomposition(g)
-        for h, h_split in ((g, split), (comp, Decomposition(comp)), (comp, split.complemented(comp))):
-            assert_split_expands_to_reference(h, h_split)
+        for h in (g, comp):
+            assert_split_matches_reference(h, Decomposition(h))
 
 
 @pytest.mark.parametrize("spec", ["zmod:4096", "gf:2^12", "bool:12", "prod:(zmod:64,zmod:64)"])
@@ -529,8 +546,8 @@ def test_ring_split_matches_rows_engine():
     # Every pairing of s self-inverse units and p inverse pairs with
     # s + 2p <= 24, the empty graph, K1, 2K1 and K2 among them, its units
     # in index order and shuffled: the closed-form split of the unity
-    # product graph, of the complement derived from it by complemented()
-    # and of the complement built directly gives the answers of the
+    # product graph, of the complement from its report's complement() and
+    # of the complement built directly gives the answers of the
     # Decomposition of the same graph rebuilt from rows, with no row made,
     # and every report field is the rebuilt graph's
     rng = Random(2310)

@@ -424,6 +424,27 @@ def test_boolean_ring():
     assert is_boolean(zmod(2))
 
 
+def test_is_boolean_matches_idempotent_scan():
+    # a ring with a counts hook giving more than one unit is ruled out
+    # without a product; the rest, table rings among them, are scanned, so
+    # a stated single unit alone does not make a ring boolean
+    def scan(ring):
+        return ring.unity is not None and all(ring.mul(x, x) == x for x in range(ring.order))
+
+    bool2 = boolean_ring(2)
+    table = [[bool2.add(a, b) for b in range(4)] for a in range(4)]
+    square = [[bool2.mul(a, b) for b in range(4)] for a in range(4)]
+    rings = default_rings() + [boolean_ring(k) for k in range(1, 6)] + [
+        gf(2, 1), gf(3, 1), zmod(1), table_ring(table, square, 0),
+        parse_ring_spec(f"table:@{Path(__file__).parent / 'data' / 'table_z4.json'}"),
+        parse_ring_spec("prod:(bool:2,zmod:2)"), parse_ring_spec("prod:(bool:2,zmod:3)"),
+    ]
+    booleans = [ring.label for ring in rings if is_boolean(ring)]
+    assert booleans == [ring.label for ring in rings if scan(ring)]
+    assert len(booleans) >= 8 and len(rings) - len(booleans) >= 8, booleans
+    assert not is_boolean(replace(zmod(3), counts=lambda: (1, 1)))
+
+
 def test_family_lists_each_family_in_order():
     gf_orders = []
     for q in range(2, 601):
