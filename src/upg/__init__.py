@@ -61,7 +61,6 @@ from .rings import (
     UnitGroup,
     boolean_ring,
     characteristic,
-    cyclic_residues,
     direct_product,
     gf,
     is_boolean,

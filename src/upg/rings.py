@@ -5,8 +5,8 @@ are total functions on that domain.  Constructors cover modular integers,
 prime fields and their extensions, boolean rings, direct products, and
 arbitrary rings given by explicit Cayley tables.
 
-``unit_counts`` counts a ring's units and self-inverse ones; the
-structured families state both from the order alone, with no ``units``.
+The structured families state a ring's ``unit_counts`` and characteristic
+from the order alone, with no ``units`` and no ``add``.
 """
 
 from __future__ import annotations
@@ -89,11 +89,8 @@ class FiniteRing:
     ``counts``, when set, returns ``unit_counts`` with no unit group
     (Z/n, GF(q) and products).
 
-    ``residues``, when set, returns the map ``cyclic_residues`` computes:
-    each element index to its k with element = k.unity, for a ring known
-    to be Z/order.  ``zmod`` sets it to ``range(order)``, which GF(p) and
-    ``bool:1`` inherit; every other family leaves it None, and
-    ``cyclic_residues`` walks the additive orbit of unity instead.
+    ``char``, when set, is the characteristic (Z/n, GF(q) and products);
+    table rings leave it None and ``characteristic`` walks for it.
     """
 
     order: int
@@ -105,7 +102,7 @@ class FiniteRing:
     element_name: Callable[[int], str]
     inverses: Callable[[], dict[int, int]] | None = None
     counts: Callable[[], tuple[int, int]] | None = None
-    residues: Callable[[], Sequence[int]] | None = None
+    char: int | None = None
     unit_names: Callable[[], Sequence[str]] | None = None
 
 
@@ -168,7 +165,7 @@ def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         element_name=str,
         inverses=lambda: _zmod_inverses(n),
         counts=lambda: _zmod_counts(n),
-        residues=lambda: range(n),  # index k is k.unity
+        char=n,
     )
 
 
@@ -403,6 +400,7 @@ def gf(p: int, k: int = 1, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         element_name=lambda x: names()[x],
         inverses=inverses,
         counts=lambda: (order - 1, 1 if p == 2 else 2),  # x^2 = 1 has the roots 1 and -1
+        char=p,
         unit_names=lambda: names()[1:],
     )
 
@@ -417,9 +415,9 @@ def direct_product(
     unit groups, folded by index arithmetic: each unit x of the components
     so far and unit u of the next one, of order m, give the unit x*m + u,
     in ``product`` order; its counts are the products of the components'
-    ``unit_counts``.  An element is named "(a,b)" from its components'
-    names; ``unit_names`` joins the components' unit names in one
-    ``product``.
+    ``unit_counts``, its ``char`` the lcm of theirs.  An element is named
+    "(a,b)" from its components' names; ``unit_names`` joins the
+    components' unit names in one ``product``.
     """
     if not components:
         raise RingSpecError("direct product needs at least one component")
@@ -487,6 +485,7 @@ def direct_product(
     return FiniteRing(
         order=order, add=add, mul=mul, zero=zero, unity=unity, label=label,
         element_name=element_name, inverses=inverses, counts=counts, unit_names=unit_names,
+        char=math.lcm(*map(characteristic, comps)),
     )
 
 
@@ -676,7 +675,10 @@ def units(ring: FiniteRing) -> UnitGroup:
 
 
 def characteristic(ring: FiniteRing) -> int:
-    """Least n >= 1 with n.x = 0 for all x; additive order of unity if present."""
+    """Least n >= 1 with n.x = 0 for all x: the ring's ``char`` when set,
+    else the additive order of unity if present."""
+    if ring.char is not None:
+        return ring.char
     if ring.unity is not None:
         return _additive_order(ring, ring.unity)
     result = 1
@@ -697,40 +699,18 @@ def _additive_order(ring: FiniteRing, x: int) -> int:
 def is_boolean(ring: FiniteRing) -> bool:
     """True when the ring has unity and every element is idempotent.  Its
     one unit is then 1 (x = x^2 * x^-1 = 1), so a ring whose ``counts``
-    hook gives more units is ruled out with no product taken."""
+    hook gives more units is ruled out with no product taken.  A ring with
+    one unit is boolean by the structure theorem; the scan is kept so that
+    thm-3.1's hypothesis does not restate its conclusion."""
     if ring.unity is None or ring.counts is not None and ring.counts()[0] != 1:
         return False
     return all(ring.mul(x, x) == x for x in range(ring.order))
 
 
-def cyclic_residues(ring: FiniteRing) -> Sequence[int] | None:
-    """Residue map for rings isomorphic to Z/order, else None.
-
-    When the additive orbit of unity covers the ring, every element is
-    k.unity for a unique k in 0 .. order-1; the result maps element index
-    to that k.  A ring with a ``residues`` hook states the map; any other
-    is walked into a tuple, one ``add`` per element, stopping at the first
-    repeat, after at most the additive order of unity plus one steps.
-    """
-    if ring.unity is None:
-        return None
-    if ring.residues is not None:
-        return ring.residues()
-    residue = [-1] * ring.order
-    acc = ring.zero
-    for k in range(ring.order):
-        if residue[acc] != -1:
-            return None
-        residue[acc] = k
-        acc = ring.add(acc, ring.unity)
-    if acc != ring.zero:
-        return None
-    return tuple(residue)
-
-
 def is_cyclic(ring: FiniteRing) -> bool:
-    """True when the ring is isomorphic to Z/order."""
-    return cyclic_residues(ring) is not None
+    """True when the ring is isomorphic to Z/order: it has unity and the
+    additive order of unity, its characteristic, is the order."""
+    return ring.unity is not None and characteristic(ring) == ring.order
 
 
 def split_top_level(text: str) -> list[str]:

@@ -48,6 +48,9 @@ labels block of ``export_json`` is checked against
 parser nested inside, the reference for the one-parse path; ``run_main``
 captures one call of either.  ``bench_workloads`` loads the benchmark's
 ring lists, which some tests reuse.
+``reference_residues`` is the former ``cyclic_residues``, a walk of the
+additive orbit of unity, one ``add`` per element: the reference for
+``is_cyclic``, which reads the characteristic instead.
 ``reference_prop_31_hypothesis`` is prop-3.1's former hypothesis, a walk
 of the units' canonical residues up to the first composite one, the
 reference for the rule the claim now decides it by.
@@ -74,7 +77,7 @@ from upg.graphs import (
     unity_product_graph,
 )
 from upg.invariants import JOIN, PRIME, SMALL, UNION
-from upg.rings import FiniteRing, NoUnityError, UnitGroup, cyclic_residues, zmod
+from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
 
 INFINITY = math.inf
 
@@ -552,12 +555,30 @@ def reference_units(ring: FiniteRing) -> UnitGroup:
     return UnitGroup(ring=ring, units=members, inverse_of=inverse_of)
 
 
+def reference_residues(ring: FiniteRing) -> tuple[int, ...] | None:
+    """For a ring isomorphic to Z/order, each element index mapped to its
+    k with element = k.unity, else None: the additive orbit of unity is
+    walked, one ``add`` per element, stopping at the first repeat."""
+    if ring.unity is None:
+        return None
+    residue = [-1] * ring.order
+    acc = ring.zero
+    for k in range(ring.order):
+        if residue[acc] != -1:
+            return None
+        residue[acc] = k
+        acc = ring.add(acc, ring.unity)
+    if acc != ring.zero:
+        return None
+    return tuple(residue)
+
+
 def reference_prop_31_hypothesis(ring: FiniteRing, unit_indices) -> bool:
     """Whether the ring is isomorphic to Z/n with no composite canonical
     residue among the units at ``unit_indices``, walked in order and
     stopping at the first composite; composites are found by trial
     division."""
-    residues = cyclic_residues(ring)
+    residues = reference_residues(ring)
     if residues is None:
         return False
     composite = (k for k in map(residues.__getitem__, unit_indices) if k >= 4)

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -1215,27 +1214,43 @@ def test_benchmark_operations_pass_their_oracle(monkeypatch):
 
 
 def test_default_sweep_walks_no_zmod(monkeypatch, capsys):
-    # a Z/n states its residues, so no claim walks its additive orbit:
-    # the default sweep prints its pinned bytes with no Z/n add call
-    added = []
+    # every family states its characteristic and unit counts, so no claim
+    # walks an additive orbit, and only is_boolean's scan of a ring with
+    # one unit multiplies: the default sweep and a sweep of rings at the
+    # order cap print their pinned bytes with no add call, and mul calls
+    # on rings with u = 1 alone
+    calls, one_unit = [], set()
 
     def counted(ring):
-        if not re.fullmatch(r"Z/\d+", ring.label):
-            return ring
+        if ring.unity is not None and rings.unit_counts(ring)[0] == 1:
+            one_unit.add(ring.label)
 
         def add(a, b):
-            added.append(ring.label)
+            calls.append(("add", ring.label))
             return ring.add(a, b)
 
-        return replace(ring, add=add)
+        def mul(a, b):
+            calls.append(("mul", ring.label))
+            return ring.mul(a, b)
+
+        return replace(ring, add=add, mul=mul)
 
     sweep_rings = cli.default_rings
     monkeypatch.setattr(cli, "default_rings", lambda **kw: list(map(counted, sweep_rings(**kw))))
-    command, code, digest = GOLDEN_DIGESTS[0]
-    assert command == "verify --claims all --format csv"
-    assert cli.main(command.split()) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-    assert added == []
+    include = (
+        "verify --claims all --include zmod:4093 --include gf:2^12 --include bool:12"
+        " --include prod:(zmod:64,zmod:63) --format csv",
+        1,
+        "aee3b7f9d8691880e8486eface7ed43ad0da55b7e626558437ea9dd6fa9e6a8d",
+    )
+    assert GOLDEN_DIGESTS[0][0] == "verify --claims all --format csv"
+    for command, code, digest in (GOLDEN_DIGESTS[0], include):
+        assert cli.main(command.split()) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert [call for call in calls if call[0] == "add"] == []
+    multiplied = {label for _, label in calls}
+    assert " × ".join(["Z/2"] * 12) in multiplied
+    assert multiplied <= one_unit
 
 
 def test_main_in_process_smoke(capsys):

@@ -22,7 +22,6 @@ from upg.rings import (
     _smallest_irreducible,
     boolean_ring,
     characteristic,
-    cyclic_residues,
     direct_product,
     family,
     gf,
@@ -51,6 +50,7 @@ from oracles import (
     reference_gf_name,
     reference_is_irreducible,
     reference_product_name,
+    reference_residues,
     reference_units,
     self_inverse_count,
 )
@@ -486,7 +486,7 @@ def test_cyclic_recognition():
 
 def test_cyclic_residues_is_isomorphism():
     ring = direct_product([zmod(2), zmod(3)])
-    res = cyclic_residues(ring)
+    res = reference_residues(ring)
     assert res is not None
     n = ring.order
     assert sorted(res) == list(range(n))
@@ -494,43 +494,6 @@ def test_cyclic_residues_is_isomorphism():
         for b in range(n):
             assert res[ring.add(a, b)] == (res[a] + res[b]) % n
             assert res[ring.mul(a, b)] == (res[a] * res[b]) % n
-
-
-def _walked_residues(ring):
-    """cyclic_residues with the ring's residues hook cleared: the walk."""
-    return cyclic_residues(replace(ring, residues=None))
-
-
-def test_zmod_residue_hook_matches_walk():
-    for n in [*range(1, 301), 4093, 4096]:
-        ring = zmod(n)
-        assert ring.residues is not None
-        assert tuple(cyclic_residues(ring)) == _walked_residues(ring) == tuple(range(n)), n
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 4093])
-def test_prime_field_residue_hook_matches_walk(p):
-    hooked = tuple(cyclic_residues(gf(p)))
-    assert hooked == _walked_residues(gf(p)) == tuple(cyclic_residues(zmod(p)))
-
-
-def test_residue_hook_only_on_zmod_and_prime_fields():
-    # every other family is walked, and the walk stops at the first repeat
-    hooked = [zmod(12), gf(7), boolean_ring(1)]
-    walked = [gf(2, 2), gf(3, 3), boolean_ring(3), direct_product([zmod(2), zmod(3)])]
-    walked.append(parse_ring_spec(f"table:@{DATA / 'table_z4.json'}"))
-    assert all(r.residues is not None for r in hooked)
-    assert all(r.residues is None for r in walked)
-    assert tuple(cyclic_residues(boolean_ring(1))) == (0, 1)
-    for ring in walked[:3]:
-        added = []
-
-        def add(a, b, ring=ring):
-            added.append((a, b))
-            return ring.add(a, b)
-
-        assert cyclic_residues(replace(ring, add=add)) is None
-        assert len(added) == characteristic(ring) < ring.order
 
 
 def test_table_ring_roundtrip():
@@ -667,21 +630,39 @@ def _random_product_specs(count):
     return out
 
 
-def test_units_match_scan_reference():
-    # the per-family inverse hooks against the former all-products scan
+def _scan_reference_rings():
+    """Z/1..Z/300, Z/4093, Z/4096, every GF(q) with q <= 729, bool:1..8
+    and 60 seeded random products, at least a third with table parts."""
     specs = _random_product_specs(60)
     assert sum("table:" in spec for spec in specs) >= 20
     assert sum(spec.count("prod:") > 1 for spec in specs) >= 10
-    rings = [
+    return [
         *(zmod(n) for n in (*range(1, 301), 4093, 4096)),
         *(gf(p, k) for p, k in _prime_powers(729)),
         *(boolean_ring(k) for k in range(1, 9)),
         *(parse_ring_spec(spec, order_cap=256) for spec in specs),
     ]
-    for ring in rings:
+
+
+def test_units_match_scan_reference():
+    # the per-family inverse hooks against the former all-products scan
+    for ring in _scan_reference_rings():
         got, want = units(ring), reference_units(ring)
         assert got.units == want.units, ring.label
         assert dict(got.inverse_of) == dict(want.inverse_of), ring.label
+
+
+def test_char_matches_walk():
+    # the characteristic each family states against the additive walk, and
+    # is_cyclic against the former walk of the orbit of unity
+    tables = [parse_ring_spec(f"table:@{DATA / n}") for n in ("table_z4.json", "nounity.json")]
+    rings = [*_scan_reference_rings(), gf(4093)]  # and the largest prime field under the cap
+    for ring in rings:
+        assert ring.char is not None, ring.label
+        assert characteristic(ring) == characteristic(replace(ring, char=None)), ring.label
+    for ring in rings + tables:
+        assert is_cyclic(ring) == (reference_residues(ring) is not None), ring.label
+    assert [is_cyclic(ring) for ring in tables] == [True, False]
 
 
 def _euler_phi(n):
