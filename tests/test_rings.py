@@ -496,6 +496,46 @@ def test_cyclic_residues_is_isomorphism():
             assert res[ring.mul(a, b)] == (res[a] * res[b]) % n
 
 
+# The three tests below check the ``char`` field, which took over from the
+# former ``residues`` hook: Z/n still indexes k.unity at k, so n is its char.
+
+
+def test_zmod_residue_hook_matches_walk():
+    for n in [*range(1, 301), 4093, 4096]:
+        ring = zmod(n)
+        assert ring.char == n == characteristic(replace(ring, char=None)), n
+        assert reference_residues(ring) == tuple(range(n)), n
+        assert is_cyclic(ring), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 4093])
+def test_prime_field_residue_hook_matches_walk(p):
+    ring = gf(p)
+    assert ring.char == p == characteristic(replace(ring, char=None))
+    assert reference_residues(ring) == reference_residues(zmod(p)) == tuple(range(p))
+    assert is_cyclic(ring)
+
+
+def test_residue_hook_only_on_zmod_and_prime_fields():
+    # every structured family states char and decides is_cyclic with no add;
+    # a table ring states none, and walks char - 1 adds from unity back to 0
+    stated = [zmod(12), gf(7), boolean_ring(1), gf(2, 2), gf(3, 3), boolean_ring(3)]
+    stated.append(direct_product([zmod(2), zmod(3)]))
+    table = parse_ring_spec(f"table:@{DATA / 'table_z4.json'}")
+    assert all(r.char is not None for r in stated)
+    assert table.char is None
+    for ring in [*stated, table]:
+        added = []
+
+        def add(a, b, ring=ring):
+            added.append((a, b))
+            return ring.add(a, b)
+
+        assert is_cyclic(replace(ring, add=add)) == (reference_residues(ring) is not None)
+        assert len(added) == (0 if ring.char is not None else characteristic(ring) - 1), ring.label
+    assert [is_cyclic(r) for r in stated] == [True, True, True, False, False, False, True]
+
+
 def test_table_ring_roundtrip():
     doc = json.loads((DATA / "table_z4.json").read_text())
     ring = parse_ring_spec(f"table:@{DATA / 'table_z4.json'}")
