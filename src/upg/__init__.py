@@ -15,6 +15,7 @@ from .claims import (
     Claim,
     ClaimVerdict,
     RingContext,
+    Sweep,
     UnknownClaimError,
     builtin_claims,
     default_rings,

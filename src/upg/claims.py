@@ -21,10 +21,13 @@ the hamiltonicity equivalence at exactly three units.
 
 from __future__ import annotations
 
+import functools
 import json
-from itertools import chain, count
-from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import count
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from . import invariants as inv
 from .graphs import is_complete, lazy_property, ring_graph
@@ -130,6 +133,8 @@ class Claim(NamedTuple):
 
 
 _WITNESSED = frozenset((FAIL, HYPOTHESIS_GAP, SKIPPED))
+_NOT_APPLICABLE = (NOT_APPLICABLE, None)
+_NO_UNITY = (SKIPPED, {"reason": "ring has no unity element"})
 
 
 class _Verdict(NamedTuple):
@@ -611,123 +616,157 @@ def default_rings(
     return unique
 
 
-def run_sweep(
-    claims: Sequence[Claim],
-    rings: Sequence[FiniteRing],
-) -> list[ClaimVerdict]:
+def run_sweep(claims: Sequence[Claim], rings: Sequence[FiniteRing]) -> Sweep:
     """Evaluate every claim against every ring.
 
     Rings without unity and solver refusals (a graph outside the classes
     decided in closed form) yield skipped verdicts with a reason;
     everything else is pass, fail, hypothesis_gap or not_applicable.
-    Result is sorted by (claim id, ring label), with no sort of the
-    verdicts: each claim id has a list, and the rings are taken in label
-    order, ties in the order given.
+    Result is sorted by (claim id, ring label), with no sort: each claim
+    id keeps a list of its checks' own (outcome, witness) pairs, and the
+    rings are taken in label order, ties in the order given, so a claim
+    named twice interleaves per ring.
     """
-    by_claim: dict[str, list[ClaimVerdict]] = {
-        claim_id: [] for claim_id in sorted({claim.claim_id for claim in claims})
-    }
-    for ring in sorted(rings, key=attrgetter("label")):
+    rings = sorted(rings, key=attrgetter("label"))
+    by_claim: dict[str, list] = {claim_id: [] for claim_id in sorted({c.claim_id for c in claims})}
+    steps = [(c.claim_id, c.applicable, c.check, by_claim[c.claim_id].append) for c in claims]
+    for ring in rings:
+        if ring.unity is None:
+            for *_, append in steps:
+                append(_NO_UNITY)
+            continue
         ctx = RingContext(ring)
-        for claim in claims:
-            by_claim[claim.claim_id].append(_evaluate(claim, ctx))
-    return list(chain.from_iterable(by_claim.values()))
-
-
-def _evaluate(claim: Claim, ctx: RingContext) -> ClaimVerdict:
-    label = ctx.ring.label
-    if ctx.ring.unity is None:
-        return ClaimVerdict(
-            claim.claim_id, label, SKIPPED, {"reason": "ring has no unity element"}
-        )
-    try:
-        if not claim.applicable(ctx):
-            return ClaimVerdict(claim.claim_id, label, NOT_APPLICABLE, None)
-        outcome, witness = claim.check(ctx)
-    except inv.VertexBoundError as exc:
-        return ClaimVerdict(
-            claim.claim_id,
-            label,
-            SKIPPED,
-            {"reason": f"{exc.invariant} refused: graph outside the closed-form classes"},
-        )
-    return ClaimVerdict(claim.claim_id, label, outcome, witness)
+        for claim_id, applicable, check, append in steps:
+            try:
+                pair = check(ctx) if applicable(ctx) else _NOT_APPLICABLE
+            except inv.VertexBoundError as exc:
+                reason = f"{exc.invariant} refused: graph outside the closed-form classes"
+                pair = SKIPPED, {"reason": reason}
+            if pair[1] is None and pair[0] in _WITNESSED:
+                ClaimVerdict(claim_id, ring.label, *pair)  # refused: no witness
+            append(pair)
+    labels = [ring.label for ring in rings]
+    named = Counter(c.claim_id for c in claims)
+    # labels are sorted, so a claim named k times has each one k times in a row
+    return Sweep(_block(i, sorted(labels * named[i]), p) for i, p in by_claim.items() if p)
 
 
 _OUTCOME_ORDER = (PASS, FAIL, HYPOTHESIS_GAP, NOT_APPLICABLE, SKIPPED)
 
 
-def _witness_text(witness: Witness | None) -> str:
-    if not witness:
-        return ""
-    parts = [f"{key}={witness[key]}" for key in witness]
-    return "; ".join(parts).replace(",", ";")
+def _block(claim_id: str, labels: list[str], pairs: list) -> tuple:
+    """One claim id's verdicts: (claim id, ring labels, pairs, counts)."""
+    tally = Counter(map(itemgetter(0), pairs))
+    return claim_id, labels, pairs, {o: tally[o] for o in _OUTCOME_ORDER}
 
 
-def summarize(verdicts: Sequence[ClaimVerdict]) -> dict[str, int]:
-    counts = {outcome: 0 for outcome in _OUTCOME_ORDER}
-    for v in verdicts:
-        counts[v.outcome] += 1
-    return counts
+class Sweep(Sequence):
+    """run_sweep's verdicts as one block per claim id: its ring labels
+    beside its (outcome, witness) pairs.  A row becomes a ClaimVerdict
+    only when it is read; the renderers read the blocks."""
+
+    def __init__(self, blocks: Iterable[tuple]):
+        self.blocks = list(blocks)
+
+    def __len__(self) -> int:
+        return sum(len(pairs) for _, _, pairs, _ in self.blocks)
+
+    def __iter__(self) -> Iterator[ClaimVerdict]:
+        for claim_id, labels, pairs, _ in self.blocks:
+            for label, (outcome, witness) in zip(labels, pairs):
+                yield ClaimVerdict(claim_id, label, outcome, witness)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    @lazy_property
+    def _rows(self) -> list[ClaimVerdict]:
+        return list(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _by_claim(verdicts: Sequence[ClaimVerdict]) -> list[tuple[str, list[ClaimVerdict]]]:
-    """The verdicts grouped by claim id, ids sorted, each group in order."""
+def _blocks(verdicts: Sequence[ClaimVerdict]) -> list[tuple]:
+    """A sweep's blocks, or the verdicts grouped by claim id, ids sorted,
+    each group in order."""
+    if isinstance(verdicts, Sweep):
+        return verdicts.blocks
     by_claim: dict[str, list[ClaimVerdict]] = {}
     for v in verdicts:
         by_claim.setdefault(v.claim_id, []).append(v)
-    return sorted(by_claim.items())
+    return [
+        _block(claim_id, [v.ring_label for v in rows], [(v.outcome, v.witness) for v in rows])
+        for claim_id, rows in sorted(by_claim.items())
+    ]
 
 
-def render_text(verdicts: Sequence[ClaimVerdict]) -> str:
-    """Grouped plain-text report: per-claim counts, then non-pass detail."""
+def _witness_text(witness: Witness | None) -> str:
+    text = "; ".join(f"{key}={value}" for key, value in (witness or {}).items())
+    return text.replace(",", ";")
+
+
+def summarize(verdicts: Sequence[ClaimVerdict]) -> dict[str, int]:
+    blocks = _blocks(verdicts)
+    return {o: sum(counts[o] for *_, counts in blocks) for o in _OUTCOME_ORDER}
+
+
+def _count_text(counts: dict[str, int]) -> str:
+    return "  ".join(f"{o} {counts[o]}" for o in _OUTCOME_ORDER)
+
+
+def render_text(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
+    """Grouped plain-text report, one chunk per claim: its counts, its
+    statement, then its non-pass detail; a summary line ends it."""
     registry = claims_by_id()
-    lines = []
-    for claim_id, rows in _by_claim(verdicts):
-        counts = summarize(rows)
-        count_text = "  ".join(f"{o} {counts[o]}" for o in _OUTCOME_ORDER)
-        lines.append(f"{claim_id}: {count_text}")
+    for claim_id, labels, pairs, counts in _blocks(verdicts):
         claim = registry.get(claim_id)
-        if claim is not None:
-            lines.append(f"  {claim.statement}")
-        for v in rows:
-            if v.outcome in (FAIL, HYPOTHESIS_GAP, SKIPPED):
-                lines.append(f"  {v.outcome} {v.ring_label}: {_witness_text(v.witness)}")
-    totals = summarize(verdicts)
-    total_text = "  ".join(f"{o} {totals[o]}" for o in _OUTCOME_ORDER)
-    lines.append(f"summary: verdicts {len(verdicts)}  {total_text}")
-    return "\n".join(lines) + "\n"
+        lines = [f"{claim_id}: {_count_text(counts)}"] + ([f"  {claim.statement}"] if claim else [])
+        rows = zip(labels, pairs)
+        lines += [f"  {o} {label}: {_witness_text(w)}" for label, (o, w) in rows if o in _WITNESSED]
+        yield "\n".join(lines) + "\n"
+    yield f"summary: verdicts {len(verdicts)}  {_count_text(summarize(verdicts))}\n"
+
+
+def _json_at(value: object, depth: int) -> str:
+    """json.dumps(value, indent=2) as written ``depth`` levels deep; a flat
+    dict through the C encoder, its items separated by newline and indent."""
+    nested = (dict, list, tuple)
+    if isinstance(value, dict) and value and not any(isinstance(v, nested) for v in value.values()):
+        pad = "\n" + "  " * (depth + 1)
+        return "{" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def render_json(verdicts: Sequence[ClaimVerdict]) -> str:
+    """The summary, then each claim's statement, counts and verdicts, laid
+    out as json.dumps(doc, indent=2) lays them out."""
     registry = claims_by_id()
+    scalar = functools.cache(json.dumps)  # labels and outcomes repeat
+    row = '        {\n          "ring": %s,\n          "outcome": %s,\n'
+    row += '          "witness": %s\n        }'
     claims_doc = []
-    for claim_id, rows in _by_claim(verdicts):
+    for claim_id, labels, pairs, counts in _blocks(verdicts):
         claim = registry.get(claim_id)
+        rows = ",\n".join(
+            row % (scalar(label), scalar(o), _json_at(dict(w), 5) if w else "null")
+            for label, (o, w) in zip(labels, pairs)
+        )
         claims_doc.append(
-            {
-                "claim_id": claim_id,
-                "statement": claim.statement if claim else "",
-                "counts": summarize(rows),
-                "verdicts": [
-                    {
-                        "ring": v.ring_label,
-                        "outcome": v.outcome,
-                        "witness": dict(v.witness) if v.witness else None,
-                    }
-                    for v in rows
-                ],
-            }
+            f'    {{\n      "claim_id": {scalar(claim_id)},\n      "statement": '
+            f'{scalar(claim.statement if claim else "")},\n      "counts": {_json_at(counts, 3)},\n'
+            f'      "verdicts": [\n{rows}\n      ]\n    }}'
         )
-    doc = {"summary": summarize(verdicts), "claims": claims_doc}
-    return json.dumps(doc, indent=2) + "\n"
+    listed = "[\n" + ",\n".join(claims_doc) + "\n  ]" if claims_doc else "[]"
+    return f'{{\n  "summary": {_json_at(summarize(verdicts), 1)},\n  "claims": {listed}\n}}\n'
 
 
-def render_csv(verdicts: Sequence[ClaimVerdict]) -> str:
-    """Flat CSV: claim_id,ring,outcome,witness with comma-free fields."""
-    lines = ["claim_id,ring,outcome,witness"]
-    for v in verdicts:
-        lines.append(
-            f"{v.claim_id},{v.ring_label},{v.outcome},{_witness_text(v.witness)}"
+def render_csv(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
+    """Flat CSV, claim_id,ring,outcome,witness with comma-free fields: the
+    header, then one chunk per claim."""
+    yield "claim_id,ring,outcome,witness\n"
+    for claim_id, labels, pairs, _ in _blocks(verdicts):
+        yield "".join(
+            f"{claim_id},{label},{o},{_witness_text(w) if w else ''}\n"
+            for label, (o, w) in zip(labels, pairs)
         )
-    return "\n".join(lines) + "\n"

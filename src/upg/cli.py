@@ -37,6 +37,7 @@ from .claims import (
     render_json,
     render_text,
     run_sweep,
+    summarize,
 )
 from .graphs import complement, dot_chunks, json_chunks
 from .rings import (
@@ -182,9 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, f"bad ring spec: {exc}") from None
     verdicts = run_sweep(selected, rings)
     renderer = {"text": render_text, "json": render_json, "csv": render_csv}[args.format]
+    # text and csv come one claim at a time, so no whole output is held
     _emit(renderer(verdicts), args.out)
-    failed = any(v.outcome == FAIL for v in verdicts)
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_FAIL if summarize(verdicts)[FAIL] else EXIT_OK
 
 
 _SURVEY_COLUMNS = (

@@ -46,14 +46,20 @@ labels block of ``export_json`` is checked against
 ``reference_export_json`` the same way.  ``reference_main`` is the former
 ``cli.main``, which parsed every call from the top, the subcommand's
 parser nested inside, the reference for the one-parse path; ``run_main``
-captures one call of either.  ``bench_workloads`` loads the benchmark's
-ring lists, which some tests reuse.
+captures one call of either.
 ``reference_residues`` is the former ``cyclic_residues``, a walk of the
 additive orbit of unity, one ``add`` per element: the reference for
 ``is_cyclic``, which reads the characteristic instead.
 ``reference_prop_31_hypothesis`` is prop-3.1's former hypothesis, a walk
 of the units' canonical residues up to the first composite one, the
 reference for the rule the claim now decides it by.
+``reference_sweep`` is the former sweep, ring by ring with one
+``ClaimVerdict`` per verdict, and ``reference_render`` the former
+renderers, each building its whole output, JSON by json.dumps with
+indent=2: the reference for the per-claim pairs of ``run_sweep`` and
+the chunked renderers.  ``bench_module`` loads a module of the
+benchmark by name (``bench_workloads`` the workload lists, which some
+tests reuse).
 """
 
 import contextlib
@@ -63,11 +69,22 @@ import json
 import math
 import sys
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from pathlib import Path
 from random import Random
 
 from upg import cli
+from upg.claims import (
+    FAIL,
+    HYPOTHESIS_GAP,
+    NOT_APPLICABLE,
+    PASS,
+    SKIPPED,
+    Claim,
+    ClaimVerdict,
+    RingContext,
+    claims_by_id,
+)
 from upg.graphs import (
     MultipartiteProfile,
     SimpleGraph,
@@ -76,7 +93,7 @@ from upg.graphs import (
     graph_from_edges,
     unity_product_graph,
 )
-from upg.invariants import JOIN, PRIME, SMALL, UNION
+from upg.invariants import JOIN, PRIME, SMALL, UNION, VertexBoundError
 from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
 
 INFINITY = math.inf
@@ -858,15 +875,117 @@ def run_main(main, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def bench_workloads():
-    """The benchmark's ``bench/workloads.py``, whose ring lists the tests
-    reuse; it imports ``bench/oracle.py`` by name."""
+def bench_module(name: str):
+    """The benchmark's ``bench/<name>.py``; bench modules import each other
+    by name, so ``bench`` is on the path while it loads."""
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     sys.path.insert(0, bench)
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(bench)
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, whose ring lists the tests
+    reuse."""
+    return bench_module("workloads")
+
+
+def _reference_evaluate(claim: Claim, ctx: RingContext) -> ClaimVerdict:
+    label = ctx.ring.label
+    if ctx.ring.unity is None:
+        return ClaimVerdict(claim.claim_id, label, SKIPPED, {"reason": "ring has no unity element"})
+    try:
+        if not claim.applicable(ctx):
+            return ClaimVerdict(claim.claim_id, label, NOT_APPLICABLE, None)
+        outcome, witness = claim.check(ctx)
+    except VertexBoundError as exc:
+        reason = f"{exc.invariant} refused: graph outside the closed-form classes"
+        return ClaimVerdict(claim.claim_id, label, SKIPPED, {"reason": reason})
+    return ClaimVerdict(claim.claim_id, label, outcome, witness)
+
+
+def reference_sweep(claims, rings) -> list[ClaimVerdict]:
+    """run_sweep as it was: one ClaimVerdict per claim and ring, made ring
+    by ring in label order, kept in one list per claim id."""
+    by_claim = {claim_id: [] for claim_id in sorted({claim.claim_id for claim in claims})}
+    for ring in sorted(rings, key=lambda r: r.label):
+        ctx = RingContext(ring)
+        for claim in claims:
+            by_claim[claim.claim_id].append(_reference_evaluate(claim, ctx))
+    return list(chain.from_iterable(by_claim.values()))
+
+
+_OUTCOME_ORDER = (PASS, FAIL, HYPOTHESIS_GAP, NOT_APPLICABLE, SKIPPED)
+
+
+def _reference_witness_text(witness) -> str:
+    if not witness:
+        return ""
+    return "; ".join(f"{key}={witness[key]}" for key in witness).replace(",", ";")
+
+
+def _reference_summary(verdicts) -> dict[str, int]:
+    counts = {outcome: 0 for outcome in _OUTCOME_ORDER}
+    for v in verdicts:
+        counts[v.outcome] += 1
+    return counts
+
+
+def _reference_by_claim(verdicts) -> list:
+    by_claim: dict[str, list] = {}
+    for v in verdicts:
+        by_claim.setdefault(v.claim_id, []).append(v)
+    return sorted(by_claim.items())
+
+
+def reference_render(verdicts, fmt: str) -> str:
+    """The former render_text, render_json or render_csv of a verdict list,
+    as one string."""
+    registry = claims_by_id()
+    if fmt == "csv":
+        lines = ["claim_id,ring,outcome,witness"]
+        lines += [
+            f"{v.claim_id},{v.ring_label},{v.outcome},{_reference_witness_text(v.witness)}"
+            for v in verdicts
+        ]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        claims_doc = []
+        for claim_id, rows in _reference_by_claim(verdicts):
+            claim = registry.get(claim_id)
+            claims_doc.append(
+                {
+                    "claim_id": claim_id,
+                    "statement": claim.statement if claim else "",
+                    "counts": _reference_summary(rows),
+                    "verdicts": [
+                        {
+                            "ring": v.ring_label,
+                            "outcome": v.outcome,
+                            "witness": dict(v.witness) if v.witness else None,
+                        }
+                        for v in rows
+                    ],
+                }
+            )
+        doc = {"summary": _reference_summary(verdicts), "claims": claims_doc}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = []
+    for claim_id, rows in _reference_by_claim(verdicts):
+        counts = _reference_summary(rows)
+        lines.append(f"{claim_id}: " + "  ".join(f"{o} {counts[o]}" for o in _OUTCOME_ORDER))
+        claim = registry.get(claim_id)
+        if claim is not None:
+            lines.append(f"  {claim.statement}")
+        for v in rows:
+            if v.outcome in (FAIL, HYPOTHESIS_GAP, SKIPPED):
+                lines.append(f"  {v.outcome} {v.ring_label}: {_reference_witness_text(v.witness)}")
+    totals = _reference_summary(verdicts)
+    total_text = "  ".join(f"{o} {totals[o]}" for o in _OUTCOME_ORDER)
+    lines.append(f"summary: verdicts {len(verdicts)}  {total_text}")
+    return "\n".join(lines) + "\n"
 
 
 def random_join(part_sizes, inner: float, rng: Random) -> SimpleGraph:

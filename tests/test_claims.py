@@ -503,12 +503,12 @@ def test_prime_power_rejection_names_input(q):
 
 def test_render_text():
     verdicts = run_sweep([lookup("thm-6.4")], [parse_ring_spec("gf:2^2"), zmod(5)])
-    text = render_text(verdicts)
+    text = "".join(render_text(verdicts))
     assert text.endswith("\n")
     assert "thm-6.4" in text
     assert "fail GF(4)" in text
     assert "summary:" in text
-    assert render_text(verdicts) == text
+    assert "".join(render_text(verdicts)) == text
 
 
 def test_render_json():
@@ -525,7 +525,7 @@ def test_render_json():
 
 def test_render_csv_schema():
     verdicts = run_sweep([lookup("thm-6.4")], [parse_ring_spec("gf:2^2"), zmod(5)])
-    csv = render_csv(verdicts)
+    csv = "".join(render_csv(verdicts))
     lines = csv.splitlines()
     assert lines[0] == "claim_id,ring,outcome,witness"
     assert len(lines) == 3
@@ -535,10 +535,10 @@ def test_render_csv_schema():
 
 
 def test_renders_accept_empty():
-    assert render_csv([]) == "claim_id,ring,outcome,witness\n"
+    assert "".join(render_csv([])) == "claim_id,ring,outcome,witness\n"
     doc = json.loads(render_json([]))
     assert doc["claims"] == [] and doc["summary"]["pass"] == 0
-    text = render_text([])
+    text = "".join(render_text([]))
     assert "summary:" in text
 
 
