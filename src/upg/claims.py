@@ -73,7 +73,8 @@ class RingContext:
     from the ring's ``unit_counts``, and the unit group only when its
     vertices are read.  ``isolated`` and ``pairs`` are the unity product
     graph's K1 and K2 counts when it is a disjoint union of them, as every
-    one is.
+    one is.  Every field is kept from its first read on, since each claim
+    reads the counts again.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -87,7 +88,7 @@ class RingContext:
     def counts(self) -> tuple[int, int]:
         return unit_counts(self.ring)
 
-    @property
+    @lazy_property
     def unit_count(self) -> int:
         return self.counts[0]
 
@@ -100,11 +101,11 @@ class RingContext:
     def comp_report(self) -> inv.InvariantReport:
         return self.upg_report.complement()
 
-    @property
+    @lazy_property
     def isolated(self) -> int:
         return self.upg_report.isolated_count
 
-    @property
+    @lazy_property
     def pairs(self) -> int:
         return self.upg_report.edge_count
 
@@ -114,7 +115,8 @@ class RingContext:
 
     @lazy_property
     def boolean(self) -> bool:
-        return is_boolean(self.ring)
+        # a boolean ring has one unit; the counts rule out the rest unscanned
+        return self.counts[0] == 1 and is_boolean(self.ring)
 
 
 class Claim(NamedTuple):
@@ -738,27 +740,29 @@ def _json_at(value: object, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def render_json(verdicts: Sequence[ClaimVerdict]) -> str:
+def render_json(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
     """The summary, then each claim's statement, counts and verdicts, laid
-    out as json.dumps(doc, indent=2) lays them out."""
+    out as json.dumps(doc, indent=2) lays them out: the summary head, then
+    one chunk per claim, and the closing brackets."""
     registry = claims_by_id()
     scalar = functools.cache(json.dumps)  # labels and outcomes repeat
     row = '        {\n          "ring": %s,\n          "outcome": %s,\n'
     row += '          "witness": %s\n        }'
-    claims_doc = []
+    yield f'{{\n  "summary": {_json_at(summarize(verdicts), 1)},\n  "claims": '
+    sep = "[\n"
     for claim_id, labels, pairs, counts in _blocks(verdicts):
         claim = registry.get(claim_id)
         rows = ",\n".join(
             row % (scalar(label), scalar(o), _json_at(dict(w), 5) if w else "null")
             for label, (o, w) in zip(labels, pairs)
         )
-        claims_doc.append(
-            f'    {{\n      "claim_id": {scalar(claim_id)},\n      "statement": '
+        yield (
+            f'{sep}    {{\n      "claim_id": {scalar(claim_id)},\n      "statement": '
             f'{scalar(claim.statement if claim else "")},\n      "counts": {_json_at(counts, 3)},\n'
             f'      "verdicts": [\n{rows}\n      ]\n    }}'
         )
-    listed = "[\n" + ",\n".join(claims_doc) + "\n  ]" if claims_doc else "[]"
-    return f'{{\n  "summary": {_json_at(summarize(verdicts), 1)},\n  "claims": {listed}\n}}\n'
+        sep = ",\n"
+    yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"
 
 
 def render_csv(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:

@@ -183,7 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, f"bad ring spec: {exc}") from None
     verdicts = run_sweep(selected, rings)
     renderer = {"text": render_text, "json": render_json, "csv": render_csv}[args.format]
-    # text and csv come one claim at a time, so no whole output is held
+    # every format comes one claim at a time, so no whole output is held
     _emit(renderer(verdicts), args.out)
     return EXIT_FAIL if summarize(verdicts)[FAIL] else EXIT_OK
 

@@ -1,13 +1,15 @@
 """Exact graph invariants.
 
-All solvers are exact.  A ring graph, s*K1 + p*K2 or its complement
-K_{1^s,2^p}, is split in closed form by RingSplit, from n, s and its
-``complemented`` flag, with no BFS and no row.  Every other graph is
-split by Decomposition, the rows-only engine, into components and
-co-components (the components of the complement, found by a mask BFS
-over ``~adj[u]``), the cograph frame of Corneil, Perl and Stewart
-(1985), one piece per part, on an explicit stack, so it never recurses
-once per vertex.
+All solvers are exact.  Every invariant of a report is a field of the
+graph's split.  A ring graph, s*K1 + p*K2 or its complement K_{1^s,2^p},
+is split by RingSplit, which states every field in closed form from n,
+s and its ``complemented`` flag, with no BFS, no row and no tuple of
+parts.  Every other graph is split by Decomposition, the rows-only
+engine, into components and co-components (the components of the
+complement, found by a mask BFS over ``~adj[u]``), the cograph frame of
+Corneil, Perl and Stewart (1985), one piece per part, on an explicit
+stack, so it never recurses once per vertex; its fields are computed on
+first read.
 Domination, clique and chromatic numbers combine over the pieces: over
 a union by maximum or by sum, over a join by sum, and a join is
 dominated by one vertex or two.
@@ -18,26 +20,22 @@ small pieces.  No ring graph reaches a search.
 
 InvariantReport is the one handle per graph that ``analyze``, ``survey``
 and the claim checks read: it makes the graph's split once, on first
-need (``split_of``), and computes each invariant on its first read,
-passing the split to every solver that takes one, so the component
-count, girth, eccentricities, planarity, hamiltonicity and the complete
-multipartite test share it and read the component count and the
-co-component sizes from its (size, count) pairs.
+need (``split_of``), and computes each invariant on its first read
+through the module solver of that name, which reads the split's field.
 ``full_report`` computes and checks every field.
 
-Girth and eccentricity work on the split and on whole adjacency rows:
-girth settles forests by their edge count, a join by its co-components
-and the others with a triangle by one row AND per edge, and runs a
-per-root BFS only on triangle-free cyclic graphs that are not joins;
-eccentricities are read off the split for
-a union (all infinite) or a join (1 or 2, from the co-component sizes),
-and only a connected and co-connected graph runs a direction-switching
-BFS over vertex masks.  Planarity and hamiltonicity are decided in
-closed form for the two shapes ring graphs take, forests (every unity
-product graph) and complete multipartite graphs (every complement, told
-apart by its edge count against its co-component sizes), plus graphs
-that small size or an edge or degree count settles; any other graph is
-refused with VertexBoundError.
+On a Decomposition, girth and eccentricity work on the split and on
+whole adjacency rows: girth settles forests by their edge count, a join
+by its co-components and the others with a triangle by one row AND per
+edge, and runs a per-root BFS only on triangle-free cyclic graphs that
+are not joins; eccentricities are read off the split for a union (all
+infinite) or a join (1 or 2, from the co-component sizes), and only a
+connected and co-connected graph runs a direction-switching BFS over
+vertex masks.  Planarity and hamiltonicity are decided in closed form
+for forests and complete multipartite graphs (told apart by the edge
+count against the co-component sizes), plus graphs that small size or
+an edge or degree count settles; any other graph is refused with
+VertexBoundError.
 
 Values that can be infinite (girth, diameter, radius) use ``math.inf``;
 ``fmt_extended`` renders them as ``"inf"``.
@@ -81,107 +79,6 @@ def fmt_extended(value: ExtendedNat) -> str:
     return "inf" if value == INFINITY else str(int(value))
 
 
-def girth(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> ExtendedNat:
-    """Length of a shortest cycle, INFINITY for forests.
-
-    A graph is a forest iff it has n - (component count) edges.  Otherwise
-    any edge u < v whose endpoint rows share a neighbor closes a triangle,
-    and no simple graph has a shorter cycle.  Only triangle-free graphs
-    with a cycle reach the per-root BFS: a non-tree edge (u, v) seen from
-    root r closes a walk of length dist[u] + dist[v] + 1 containing a
-    cycle no longer than itself, and for r on a shortest cycle the bound
-    is attained.  A cyclic join is read off its co-components: three of
-    them, or one holding an edge, give a triangle, and two independent
-    ones K_{a,b}, of girth 4 (a star is a forest).
-    """
-    split = split or split_of(g)
-    if g.edge_count == g.n - split.component_count:
-        return INFINITY
-    if sum(count for _, count in split.co_components) > 1:
-        return 4 if len(split.multipartite.part_sizes) == 2 else 3
-    adj = g.adj
-    for u in range(g.n):
-        row = adj[u]
-        for v in bit_indices(row >> (u + 1) << (u + 1)):
-            if row & adj[v]:
-                return 3
-    best: ExtendedNat = INFINITY
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if 2 * dist[u] >= best:
-                    continue
-                for v in bit_indices(adj[u]):
-                    if dist[v] == -1:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        cand = dist[u] + dist[v] + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
-    return best
-
-
-def eccentricity_profile(
-    g: SimpleGraph, split: Decomposition | RingSplit | None = None
-) -> tuple[ExtendedNat, ExtendedNat]:
-    """(diameter, radius).
-
-    A disconnected graph has both INFINITY.  A single vertex has
-    eccentricity 0.  A join of co-components is read off the split: two
-    vertices of different co-components are adjacent, and a co-component
-    of two or more vertices is co-connected, so each of its vertices
-    misses one of them and reaches it in two steps.  The diameter is
-    therefore 1 iff every co-component is a single vertex, and the radius
-    1 iff some co-component is, both 2 otherwise.
-
-    Only a graph that is connected and co-connected runs one BFS per
-    root, with the frontier and the visited set as masks
-    (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC'12).
-    While the frontier has no more vertices than the unvisited set, a
-    level is expanded top-down by OR-ing the frontier's rows; after that,
-    bottom-up by keeping the unvisited vertices whose row meets the
-    frontier.
-    """
-    if g.n <= 1:
-        return 0, 0
-    split = split or split_of(g)
-    if split.component_count > 1:
-        return INFINITY, INFINITY
-    if sum(count for _, count in split.co_components) > 1:
-        sizes = [size for size, _ in split.co_components]
-        return (1 if max(sizes) == 1 else 2), (1 if min(sizes) == 1 else 2)
-    adj = g.adj
-    full = (1 << g.n) - 1
-    ecc: list[int] = []
-    for root in range(g.n):
-        seen = frontier = 1 << root
-        depth = 0
-        while seen != full:
-            unseen = full ^ seen
-            nxt = 0
-            if frontier.bit_count() <= unseen.bit_count():
-                for u in bit_indices(frontier):
-                    nxt |= adj[u]
-                nxt &= unseen
-            else:
-                for v in bit_indices(unseen):
-                    if adj[v] & frontier:
-                        nxt |= 1 << v
-            seen |= nxt
-            frontier = nxt
-            depth += 1
-        ecc.append(depth)
-    return max(ecc), min(ecc)
-
-
 SMALL = "small"
 PRIME = "prime"
 UNION = "union"
@@ -215,7 +112,9 @@ class Decomposition:
     single vertex (a co-connected part of two or more vertices has no
     vertex adjacent to all of it), and otherwise by two.  Only prime
     pieces reach a search, run on the whole graph's rows within the
-    piece's vertex mask.
+    piece's vertex mask.  Girth, eccentricities, planarity and
+    hamiltonicity read the component count and co-components first, and
+    only a graph they leave open reaches a BFS or a refusal.
     """
 
     def __init__(self, g: SimpleGraph):
@@ -350,17 +249,177 @@ class Decomposition:
             return 1 if any(self.masks[j].bit_count() == 1 for j in self.parts[i]) else 2
         return _domination_search(self.graph.adj, self.masks[i])
 
+    @lazy_property
+    def isolated_count(self) -> int:
+        # the one-vertex components, counted by size
+        return dict(self.components).get(1, 0)
+
+    @lazy_property
+    def girth(self) -> ExtendedNat:
+        """Length of a shortest cycle, INFINITY for forests.
+
+        A graph is a forest iff it has n - (component count) edges.
+        Otherwise any edge u < v whose endpoint rows share a neighbor closes
+        a triangle, and no simple graph has a shorter cycle.  Only
+        triangle-free graphs with a cycle reach the per-root BFS: a non-tree
+        edge (u, v) seen from root r closes a walk of length dist[u] +
+        dist[v] + 1 containing a cycle no longer than itself, and for r on a
+        shortest cycle the bound is attained.  A cyclic join is read off its
+        co-components: three of them, or one holding an edge, give a
+        triangle, and two independent ones K_{a,b}, of girth 4 (a star is a
+        forest).
+        """
+        g = self.graph
+        if g.edge_count == g.n - self.component_count:
+            return INFINITY
+        if sum(count for _, count in self.co_components) > 1:
+            return 4 if len(self.multipartite.part_sizes) == 2 else 3
+        adj = g.adj
+        for u in range(g.n):
+            row = adj[u]
+            for v in bit_indices(row >> (u + 1) << (u + 1)):
+                if row & adj[v]:
+                    return 3
+        best: ExtendedNat = INFINITY
+        for root in range(g.n):
+            dist = [-1] * g.n
+            parent = [-1] * g.n
+            dist[root] = 0
+            frontier = [root]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    if 2 * dist[u] >= best:
+                        continue
+                    for v in bit_indices(adj[u]):
+                        if dist[v] == -1:
+                            dist[v] = dist[u] + 1
+                            parent[v] = u
+                            nxt.append(v)
+                        elif v != parent[u]:
+                            cand = dist[u] + dist[v] + 1
+                            if cand < best:
+                                best = cand
+                frontier = nxt
+        return best
+
+    @lazy_property
+    def eccentricities(self) -> tuple[ExtendedNat, ExtendedNat]:
+        """(diameter, radius).
+
+        A disconnected graph has both INFINITY.  A single vertex has
+        eccentricity 0.  A join of co-components is read off the split: two
+        vertices of different co-components are adjacent, and a co-component
+        of two or more vertices is co-connected, so each of its vertices
+        misses one of them and reaches it in two steps.  The diameter is
+        therefore 1 iff every co-component is a single vertex, and the
+        radius 1 iff some co-component is, both 2 otherwise.
+
+        Only a graph that is connected and co-connected runs one BFS per
+        root, with the frontier and the visited set as masks
+        (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC'12).
+        While the frontier has no more vertices than the unvisited set, a
+        level is expanded top-down by OR-ing the frontier's rows; after
+        that, bottom-up by keeping the unvisited vertices whose row meets
+        the frontier.
+        """
+        g = self.graph
+        if g.n <= 1:
+            return 0, 0
+        if self.component_count > 1:
+            return INFINITY, INFINITY
+        if sum(count for _, count in self.co_components) > 1:
+            sizes = [size for size, _ in self.co_components]
+            return (1 if max(sizes) == 1 else 2), (1 if min(sizes) == 1 else 2)
+        adj = g.adj
+        full = (1 << g.n) - 1
+        ecc: list[int] = []
+        for root in range(g.n):
+            seen = frontier = 1 << root
+            depth = 0
+            while seen != full:
+                unseen = full ^ seen
+                nxt = 0
+                if frontier.bit_count() <= unseen.bit_count():
+                    for u in bit_indices(frontier):
+                        nxt |= adj[u]
+                    nxt &= unseen
+                else:
+                    for v in bit_indices(unseen):
+                        if adj[v] & frontier:
+                            nxt |= 1 << v
+                seen |= nxt
+                frontier = nxt
+                depth += 1
+            ecc.append(depth)
+        return max(ecc), min(ecc)
+
+    @lazy_property
+    def planar(self) -> bool:
+        """Exact planarity, for the classes decided in closed form.
+
+        Graphs on at most 4 vertices and forests (every unity product graph)
+        are planar; the edge bound 3n - 6 rejects; complete multipartite
+        graphs (every complement) use the classification.  Any other graph
+        is refused with VertexBoundError.
+        """
+        g = self.graph
+        m = g.edge_count
+        if g.n <= 4 or m == g.n - self.component_count:
+            return True
+        if m > 3 * g.n - 6:
+            return False
+        profile = self.multipartite
+        if profile.valid:
+            return multipartite_planar(profile.part_sizes)
+        raise VertexBoundError("planarity", g.n)
+
+    @lazy_property
+    def hamiltonian(self) -> bool:
+        """Exact hamiltonicity, for the classes decided in closed form.
+
+        Graphs on fewer than 3 vertices and disconnected graphs (every unity
+        product graph of more than one unit) are not Hamiltonian; complete
+        multipartite graphs (every complement) use the closed form, which
+        also settles those with a vertex of degree below 2.  Of the rest,
+        graphs with such a vertex or fewer than n edges are not Hamiltonian,
+        and any other graph is refused with VertexBoundError.
+        """
+        g = self.graph
+        if g.n < 3 or self.component_count != 1:
+            return False
+        profile = self.multipartite
+        if profile.valid:
+            return multipartite_hamiltonian(profile.part_sizes)
+        if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
+            return False
+        raise VertexBoundError("hamiltonicity", g.n)
+
 
 class RingSplit:
     """The split of a ring graph, s*K1 + p*K2 or its complement
-    K_{1^s,2^p}, in closed form from n, s and ``complemented``: what
-    Decomposition answers, with no BFS and no row.  s is n - 2p, with p
-    the unity product graph's seeded edge count.  Its components are s
-    single vertices and p edges, (1, s) and (2, p), its co-component all
-    of it (K2 alone is a join of two vertices); the complement's are the
-    other way round, its clique and chromatic numbers s + p, one vertex
-    per part, and its domination number 1 with a single vertex, else 2
-    (each vertex misses its mate), or n below 2.
+    K_{1^s,2^p}, in closed form from n, s and ``complemented``: every
+    field Decomposition answers, as plain attributes made by arithmetic,
+    with no BFS, no row and no tuple of parts.  s is n - 2p, with p the
+    unity product graph's seeded edge count.
+
+    The unity product graph's components are s single vertices and p
+    edges, (1, s) and (2, p), its co-component all of it (K2 alone is a
+    join of two vertices).  It is a planar forest, never hamiltonian, and
+    its diameter and radius are infinite, except on K2 (1) and on at most
+    one vertex (0).
+
+    The complement's components and co-components are the other way round
+    (2K1, K2's complement, is two isolated vertices).  Its clique and
+    chromatic numbers are s + p, one vertex per part, and its domination
+    number 1 with a single vertex, else 2 (each vertex misses its mate),
+    or n below 2.  Its girth is 3 from three parts on, which hold a
+    triangle; of two parts only C4 (p = 2) has a cycle, of girth 4.  Its
+    diameter is 1 with no pair, else 2, and its radius 1 with a single
+    vertex, else 2.  It is planar iff it has at most three parts, or four
+    with at most one pair (``multipartite_planar``), and hamiltonian iff
+    n >= 3 and no part holds more than half the vertices: n >= 4, or K3
+    (``multipartite_hamiltonian``).
     """
 
     def __init__(self, g: SimpleGraph):
@@ -369,15 +428,29 @@ class RingSplit:
         pairs = n * (n - 1) // 2 - g.edge_count if g.complemented else g.edge_count
         singles = n - 2 * pairs
         runs = [(size, count) for size, count in ((1, singles), (2, pairs)) if count]
-        whole = [(1, 2)] if runs == [(2, 1)] else [(n, 1)] if n else []
+        lone_pair = runs == [(2, 1)]
+        whole = [(1, 2)] if lone_pair else [(n, 1)] if n else []
         if g.complemented:
+            parts = singles + pairs
             self.components, self.co_components = whole, runs
-            self.clique_order = self.chromatic = singles + pairs
+            self.clique_order = self.chromatic = parts
             self.domination = 1 if singles else min(n, 2)
+            self.isolated_count = 2 if lone_pair else int(n == 1)
+            self.girth = 3 if parts > 2 else 4 if pairs == 2 else INFINITY
+            self.eccentricities = (
+                (0, 0) if n <= 1 else (INFINITY, INFINITY) if lone_pair
+                else (2 if pairs else 1, 1 if singles else 2)
+            )
+            self.planar = parts <= 3 or parts == 4 and pairs <= 1
+            self.hamiltonian = n >= 4 or n == 3 and not pairs
         else:
             self.components, self.co_components = runs, whole
             self.clique_order = self.chromatic = 2 if pairs else min(n, 1)
             self.domination = singles + pairs
+            self.isolated_count = singles
+            self.girth = INFINITY
+            self.eccentricities = (0, 0) if n <= 1 else (1, 1) if lone_pair else (INFINITY, INFINITY)
+            self.planar, self.hamiltonian = True, False
         self.component_count = sum(count for _, count in self.components)
 
     multipartite = Decomposition.multipartite
@@ -538,11 +611,23 @@ def _domination_search(adj: tuple[int, ...], mask: int) -> int:
     return best
 
 
-def domination_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
-    """Minimum size of a set whose closed neighborhoods cover the graph.
+def girth(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> ExtendedNat:
+    """Length of a shortest cycle, INFINITY for forests.
 
     ``split``, here and below, is g's split (``split_of``), which an
     InvariantReport passes so that its fields share one."""
+    return (split or split_of(g)).girth
+
+
+def eccentricity_profile(
+    g: SimpleGraph, split: Decomposition | RingSplit | None = None
+) -> tuple[ExtendedNat, ExtendedNat]:
+    """(diameter, radius)."""
+    return (split or split_of(g)).eccentricities
+
+
+def domination_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
+    """Minimum size of a set whose closed neighborhoods cover the graph."""
     return (split or split_of(g)).domination
 
 
@@ -559,6 +644,18 @@ def clique_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None
 def chromatic_number(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> int:
     """Fewest colors of a proper vertex coloring."""
     return (split or split_of(g)).chromatic
+
+
+def is_planar(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
+    """Exact planarity of a ring graph; any graph outside the classes
+    decided in closed form is refused with VertexBoundError."""
+    return (split or split_of(g)).planar
+
+
+def is_hamiltonian(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
+    """Exact hamiltonicity of a ring graph; any graph outside the classes
+    decided in closed form is refused with VertexBoundError."""
+    return (split or split_of(g)).hamiltonian
 
 
 def multipartite_planar(part_sizes: tuple[int, ...]) -> bool:
@@ -587,51 +684,6 @@ def multipartite_hamiltonian(part_sizes: tuple[int, ...]) -> bool:
     exceed all others combined; cycles need at least 3 vertices."""
     n = sum(part_sizes)
     return n >= 3 and 2 * max(part_sizes) <= n
-
-
-def is_planar(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
-    """Exact planarity of a ring graph.
-
-    Pipeline: graphs on at most 4 vertices and forests (every unity
-    product graph) are planar; the edge bound 3n - 6 rejects; complete
-    multipartite graphs (every complement) use the classification.  Any
-    other graph is refused with VertexBoundError.
-    """
-    m = g.edge_count
-    if g.n <= 4:
-        return True
-    split = split or split_of(g)
-    if m == g.n - split.component_count:
-        return True
-    if m > 3 * g.n - 6:
-        return False
-    profile = split.multipartite
-    if profile.valid:
-        return multipartite_planar(profile.part_sizes)
-    raise VertexBoundError("planarity", g.n)
-
-
-def is_hamiltonian(g: SimpleGraph, split: Decomposition | RingSplit | None = None) -> bool:
-    """Exact hamiltonicity of a ring graph.
-
-    Graphs on fewer than 3 vertices and disconnected graphs (every unity
-    product graph of more than one unit) are not Hamiltonian; complete
-    multipartite graphs (every complement) use the closed form, which
-    also settles those with a vertex of degree below 2.  Of the rest,
-    graphs with such a vertex or fewer than n edges are not Hamiltonian,
-    and any other graph is refused with VertexBoundError.
-    """
-    if g.n < 3:
-        return False
-    split = split or split_of(g)
-    if split.component_count != 1:
-        return False
-    profile = split.multipartite
-    if profile.valid:
-        return multipartite_hamiltonian(profile.part_sizes)
-    if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
-        return False
-    raise VertexBoundError("hamiltonicity", g.n)
 
 
 class InvariantReport:
@@ -671,8 +723,7 @@ class InvariantReport:
 
     @lazy_property
     def isolated_count(self) -> int:
-        # the one-vertex components, counted by size
-        return dict(self.split.components).get(1, 0)
+        return self.split.isolated_count
 
     @property
     def connected(self) -> bool:

@@ -38,8 +38,9 @@ finds the components of every graph by mask BFS;
 ``assert_matches_reference`` checks a Decomposition against it.
 ``pairing_graph`` is the unity product graph of a stand-in unit group
 with s self-inverse units and p inverse pairs, and ``SPLIT_FIELDS`` the
-answers a split gives, on which a ring graph's closed-form split is
-checked against the rows-only Decomposition.
+answers a split gives, every report field among them, on which a ring
+graph's closed-form split is checked against the rows-only
+Decomposition.
 ``reference_report_json`` is the former report writer, json.dumps with
 indent=2, the reference for the separator layout of ``to_json``; the
 labels block of ``export_json`` is checked against
@@ -1005,7 +1006,8 @@ def random_join(part_sizes, inner: float, rng: Random) -> SimpleGraph:
 
 SPLIT_FIELDS = (
     "components", "co_components", "component_count", "multipartite",
-    "domination", "clique_order", "chromatic", "clique",
+    "domination", "clique_order", "chromatic", "clique", "isolated_count",
+    "girth", "eccentricities", "planar", "hamiltonian",
 )
 
 

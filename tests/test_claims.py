@@ -513,7 +513,7 @@ def test_render_text():
 
 def test_render_json():
     verdicts = run_sweep([lookup("thm-3.6")], [zmod(8), zmod(40)])
-    doc = json.loads(render_json(verdicts))
+    doc = json.loads("".join(render_json(verdicts)))
     assert doc["summary"]["pass"] == 1
     assert doc["summary"]["hypothesis_gap"] == 1
     claim_doc = doc["claims"][0]
@@ -536,7 +536,7 @@ def test_render_csv_schema():
 
 def test_renders_accept_empty():
     assert "".join(render_csv([])) == "claim_id,ring,outcome,witness\n"
-    doc = json.loads(render_json([]))
+    doc = json.loads("".join(render_json([])))
     assert doc["claims"] == [] and doc["summary"]["pass"] == 0
     text = "".join(render_text([]))
     assert "summary:" in text

@@ -777,7 +777,7 @@ def test_girth_and_eccentricity_match_bfs_reference_randomized():
 
 
 @pytest.mark.parametrize("singles,pairs", [(1, 511), (2, 2045)])
-def test_metrics_at_order_cap_shapes(singles, pairs):
+def test_metrics_at_order_cap_shapes(singles, pairs, monkeypatch):
     # s*K1 + p*K2 is the UPG of gf:2^10 (1, 511) and of a prime near the
     # order cap (2, 2045), built without a unit scan.  The complement's
     # construction, not girth or eccentricity, takes most of this test.
@@ -790,6 +790,20 @@ def test_metrics_at_order_cap_shapes(singles, pairs):
     comp = complement(g)
     assert girth(comp) == 3
     assert eccentricity_profile(comp) == (2, 1)
+    # the same shapes as ring graphs are reported in closed form: both
+    # reports check with no tuple of parts made and no classification run
+    expected = [full_report(h).to_json() for h in (g, comp)]
+
+    def refuse(part_sizes):
+        raise AssertionError("multipartite classification called")
+
+    monkeypatch.setattr(upg.invariants, "multipartite_planar", refuse)
+    monkeypatch.setattr(upg.invariants, "multipartite_hamiltonian", refuse)
+    upg_report = InvariantReport(pairing_graph(singles, pairs))
+    comp_report = upg_report.complement()
+    assert [r.check().to_json() for r in (upg_report, comp_report)] == expected
+    assert "multipartite" not in vars(comp_report.split)
+    assert "adj" not in vars(comp_report.graph)
 
 
 def test_chromatic_matches_assignment_search_tiny():

@@ -39,8 +39,7 @@ RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 
 def rendered(verdicts, fmt: str) -> str:
-    output = RENDERERS[fmt](verdicts)
-    return output if fmt == "json" else "".join(output)
+    return "".join(RENDERERS[fmt](verdicts))
 
 
 def refuse(ctx):
@@ -138,19 +137,21 @@ def test_witness_rule_holds_on_the_sweep_path(outcome, monkeypatch):
     assert [v.outcome for v in run_sweep([passing], rings)] == [PASS, PASS]
 
 
-def test_verify_at_the_order_cap_holds_no_verdicts():
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_at_the_order_cap_holds_no_verdicts(fmt):
     # verify --zmod-max 4096 once held 107,023 ClaimVerdicts and its whole
-    # CSV output, and its peak RSS grew 29 MB over `import upg.cli`; the
-    # sweep now keeps each check's own (outcome, witness) pair, mostly a
-    # shared constant, and the CSV is written one claim at a time: 11.6 MB
-    # of growth on Linux with CPython 3.11, so 16 MB leaves room without
-    # letting a list of verdicts or the whole output back in
+    # output, and its peak RSS grew 29 MB (csv) or 48 MB (json) over
+    # `import upg.cli`; the sweep now keeps each check's own (outcome,
+    # witness) pair, mostly a shared constant, and every format is written
+    # one claim at a time: 11.6 MB of growth for csv on Linux with CPython
+    # 3.11, so 16 MB leaves room without letting a list of verdicts or the
+    # whole output back in
     resource = pytest.importorskip("resource")
     script = (
         "import os, resource\n"
         "import upg.cli\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "argv = ['verify', '--claims', 'all', '--zmod-max', '4096', '--format', 'csv']\n"
+        f"argv = ['verify', '--claims', 'all', '--zmod-max', '4096', '--format', '{fmt}']\n"
         "code = upg.cli.main(argv + ['--out', os.devnull])\n"
         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
