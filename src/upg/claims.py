@@ -252,9 +252,13 @@ def _check_trichotomy(ctx: RingContext):
 
 
 def _check_multipartite_form(ctx: RingContext):
-    profile = ctx.comp_report.split.multipartite
-    expected = (1,) * ctx.isolated + (2,) * ctx.pairs
-    if not profile.valid or profile.part_sizes != expected:
+    # K_{1^s,2^p} iff the co-components are s singles and p pairs: a
+    # co-connected pair is a non-edge, so no part holds an edge; the part
+    # tuples are built only for a fail witness
+    split, s, p = ctx.comp_report.split, ctx.isolated, ctx.pairs
+    if split.co_components != [(size, count) for size, count in ((1, s), (2, p)) if count]:
+        profile = split.multipartite
+        expected = (1,) * s + (2,) * p
         return _fail(
             f"complete multipartite with parts {expected}",
             f"parts {profile.part_sizes}" if profile.valid else "not complete multipartite",

@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes: 0 success (verify: no failing verdict), 1 verify found at
 least one fail, 2 usage error, bad ring spec, unknown claim id, an
---out file that cannot be written or a closed stdout, 3 ring has no
-unity element, 4 a graph outside the classes an invariant decides in
-closed form, or a survey family over the order cap.
+--out file that cannot be written, a closed stdout, or output its
+encoding lacks a character of, 3 ring has no unity element, 4 a graph
+outside the classes an invariant decides in closed form, or a survey
+family over the order cap.
 
 Output is deterministic: rerunning a command byte-identically reproduces
 it.  Everything ends with a newline; CSV fields never contain commas.
@@ -81,6 +82,8 @@ def _emit(output: str | Iterable[str], out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             raise _CliError(EXIT_USAGE, "cannot write to stdout: Broken pipe") from None
+        except UnicodeEncodeError as exc:
+            raise _CliError(EXIT_USAGE, f"cannot write to stdout: {_unencodable(exc)}") from None
         return
     try:
         with open(out, "w") as fh:
@@ -88,6 +91,12 @@ def _emit(output: str | Iterable[str], out: str | None) -> None:
                 fh.write(chunk)
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {exc.strerror}") from None
+    except UnicodeEncodeError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {_unencodable(exc)}") from None
+
+
+def _unencodable(exc: UnicodeEncodeError) -> str:
+    return f"{exc.object[exc.start : exc.end]!r} has no {exc.encoding} encoding"
 
 
 def _non_negative_int(text: str) -> int:

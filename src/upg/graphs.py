@@ -12,11 +12,14 @@ from the unit group on first read are its ``mate`` array, vertex u's
 entry the index of its unit's inverse; its rows, read by ``degree``,
 ``has_edge``, == and the general solvers; and its labels, the units'.
 
-Export is streamed: ``dot_chunks`` and ``json_chunks`` join per-vertex
-strings, with no Python object per edge.  A unity product graph's edges
-are one list comprehension over the pairs u < mate[u]; complement row u
-is every later vertex but mate[u].  Only a graph without an array has
-its rows decoded, their binary digits selecting the strings in C.
+Export is streamed, with no Python object per edge: ``dot_chunks`` and
+``json_chunks`` write a unity product graph's edges in one list
+comprehension over the pairs u < mate[u], any other graph's one row at a
+time.  Row u is one ``str.join`` of the names of its later neighbors,
+whose separator closes the previous edge and opens the next from u, so
+each edge's bytes are copied once.  Complement row u is every later
+vertex but mate[u]; only a graph without an array has its rows decoded,
+their binary digits selecting the names in C.
 """
 
 from __future__ import annotations
@@ -297,34 +300,40 @@ def recognize_complete_multipartite(
 _BIT_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _edge_pieces(g: SimpleGraph, names: list[str], head: str, sep: str, tail: str):
+def _edge_pieces(g: SimpleGraph, names: list[str], head: str, sep: str, tail: str, drop: int = 0):
     """Yield, in nonempty pieces, head + names[u] + sep + names[v] + tail
-    for every edge u < v, ascending: a unity product graph's in one piece,
-    any other graph's one piece per row.  A complement's row u is a slice
-    of ``names`` with mate[u] deleted; a row without a mate array is
-    decoded in C, its binary digits, reversed, selecting from
-    ``names[u + 1:]`` up to the highest set bit.
+    for every edge u < v, ascending, less the first ``drop`` characters: a
+    unity product graph's in one piece, any other graph's one piece per
+    row and then the last tail.  Row u joins ``names[u:]``, first entry
+    blanked, less mate[u] for a complement, or, without a mate array, as
+    selected in C by the row's binary digits, reversed.  The separator is
+    the previous edge's tail and then head + names[u] + sep, so each edge
+    is copied once; the first piece is cut of the tail that opens it.
     """
     mate = g.mate
     if mate is not None and not g.complemented:
         pairs = enumerate(mate)
         text = "".join([f"{head}{names[u]}{sep}{names[v]}{tail}" for u, v in pairs if u < v])
         if text:
-            yield text
+            yield text[drop:]
         return
+    cut = len(tail) + drop
     for u in range(g.n):
         if mate is not None:
-            later = names[u + 1 :]
+            row = names[u:]
             if mate[u] > u:
-                del later[mate[u] - u - 1]
-        elif row := g.adj[u] >> (u + 1):
-            selector = format(row, "b").encode().translate(_BIT_SELECTOR)[::-1]
-            later = list(compress(names[u + 1 :], selector))
+                del row[mate[u] - u]
+        elif row := g.adj[u] >> u:  # | 1 keeps names[u], the entry blanked
+            selector = format(row | 1, "b").encode().translate(_BIT_SELECTOR)[::-1]
+            row = list(compress(names[u:], selector))
         else:
             continue
-        if later:
-            start = f"{head}{names[u]}{sep}"
-            yield start + (tail + start).join(later) + tail
+        if len(row) > 1:
+            row[0] = ""
+            yield (tail + head + names[u] + sep).join(row)[cut:]
+            cut = 0
+    if not cut:
+        yield tail
 
 
 def dot_chunks(g: SimpleGraph):
@@ -355,11 +364,9 @@ def json_chunks(g: SimpleGraph):
     labels = json.dumps(list(g.labels), separators=(",\n    ", ": "))  # C encoder, indent=2 layout
     labels = f"[\n    {labels[1:-1]}\n  ]" if g.n else "[]"
     yield f'{{\n  "n": {g.n},\n  "labels": {labels},\n  "edges": ['
-    pieces = _edge_pieces(g, list(map(str, range(g.n))), ",\n    [\n      ", ",\n      ", "\n    ]")
-    first = next(pieces, ",")  # a lone comma: no edge
-    yield first[1:]
-    yield from pieces
-    yield "]\n}\n" if first == "," else "\n  ]\n}\n"
+    names = list(map(str, range(g.n)))
+    yield from _edge_pieces(g, names, ",\n    [\n      ", ",\n      ", "\n    ]", drop=1)
+    yield "\n  ]\n}\n" if g.edge_count else "]\n}\n"
 
 
 def export_json(g: SimpleGraph) -> str:

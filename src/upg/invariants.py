@@ -160,7 +160,7 @@ class Decomposition:
     @lazy_property
     def multipartite(self) -> MultipartiteProfile:
         """The graph's complete multipartite profile, from its co-components;
-        planarity, hamiltonicity and the claims read this one."""
+        planarity, hamiltonicity and a thm-3.7 fail witness read this one."""
         return recognize_complete_multipartite(self.graph, self.co_components)
 
     @lazy_property

@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -25,11 +26,17 @@ from upg.claims import (
     run_sweep,
 )
 import upg.invariants
-from upg.graphs import complement, graph_from_edges
+from upg.graphs import complement, graph_from_edges, recognize_complete_multipartite
 from upg.invariants import InvariantReport, VertexBoundError
 from upg.rings import is_cyclic, parse_ring_spec, zmod
 
-from oracles import prime_power, reference_prop_31_hypothesis, reference_units
+from oracles import (
+    prime_power,
+    random_graph,
+    random_join,
+    reference_prop_31_hypothesis,
+    reference_units,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -285,6 +292,35 @@ def test_fail_and_gap_witnesses_pinned(claim_id, spec, upg, comp, fields, outcom
     got_outcome, got_witness = lookup(claim_id).check(ctx)
     assert (got_outcome, list(got_witness.items())) == (outcome, witness)
 
+
+def test_thm37_decided_as_by_part_sizes():
+    # the co-component rule agrees with comparing the recognized part sizes
+    # against (1,) * s + (2,) * p, on every split of up to 7 vertices into
+    # s singles and p pairs, against complete multipartite complements of
+    # every part profile and random graphs
+    rng = Random(37)
+    seen = Counter()
+    for n in range(8):
+        comps = [random_graph(n, rng.random(), rng) for _ in range(30)]
+        for _ in range(30):
+            sizes = [rng.randint(1, 3) for _ in range(n)]
+            while sum(sizes) > n:
+                sizes.pop()
+            comps.append(random_join(sizes + [1] * (n - sum(sizes)), 0.0, rng))
+        for pairs in range(n // 2 + 1):
+            ctx = RingContext(zmod(5))
+            ctx.upg_report = InvariantReport(graph(n, *((2 * i, 2 * i + 1) for i in range(pairs))))
+            for comp in comps:
+                ctx.comp_report = InvariantReport(comp)
+                profile = recognize_complete_multipartite(comp)
+                expected = (1,) * (n - 2 * pairs) + (2,) * pairs
+                held = profile.valid and profile.part_sizes == expected
+                outcome, _ = lookup("thm-3.7").check(ctx)
+                assert (outcome == FAIL) != held, (n, pairs, comp)
+                seen[held] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 ZERO_FAIL_IDS = (
     "thm-3.1", "thm-3.2", "thm-3.3", "thm-3.4", "thm-3.5",
     "thm-4.1", "thm-4.4", "thm-4.5",
@@ -451,8 +487,8 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
     # Two splits are made per ring, both in closed form: the unity product
     # graph's, and the complement's through its report's complement().  No
     # Decomposition is built.  Each solver runs at most once per graph, and
-    # the complement's multipartite profile is recognized once, for
-    # planarity, hamiltonicity and the claims alike.
+    # no multipartite profile is recognized: planarity and hamiltonicity
+    # are closed forms, and thm-3.7 passes on the co-components alone.
     calls = Counter()
     solved = {}  # keeps every solved graph alive, so their ids stay distinct
     made = []
@@ -492,7 +528,7 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
         assert {g.adj for g in solved.values()} <= {made[0].adj, made[1].adj}, ring.label
         assert len(solved) <= 2, ring.label
         assert max(calls.values()) == 1, (ring.label, calls)
-        assert {name for name, _ in calls} == set(SOLVERS) | {"recognize"}, ring.label
+        assert {name for name, _ in calls} == set(SOLVERS), ring.label
 
 
 @pytest.mark.parametrize("q", [12, 18, 6, 0, 1])

@@ -206,10 +206,18 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+# sha256 of the complement of the unity product graph of gf:2^12, by format
+CAP_COMPLEMENT_DIGESTS = {
+    "json": "7c70a6dd7a399468fca085d48d1283123df37b3120542b66f7459c7a233c6fd8",
+    "dot": "f0700de9f0191dbea06ff9981b3c6838432e92e24e261a2f144a37c562c77a18",
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_build_complement_at_order_cap_gf4096_in_1gib(fmt):
     # 8.4 M edges; the export is streamed row by row, so it fits in an
-    # address space far smaller than the document (~297 MB JSON, ~470 MB DOT)
+    # address space far smaller than the document (~297 MB JSON, ~470 MB
+    # DOT), and its bytes are pinned as they stream
     pytest.importorskip("resource")
     argv = ["build", "--ring", "gf:2^12", "--graph", "complement", "--format", fmt]
     proc = subprocess.Popen(
@@ -219,9 +227,10 @@ def test_build_complement_at_order_cap_gf4096_in_1gib(fmt):
         env=CLI_ENV,
         preexec_fn=_limit_address_space,
     )
-    newlines, last = 0, b""
+    newlines, last, digest = 0, b"", hashlib.sha256()
     while chunk := proc.stdout.read(1 << 20):
         newlines += chunk.count(b"\n")
+        digest.update(chunk)
         last = chunk
     stderr = proc.stderr.read()
     proc.stdout.close()
@@ -231,6 +240,7 @@ def test_build_complement_at_order_cap_gf4096_in_1gib(fmt):
     n, m = 4095, 4095 * 4094 // 2 - 2047
     assert newlines == (n + 4 * m + 7 if fmt == "json" else n + m + 2)
     assert last.endswith(b"}\n")
+    assert digest.hexdigest() == CAP_COMPLEMENT_DIGESTS[fmt]
 
 
 def test_over_cap_exit_2():
@@ -534,6 +544,56 @@ def test_closed_stdout_exit_2(args):
         os.close(write_end)
     assert res.returncode == 2
     assert res.stderr == "error: cannot write to stdout: Broken pipe\n"
+
+
+def _table_with_non_ascii_names(tmp_path: Path) -> str:
+    doc = {
+        "order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0,
+        "element_names": ["n\u00fcl", "\u00fcn"],
+    }
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(doc))
+    return f"table:@{path}"
+
+
+def test_unencodable_stdout_exit_2(tmp_path):
+    # a label stdout's encoding lacks is a write error, not a traceback and
+    # not exit 1, which means a failing verdict
+    spec = _table_with_non_ascii_names(tmp_path)
+    res = subprocess.run(
+        [sys.executable, "-m", "upg", "build", "--ring", spec],
+        capture_output=True, text=True, env={**CLI_ENV, "PYTHONIOENCODING": "ascii"},
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: cannot write to stdout: '\\xfc' has no ascii encoding\n"
+
+
+def test_unencodable_out_file_exit_2(tmp_path):
+    # --out is written in the locale's encoding, ASCII in the C locale
+    # once UTF-8 mode and locale coercion are off
+    env = {**CLI_ENV, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    env.pop("PYTHONIOENCODING", None)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, env=env,
+    )
+    try:
+        "\u00fc".encode(probe.stdout.strip())
+    except (LookupError, UnicodeEncodeError):
+        pass
+    else:
+        pytest.skip(f"the C locale encodes non-ASCII here ({probe.stdout.strip()})")
+    spec = _table_with_non_ascii_names(tmp_path)
+    out = tmp_path / "g.dot"
+    res = subprocess.run(
+        [sys.executable, "-m", "upg", "build", "--ring", spec, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: cannot write {str(out)!r}: ")
+    assert res.stderr.endswith(" has no ascii encoding\n") and res.stderr.count("\n") == 1
 
 
 def test_negative_zmod_max_exit_2():

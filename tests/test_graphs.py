@@ -11,11 +11,13 @@ from upg.graphs import (
     complement,
     connected_parts,
     decompose_matching_structure,
+    dot_chunks,
     export_dot,
     export_json,
     graph_from_edges,
     graph_from_json,
     is_complete,
+    json_chunks,
     lazy_property,
     recognize_complete_multipartite,
     unity_product_graph,
@@ -494,6 +496,37 @@ def test_streamed_export_matches_reference():
     assert len(seen) == 7 and min(seen.values()) >= 30, seen
     # rows exported as a slice of every later vertex but at most one
     assert len(slices) == 5 and min(slices.values()) >= 200, slices
+
+
+def test_export_streams_one_chunk_per_row():
+    # complements and graphs without a mate array stream one chunk per row
+    # with a later neighbor, then the last tail and the closing, and no
+    # empty chunk; the random graphs' first rows have no later neighbor, so
+    # the cut of the first piece falls past row 0
+    rng = Random(29)
+    cases = [complement(upg_of(f"zmod:{n}")) for n in range(1, 201)]
+    cases.append(complement(upg_of("gf:2^5")))
+    for _ in range(100):
+        n = rng.randrange(2, 16)
+        lead = rng.randrange(1, n)
+        g = random_graph(n - lead, rng.random(), rng)
+        cases.append(graph_from_edges(n, [(u + lead, v + lead) for u, v in g.edges()]))
+    shapes = Counter()
+    for g in cases:
+        later = [row >> u + 1 for u, row in enumerate(g.adj)]
+        counts = [row.bit_count() for row in later if row]
+        shapes["first row edgeless"] += bool(later) and not later[0] and bool(counts)
+        shapes["complement"] += g.complemented and bool(counts)
+        for chunks, reference, mark in (
+            (dot_chunks, reference_export_dot, " -- "),
+            (json_chunks, reference_export_json, "["),
+        ):
+            pieces = list(chunks(g))
+            assert "" not in pieces, g
+            assert "".join(pieces) == reference(g), g
+            assert len(pieces) == len(counts) + (3 if counts else 2), g
+            assert [piece.count(mark) for piece in pieces[1 : 1 + len(counts)]] == counts, g
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_json_labels_block_matches_indent_layout():
