@@ -30,7 +30,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import invariants as inv
-from .graphs import is_complete, lazy_property, ring_graph
+from .graphs import flat_json, is_complete, lazy_property, ring_graph
 from .rings import (
     DEFAULT_ORDER_CAP,
     FiniteRing,
@@ -734,14 +734,11 @@ def render_text(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
     yield f"summary: verdicts {len(verdicts)}  {_count_text(summarize(verdicts))}\n"
 
 
-def _json_at(value: object, depth: int) -> str:
-    """json.dumps(value, indent=2) as written ``depth`` levels deep; a flat
-    dict through the C encoder, its items separated by newline and indent."""
-    nested = (dict, list, tuple)
-    if isinstance(value, dict) and value and not any(isinstance(v, nested) for v in value.values()):
-        pad = "\n" + "  " * (depth + 1)
-        return "{" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "}"
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+def _witness_json(witness: dict) -> str:
+    """A witness as json.dumps(witness, indent=2) writes it five levels deep."""
+    if any(isinstance(v, (dict, list, tuple)) for v in witness.values()):
+        return json.dumps(witness, indent=2).replace("\n", "\n" + "  " * 5)
+    return flat_json(witness, 5)
 
 
 def render_json(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
@@ -752,17 +749,17 @@ def render_json(verdicts: Sequence[ClaimVerdict]) -> Iterator[str]:
     scalar = functools.cache(json.dumps)  # labels and outcomes repeat
     row = '        {\n          "ring": %s,\n          "outcome": %s,\n'
     row += '          "witness": %s\n        }'
-    yield f'{{\n  "summary": {_json_at(summarize(verdicts), 1)},\n  "claims": '
+    yield f'{{\n  "summary": {flat_json(summarize(verdicts), 1)},\n  "claims": '
     sep = "[\n"
     for claim_id, labels, pairs, counts in _blocks(verdicts):
         claim = registry.get(claim_id)
         rows = ",\n".join(
-            row % (scalar(label), scalar(o), _json_at(dict(w), 5) if w else "null")
+            row % (scalar(label), scalar(o), _witness_json(dict(w)) if w else "null")
             for label, (o, w) in zip(labels, pairs)
         )
         yield (
             f'{sep}    {{\n      "claim_id": {scalar(claim_id)},\n      "statement": '
-            f'{scalar(claim.statement if claim else "")},\n      "counts": {_json_at(counts, 3)},\n'
+            f'{scalar(claim.statement if claim else "")},\n      "counts": {flat_json(counts, 3)},\n'
             f'      "verdicts": [\n{rows}\n      ]\n    }}'
         )
         sep = ",\n"

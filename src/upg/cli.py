@@ -7,11 +7,11 @@ Subcommands:
   survey   one CSV row of invariants per ring in a family
 
 Exit codes: 0 success (verify: no failing verdict), 1 verify found at
-least one fail, 2 usage error, bad ring spec, unknown claim id, an
---out file that cannot be written, a closed stdout, or output its
-encoding lacks a character of, 3 ring has no unity element, 4 a graph
-outside the classes an invariant decides in closed form, or a survey
-family over the order cap.
+least one fail, 2 usage error, bad ring spec, unknown claim id, or any
+failed write to stdout or the --out file (a broken pipe, a full device,
+a closed descriptor, or a character its encoding lacks), 3 ring has no
+unity element, 4 a graph outside the classes an invariant decides in
+closed form, or a survey family over the order cap.
 
 Output is deterministic: rerunning a command byte-identically reproduces
 it.  Everything ends with a newline; CSV fields never contain commas.
@@ -20,10 +20,12 @@ it.  Everything ends with a newline; CSV fields never contain commas.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 from . import claims as claims_mod
 from . import invariants as inv
@@ -40,7 +42,7 @@ from .claims import (
     run_sweep,
     summarize,
 )
-from .graphs import complement, dot_chunks, json_chunks
+from .graphs import dot_chunks, json_chunks
 from .rings import (
     DEFAULT_ORDER_CAP,
     FAMILIES,
@@ -68,31 +70,26 @@ class _CliError(Exception):
 
 
 def _emit(output: str | Iterable[str], out: str | None) -> None:
-    """Write one text, or its chunks as they come, to stdout or the --out file."""
+    """Write one text, or its chunks as they come, to stdout or the --out
+    file; any failed write exits 2 with one line."""
     chunks = (output,) if isinstance(output, str) else output
-    if out is None:
-        try:
+    try:
+        with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+            if fh is None:  # stdout was closed before start
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             for chunk in chunks:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader went away; point the descriptor at devnull, so
-            # the interpreter's final flush of what is left raises nothing
+                fh.write(chunk)
+            fh.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        if out is None and sys.stdout is not None:
+            # point the descriptor at devnull, so the interpreter's final
+            # flush of what is left raises nothing
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise _CliError(EXIT_USAGE, "cannot write to stdout: Broken pipe") from None
-        except UnicodeEncodeError as exc:
-            raise _CliError(EXIT_USAGE, f"cannot write to stdout: {_unencodable(exc)}") from None
-        return
-    try:
-        with open(out, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {exc.strerror}") from None
-    except UnicodeEncodeError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot write {out!r}: {_unencodable(exc)}") from None
+        where = "to stdout" if out is None else repr(out)
+        reason = exc.strerror if isinstance(exc, OSError) else _unencodable(exc)
+        raise _CliError(EXIT_USAGE, f"cannot write {where}: {reason}") from None
 
 
 def _unencodable(exc: UnicodeEncodeError) -> str:
@@ -118,11 +115,13 @@ def _resolve_ring(spec: str, order_cap: int) -> FiniteRing:
         raise _CliError(EXIT_USAGE, f"ring spec {spec!r}: {exc}") from None
 
 
-def _ring_context(ring: FiniteRing) -> RingContext:
-    """The ring's lazy graphs and reports; exit 3 when it has no unity."""
+def _graph_report(ring: FiniteRing, graph: str) -> inv.InvariantReport:
+    """The report of the ring's unity product graph, or of its complement,
+    from the ring's RingContext; exit 3 when it has no unity."""
     if ring.unity is None:
         raise _CliError(EXIT_NO_UNITY, f"ring {ring.label} has no unity element")
-    return RingContext(ring)
+    ctx = RingContext(ring)
+    return ctx.comp_report if graph == "complement" else ctx.upg_report
 
 
 def _decided(ring: FiniteRing, compute, prefix: str = ""):
@@ -138,10 +137,7 @@ def _decided(ring: FiniteRing, compute, prefix: str = ""):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    ring = _resolve_ring(args.ring, args.order_cap)
-    g = _ring_context(ring).upg_report.graph
-    if args.graph == "complement":
-        g = complement(g)
+    g = _graph_report(_resolve_ring(args.ring, args.order_cap), args.graph).graph
     # streamed, so a cap-size graph is never held as one document
     _emit(dot_chunks(g) if args.format == "dot" else json_chunks(g), args.out)
     return EXIT_OK
@@ -149,8 +145,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     ring = _resolve_ring(args.ring, args.order_cap)
-    ctx = _ring_context(ring)
-    report = ctx.comp_report if args.graph == "complement" else ctx.upg_report
+    report = _graph_report(ring, args.graph)
     _decided(ring, report.check)
     text = report.to_text() if args.format == "text" else report.to_json()
     _emit(text, args.out)
@@ -197,33 +192,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL if summarize(verdicts)[FAIL] else EXIT_OK
 
 
-_SURVEY_COLUMNS = (
-    "girth",
-    "diameter",
-    "radius",
-    "domination_number",
-    "chromatic_number",
-    "clique_number",
-    "planar",
-    "hamiltonian",
-)
-
-
 def cmd_survey(args: argparse.Namespace) -> int:
     try:
         rings = family(args.family, args.max, order_cap=args.order_cap)
     except OrderCapError as exc:
         raise _CliError(EXIT_BOUND, f"survey bound violation: {exc}") from None
     header = ["ring", "order", "units", "isolated", "pairs"]
-    header += [f"upg_{c}" for c in _SURVEY_COLUMNS]
-    header += [f"comp_{c}" for c in _SURVEY_COLUMNS]
+    header += [f"upg_{c}" for c in inv.SURVEY_FIELDS]
+    header += [f"comp_{c}" for c in inv.SURVEY_FIELDS]
     lines = [",".join(header)]
     for ring in rings:
         ctx = RingContext(ring)
         row = [ring.label, str(ring.order), str(ctx.unit_count), str(ctx.isolated), str(ctx.pairs)]
         for report in (ctx.upg_report, ctx.comp_report):
             _decided(ring, report.check, "survey bound violation: ")
-            row.extend(report.text(name) for name in _SURVEY_COLUMNS)
+            row.extend(report.text(name) for name in inv.SURVEY_FIELDS)
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

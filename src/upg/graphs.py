@@ -354,16 +354,26 @@ def export_dot(g: SimpleGraph) -> str:
     return "".join(dot_chunks(g))
 
 
+def flat_json(value: dict | list, depth: int) -> str:
+    """json.dumps(value, indent=2) as written ``depth`` levels deep, for a
+    dict or list of scalars: the C encoder, which indent would turn off,
+    with the newline and indent carried by its item separator.  Items are
+    not checked: a nested value is not laid out as indent=2 would."""
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    text = json.dumps(value, separators=("," + pad, ": "))
+    return f"{text[0]}{pad}{text[1:-1]}{pad[:-2]}{text[-1]}"
+
+
 def json_chunks(g: SimpleGraph):
     """Yield export_json's text in pieces, byte for byte json.dumps(indent=2).
 
-    The labels go through json.dumps; n, the edge pairs and the braces
+    The labels go through flat_json; n, the edge pairs and the braces
     are written in that layout.  Every pair is written after a comma,
     which the first piece drops.
     """
-    labels = json.dumps(list(g.labels), separators=(",\n    ", ": "))  # C encoder, indent=2 layout
-    labels = f"[\n    {labels[1:-1]}\n  ]" if g.n else "[]"
-    yield f'{{\n  "n": {g.n},\n  "labels": {labels},\n  "edges": ['
+    yield f'{{\n  "n": {g.n},\n  "labels": {flat_json(list(g.labels), 1)},\n  "edges": ['
     names = list(map(str, range(g.n)))
     yield from _edge_pieces(g, names, ",\n    [\n      ", ",\n      ", "\n    ]", drop=1)
     yield "\n  ]\n}\n" if g.edge_count else "]\n}\n"

@@ -43,7 +43,6 @@ Values that can be infinite (girth, diameter, radius) use ``math.inf``;
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 
@@ -53,6 +52,7 @@ from .graphs import (
     bit_indices,
     complement,
     connected_parts,
+    flat_json,
     lazy_property,
     recognize_complete_multipartite,
 )
@@ -686,6 +686,14 @@ def multipartite_hamiltonian(part_sizes: tuple[int, ...]) -> bool:
     return n >= 3 and 2 * max(part_sizes) <= n
 
 
+# the report fields past the graph's size and components, in report
+# order: one survey column each for the graph and its complement
+SURVEY_FIELDS = (
+    "girth", "diameter", "radius", "domination_number",
+    "chromatic_number", "clique_number", "planar", "hamiltonian",
+)
+
+
 class InvariantReport:
     """The invariants of one graph, each computed on its first read.
 
@@ -696,11 +704,7 @@ class InvariantReport:
     ``check`` computes every field and asserts their consistency.
     """
 
-    _FIELDS = (
-        "n", "edge_count", "component_count", "isolated_count", "connected",
-        "girth", "diameter", "radius", "domination_number",
-        "chromatic_number", "clique_number", "planar", "hamiltonian",
-    )
+    _FIELDS = ("n", "edge_count", "component_count", "isolated_count", "connected", *SURVEY_FIELDS)
 
     def __init__(self, g: SimpleGraph):
         self.graph = g
@@ -795,9 +799,7 @@ class InvariantReport:
         return out
 
     def to_json(self) -> str:
-        # indent=2's bytes from the C encoder, which indent would turn off
-        body = json.dumps(self.to_json_dict(), separators=(",\n  ", ": "))
-        return "{\n  " + body[1:-1] + "\n}\n"
+        return flat_json(self.to_json_dict(), 0) + "\n"
 
     def to_text(self) -> str:
         """Two-column aligned table, fixed field order."""

@@ -546,6 +546,37 @@ def test_closed_stdout_exit_2(args):
     assert res.stderr == "error: cannot write to stdout: Broken pipe\n"
 
 
+STDOUT_FAILURE_COMMANDS = {
+    "build": ("build", "--ring", "zmod:7"),
+    "analyze": ("analyze", "--ring", "zmod:7"),
+    "verify": ("verify",),
+    "survey": ("survey", "--family", "zmod", "--max", "5"),
+}
+
+
+@pytest.mark.parametrize(
+    "redirect,reason",
+    [(">/dev/full", "No space left on device"), (">&-", "Bad file descriptor")],
+    ids=["full", "closed"],
+)
+@pytest.mark.parametrize("command", STDOUT_FAILURE_COMMANDS)
+def test_failed_stdout_write_exit_2(command, redirect, reason):
+    # a failed write is exit 2 with one line on every subcommand; for
+    # verify, exit 1 would claim that the paper failed on some ring.  The
+    # shell points descriptor 1 at /dev/full, or closes it before the
+    # interpreter starts (sys.stdout is then None)
+    if redirect == ">/dev/full" and not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    res = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m upg "$@" {redirect}', sys.executable,
+         *STDOUT_FAILURE_COMMANDS[command]],
+        capture_output=True, text=True, env=CLI_ENV,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: cannot write to stdout: {reason}\n"
+
+
 def _table_with_non_ascii_names(tmp_path: Path) -> str:
     doc = {
         "order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0,

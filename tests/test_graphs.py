@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +15,7 @@ from upg.graphs import (
     dot_chunks,
     export_dot,
     export_json,
+    flat_json,
     graph_from_edges,
     graph_from_json,
     is_complete,
@@ -540,6 +542,16 @@ def test_json_labels_block_matches_indent_layout():
     for g in cases:
         assert export_json(g) == reference_export_json(g), g.labels
     assert export_json(cases[0]) == '{\n  "n": 0,\n  "labels": [],\n  "edges": []\n}\n'
+
+
+def test_flat_json_matches_indent_layout_at_depth():
+    # the one writer of indent=2 bytes through the C encoder: dicts and
+    # lists of scalars, empty or not, as json.dumps lays them out that deep
+    values = ([], {}, ["a"], {"n": 0}, [1.5, True, None, "\u00e9"], {"x": "inf", "y": False})
+    for value in values:
+        for depth in range(4):
+            expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+            assert flat_json(value, depth) == expected
 
 
 def test_json_round_trip():

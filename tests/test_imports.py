@@ -64,7 +64,7 @@ def test_private_import_detector_sees_both_forms(tmp_path):
     ]
 
 
-RING_GRAPH_BUILDERS = {"units", "unity_product_graph", "full_report"}
+RING_GRAPH_BUILDERS = {"units", "unity_product_graph", "full_report", "complement", "ring_graph"}
 
 
 def upg_names(path: Path) -> set[str]:
