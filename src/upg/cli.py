@@ -282,35 +282,65 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+_ONE_VALUE = (argparse._StoreAction, argparse._AppendAction)
+
+
+def _plain_args(sub: argparse.ArgumentParser, pairs: list[str]) -> argparse.Namespace | None:
+    """The Namespace of a call made only of exact ``--option value`` pairs,
+    read off the subparser's own actions through its own type and choices
+    checks; None for any other shape or any value those checks refuse."""
+    if len(pairs) % 2:
+        return None
+    defaults = {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS}
+    args, seen = argparse.Namespace(**(sub._defaults | defaults)), set()
+    for option, text in zip(pairs[::2], pairs[1::2]):
+        action = sub._option_string_actions.get(option)
+        if type(action) not in _ONE_VALUE or action.nargs is not None or text.startswith("-"):
+            return None
+        try:
+            value = sub._get_value(action, text)
+            sub._check_value(action, value)
+        except argparse.ArgumentError:
+            return None
+        if type(action) is argparse._AppendAction:  # a fresh list, as argparse makes
+            value = [*(getattr(args, action.dest) or ()), value]
+        setattr(args, action.dest, value)
+        seen.add(action)
+    return None if any(a.required and a not in seen for a in sub._actions) else args
+
+
 def main(argv=None) -> int:
-    """Run one command line (argv: strings, sys.argv[1:] by default).  A call
-    that names a subcommand first is parsed once, by that subcommand's parser;
-    any other, or one with arguments left over, is parsed from the top."""
+    """Run one command line (argv: strings, sys.argv[1:] by default).  Plain
+    ``--option value`` pairs after a subcommand are read off its actions; any
+    other call is parsed from the top, so argparse writes every message."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = commands.get(argv[0]) if argv else None
-    args, extra = sub.parse_known_args(argv[1:]) if sub else (None, None)
-    if sub is None or extra:
+    args = _plain_args(sub, argv[1:]) if sub else None
+    if args is None:
         args = parser.parse_args(argv)
         sub = commands[args.command]
-    # argparse before 3.13 reads the value of --opt=-- as [] and neither
-    # converts nor checks it: read "--", as 3.13 does, by the same two calls
-    given = vars(args)
-    for action in sub._actions if [] in [*given.values(), *given.get("include", ())] else ():
-        value = given.get(action.dest)
-        if action.dest == "include":
-            args.include = ["--" if spec == [] else spec for spec in value]
-        elif value == []:
-            try:
-                value = sub._get_value(action, "--")
-                sub._check_value(action, value)
-            except argparse.ArgumentError as exc:
-                sub.error(str(exc))
-            setattr(args, action.dest, value)
+        # argparse before 3.13 reads the value of --opt=-- as [] and neither
+        # converts nor checks it: read "--", as 3.13 does, by the same two calls
+        given = vars(args)
+        for action in sub._actions if [] in [*given.values(), *given.get("include", ())] else ():
+            value = given.get(action.dest)
+            if action.dest == "include":
+                args.include = ["--" if spec == [] else spec for spec in value]
+            elif value == []:
+                try:
+                    value = sub._get_value(action, "--")
+                    sub._check_value(action, value)
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
+                setattr(args, action.dest, value)
     try:
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        try:  # as argparse writes its own: a closed stderr loses the line, not the code
+            sys.stderr.write(f"error: {exc.message}\n")
+        except (AttributeError, OSError):
+            pass
         return exc.code
 
 

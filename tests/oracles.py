@@ -46,7 +46,8 @@ indent=2, the reference for the separator layout of ``to_json``; the
 labels block of ``export_json`` is checked against
 ``reference_export_json`` the same way.  ``reference_main`` is the former
 ``cli.main``, which parsed every call from the top, the subcommand's
-parser nested inside, the reference for the one-parse path; ``run_main``
+parser nested inside, the reference for the plain ``--option value``
+parse read off the subcommand's actions; ``run_main``
 captures one call of either.
 ``reference_residues`` is the former ``cyclic_residues``, a walk of the
 additive orbit of unity, one ``add`` per element: the reference for

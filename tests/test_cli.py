@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -577,6 +578,28 @@ def test_failed_stdout_write_exit_2(command, redirect, reason):
     assert res.stderr == f"error: cannot write to stdout: {reason}\n"
 
 
+CLOSED_STDERR_ERRORS = {
+    "build": (("build", "--ring", "zmod:7", "--out", "/nonexistent/x"), 2),
+    "analyze": (("analyze", "--ring", "table:@/nonexistent.json"), 2),
+    "verify": (("verify", "--claims", "nope"), 2),
+    "survey": (("survey", "--family", "zmod", "--max", "5000"), 4),
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_STDERR_ERRORS)
+def test_closed_stderr_keeps_exit_code(command):
+    # the one error line has nowhere to go; the documented code still
+    # tells what went wrong (1 would read as a failed claim), and the
+    # line is not written to stdout instead (sys.stderr is then None)
+    args, code = CLOSED_STDERR_ERRORS[command]
+    res = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m upg "$@" 2>&-', sys.executable, *args],
+        capture_output=True, text=True, env=CLI_ENV,
+    )
+    assert res.returncode == code
+    assert res.stdout == ""
+
+
 def _table_with_non_ascii_names(tmp_path: Path) -> str:
     doc = {
         "order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0,
@@ -994,6 +1017,15 @@ PARSE_PARITY_CALLS = VALID_CALLS + (
     ("analyze", "--ring", "zmod:12", "--gr", "complement"),
     ("analyze", "--ring", "zmod:5", "--order-cap", "-1"),
     ("--order-cap", "5", "build", "--ring", "zmod:5"),
+    # boundary cases of the plain --option value reading
+    ("analyze", "--ring", "zmod:5", "--ring", "zmod:12"),
+    ("verify", "--claims", "thm-6.2", "--zmod-max", "4", "--include", "zmod:9",
+     "--include", "gf:4,bool:2"),
+    ("analyze", "--ring", ""),
+    ("analyze", "--ring", "-5"),
+    ("analyze", "--ring=zmod:5"),
+    ("build", "--ring", "zmod:5", "--graph", "nope"),
+    ("survey", "--family", "zmod", "--max", "3.0"),
 )
 
 # --opt=--: argparse before 3.13 reads the value as [] and neither converts
@@ -1050,21 +1082,128 @@ def test_main_matches_nested_parse():
 
 
 def test_valid_calls_skip_the_nested_parse(monkeypatch):
-    nested = []
+    nested, parsed = [], []
     nested_call = argparse._SubParsersAction.__call__
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def recorded(self, parser, namespace, values, option_string=None):
         nested.append(values)
         return nested_call(self, parser, namespace, values, option_string)
 
+    def recorded_parse(self, args=None, namespace=None):
+        parsed.append(list(args))
+        return parse_known_args(self, args, namespace)
+
     monkeypatch.setattr(argparse._SubParsersAction, "__call__", recorded)
-    for argv in VALID_CALLS:
-        assert run_main(cli.main, argv)[0] == 0, argv
-    assert nested == []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded_parse)
+    workloads = bench_workloads()
+    ops = [workloads.generate(name, 1)[0] for name in workloads.WORKLOADS]
+    calls = [(argv, 0) for argv in VALID_CALLS] + [(op.argv, op.expect_exit) for op in ops]
+    for argv, code in calls:
+        assert run_main(cli.main, argv)[0] == code, argv
+    assert nested == [] and parsed == []
     # a call with an argument left over is parsed again, from the top
     leftover = ("build", "--ring", "zmod:5", "extra")
     assert run_main(cli.main, leftover)[0] == 2
     assert nested == [list(leftover)]
+    assert parsed[0] == list(leftover)
+
+
+def test_include_default_is_never_mutated(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_include_specs", lambda values: seen.append(values) or [])
+    first = ("verify", "--claims", "thm-6.2", "--zmod-max", "3", "--include", "zmod:9")
+    assert run_main(cli.main, first)[0] == 0
+    assert run_main(cli.main, first[:-2])[0] == 0
+    assert seen == [["zmod:9"], []]
+    _, commands = cli._build_parser()
+    assert commands["verify"]._option_string_actions["--include"].default == []
+
+
+# one call for each reason the plain parse hands a call to argparse
+PLAIN_REJECTS = {
+    "no subcommand first": ("--order-cap", "5", "build", "--ring", "zmod:5"),
+    "odd token count": ("build", "--ring", "zmod:5", "extra"),
+    "unknown option": ("build", "--rings", "zmod:5"),
+    "abbreviation": ("analyze", "--ring", "zmod:12", "--gr", "complement"),
+    "--opt=value": ("analyze", "--ring=zmod:5", "--graph=upg"),
+    "--": ("build", "--ring", "zmod:5", "--", "x"),
+    "takes no value": ("build", "--help", "x"),
+    "dash-leading value": ("analyze", "--ring", "-5"),
+    "type refused": ("survey", "--family", "zmod", "--max", "3.0"),
+    "choice refused": ("analyze", "--ring", "zmod:5", "--graph", "nope"),
+    "required missing": ("survey", "--family", "zmod"),
+}
+
+
+def _differential_corpus(seed: int, size: int, out: str) -> list[tuple[str, ...]]:
+    """Seeded argvs over the four subcommands: mostly plain --option value
+    pairs (required options first drawn, values valid or not), some bent
+    into a shape only argparse reads.  No value is "--" in --opt=-- form,
+    which every argparse before 3.13 reads its own way."""
+    _, commands = cli._build_parser()
+    pools = {
+        "ring": ("zmod:5", "gf:2^3", "bool:2", "prod:(zmod:2,zmod:3)", "zmod:1", "zmod:5000",
+                 "table:@/nonexistent.json", "nope", ""),
+        "order_cap": ("64", "8", "1_0", "x", " 9 "),
+        "claims": ("all", "thm-6.2", "thm-6.2,prop-3.1", "nope", "", ","),
+        "zmod_max": ("0", "4", "6", "x"),
+        "include": ("zmod:9", "gf:4", "zmod:2,bool:2", "nope", ""),
+        "max": ("0", "3", "5", "3.0"),
+    }
+    rng = Random(seed)
+    corpus = []
+    for _ in range(size):
+        name = rng.choice(sorted(commands))
+        sub = commands[name]
+        actions = [a for a in sub._actions if a.option_strings and a.nargs is None]
+        chosen = [a for a in actions if a.required and rng.random() < 0.9]
+        chosen += rng.sample(actions, rng.randrange(4))
+        argv = [name]
+        for action in chosen:
+            if action.dest == "out":
+                value = out
+            elif rng.random() < 0.05:
+                value = rng.choice(("-1", "-x", "--", "--ring"))
+            else:
+                value = rng.choice([*(action.choices or pools[action.dest]), "nope"])
+            argv += [action.option_strings[0], value]
+        bend = rng.random()
+        if bend < 0.05 and len(argv) > 1:
+            i = rng.randrange(1, len(argv), 2)  # --opt=value
+            if argv[i + 1] != "--":
+                argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif bend < 0.10 and len(argv) > 1:
+            i = rng.randrange(1, len(argv), 2)  # an abbreviation
+            argv[i] = argv[i][: rng.randrange(3, len(argv[i]) + 1)]
+        elif bend < 0.14:
+            del argv[rng.randrange(len(argv))]
+        elif bend < 0.18:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(("--", "-h", "--nope", "x")))
+        corpus.append(tuple(argv))
+    return corpus
+
+
+def test_plain_parse_matches_argparse(monkeypatch, tmp_path):
+    # the differential check of the plain --option value parse: every call
+    # gives the parse from the top's exit code and bytes, and every call it
+    # reads gives the subparser's own Namespace.  A bent call may still
+    # write a file; it lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    _, commands = cli._build_parser()
+    for argv in PLAIN_REJECTS.values():
+        sub = commands.get(argv[0])
+        assert sub is None or cli._plain_args(sub, list(argv[1:])) is None, argv
+    corpus = _differential_corpus(31, 2000, str(tmp_path / "out")) + list(PLAIN_REJECTS.values())
+    plain = 0
+    for argv in corpus:
+        assert run_main(cli.main, argv) == run_main(reference_main, argv), argv
+        sub = commands.get(argv[0]) if argv else None
+        args = cli._plain_args(sub, list(argv[1:])) if sub else None
+        if args is not None:
+            plain += 1
+            assert vars(args) == vars(sub.parse_args(argv[1:])), argv
+    assert plain >= 200
 
 
 def test_dash_values_read_as_python_313_reads_them(monkeypatch, tmp_path):
