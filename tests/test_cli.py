@@ -16,7 +16,6 @@ import pytest
 import upg.invariants
 from upg import cli, rings
 from upg.graphs import SimpleGraph
-from upg.invariants import VertexBoundError
 
 from oracles import bench_workloads, reference_main, run_main
 
@@ -650,6 +649,38 @@ def test_unencodable_out_file_exit_2(tmp_path):
     assert res.stderr.endswith(" has no ascii encoding\n") and res.stderr.count("\n") == 1
 
 
+def test_failed_out_write_keeps_file(tmp_path):
+    # the unencodable write above, made over a FILE that held bytes: a
+    # sibling takes the write and is removed, so FILE is never truncated
+    out = tmp_path / "g.dot"
+    out.write_text("kept intact\n")
+    test_unencodable_out_file_exit_2(tmp_path)
+    assert out.read_text() == "kept intact\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.dot", "t2.json"]
+
+
+def test_out_keeps_file_permission_bits(tmp_path):
+    target = tmp_path / "graph.dot"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    res = run_cli("build", "--ring", "zmod:11", "--out", str(target))
+    assert res.returncode == 0
+    assert target.read_text() == GOLDEN_Z11_DOT
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert os.listdir(tmp_path) == ["graph.dot"]
+
+
+def test_out_through_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "graph.dot", tmp_path / "link.dot"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    res = run_cli("build", "--ring", "zmod:11", "--out", str(link))
+    assert res.returncode == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == GOLDEN_Z11_DOT
+    assert sorted(os.listdir(tmp_path)) == ["graph.dot", "link.dot"]
+
+
 def test_negative_zmod_max_exit_2():
     res = run_cli("verify", "--zmod-max", "-5")
     assert res.returncode == 2
@@ -752,33 +783,19 @@ def test_installed_console_script_matches_module():
     assert via_script.stdout == run_cli(*args).stdout
 
 
-def test_analyze_vertex_bound_exit_4(monkeypatch, capsys):
-    def refuse(g, *args):
-        raise VertexBoundError("planarity", g.n)
-
-    monkeypatch.setattr(upg.invariants, "is_planar", refuse)
-    for graph in ("upg", "complement"):
-        code = cli.main(["analyze", "--ring", "zmod:16", "--graph", graph])
-        assert code == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "planarity" in captured.err and "Z/16" in captured.err
-        assert "closed form" in captured.err and "bound" not in captured.err
+RING_SPEC_PER_FAMILY = [
+    "zmod:12", "gf:3^2", "bool:3", "prod:(zmod:4,gf:2^2)", f"table:@{DATA / 'table_z4.json'}",
+]
 
 
-def test_survey_vertex_bound_exit_4(monkeypatch, capsys):
-    def refuse(g, *args):
-        raise VertexBoundError("hamiltonicity", g.n)
-
-    monkeypatch.setattr(upg.invariants, "is_hamiltonian", refuse)
-    code = cli.main(["survey", "--family", "zmod", "--max", "5"])
-    assert code == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: survey bound violation: hamiltonicity on ring Z/1: graph on 1 "
-        "vertices is outside the classes decided in closed form\n"
-    )
+@pytest.mark.parametrize("graph", ["upg", "complement"])
+@pytest.mark.parametrize("spec", RING_SPEC_PER_FAMILY, ids=lambda spec: spec.split(":")[0])
+def test_cli_graphs_are_split_in_closed_form(spec, graph):
+    # every graph the CLI makes is a ring graph, whose RingSplit states
+    # planarity and hamiltonicity outright, so no CLI call meets a refusal
+    split = cli._graph_report(rings.parse_ring_spec(spec), graph).split
+    assert type(split) is upg.invariants.RingSplit
+    assert type(split.planar) is bool and type(split.hamiltonian) is bool
 
 
 def survey_specs(family, maximum):

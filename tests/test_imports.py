@@ -119,6 +119,76 @@ def test_upg_names_detector(tmp_path):
     }
 
 
+def test_cli_names_no_refusal():
+    # ring graphs are split in closed form and never refused, so the CLI
+    # has no refusal to turn into an exit code
+    assert "VertexBoundError" not in upg_names(PACKAGE / "cli.py")
+
+
+def handlers_of(path: Path, name: str) -> list[str]:
+    """The functions, by dotted name in the module, with an ``except``
+    clause that names ``name``: bare, as an attribute (``inv.name``) or in
+    a tuple.  A clause outside any function is ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                name in (getattr(n, "id", None), getattr(n, "attr", None))
+                for n in ast.walk(child.type)
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def test_refusals_handled_in_run_sweep_only():
+    # a refusal becomes a skipped verdict in one place; a library caller
+    # of the solvers gets the exception itself
+    found = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in handlers_of(path, "VertexBoundError")
+    ]
+    assert found == ["claims.run_sweep"]
+
+
+def test_handlers_of_detector(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from . import invariants as inv\n"
+        "from .invariants import VertexBoundError\n"
+        "try:\n"
+        "    pass\n"
+        "except VertexBoundError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except (KeyError, inv.VertexBoundError):\n"
+        "            pass\n"
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    except:\n"
+        "        raise VertexBoundError\n"
+        "    def g():\n"
+        "        try:\n"
+        "            pass\n"
+        "        except inv.VertexBoundError as exc:\n"
+        "            raise ValueError from exc\n"
+    )
+    assert handlers_of(module, "VertexBoundError") == ["<module>", "C.m", "f.g"]
+
+
 CACHES = {"cache", "lru_cache"}
 
 
