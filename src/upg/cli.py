@@ -13,7 +13,7 @@ a closed descriptor, or a character its encoding lacks), 3 ring has no
 unity element, 4 a survey family over the order cap.
 
 Output is deterministic: rerunning a command byte-identically reproduces
-it.  Everything ends with a newline; CSV fields never contain commas.
+it.  Everything ends with a newline; no CSV field holds a comma or line break.
 """
 
 from __future__ import annotations
@@ -212,9 +212,19 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # before 3.13, argparse drops the "--" of --opt=--: read it, as 3.13 does
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache  # one tree per process; parsing leaves it unchanged
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="upg",
         description="Unity product graphs of finite commutative rings: "
         "build graphs, compute exact invariants, verify claims.",
@@ -230,19 +240,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         )
         p.add_argument("--out", help="write output to this file instead of stdout")
 
-    p_build = sub.add_parser("build", help="emit a graph as DOT or JSON")
-    p_build.add_argument("--ring", required=True, help="ring spec, e.g. zmod:16")
-    p_build.add_argument("--graph", choices=("upg", "complement"), default="upg")
-    p_build.add_argument("--format", choices=("dot", "json"), default="dot")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_analyze = sub.add_parser("analyze", help="print the invariant report")
-    p_analyze.add_argument("--ring", required=True, help="ring spec, e.g. zmod:16")
-    p_analyze.add_argument("--graph", choices=("upg", "complement"), default="upg")
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
+    for name, summary, formats, func in (
+        ("build", "emit a graph as DOT or JSON", ("dot", "json"), cmd_build),
+        ("analyze", "print the invariant report", ("text", "json"), cmd_analyze),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--ring", required=True, help="ring spec, e.g. zmod:16")
+        p.add_argument("--graph", choices=("upg", "complement"), default="upg")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        common(p)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="sweep claims over ring families")
     p_verify.add_argument(
@@ -312,28 +319,12 @@ def _plain_args(sub: argparse.ArgumentParser, pairs: list[str]) -> argparse.Name
 def main(argv=None) -> int:
     """Run one command line (argv: strings, sys.argv[1:] by default).  Plain
     ``--option value`` pairs after a subcommand are read off its actions; any
-    other call is parsed from the top, so argparse writes every message."""
+    other call is parsed from the top, so argparse writes every message, and
+    reads ``--opt=--`` as 3.13 does on every version (``_Parser``)."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = commands.get(argv[0]) if argv else None
-    args = _plain_args(sub, argv[1:]) if sub else None
-    if args is None:
-        args = parser.parse_args(argv)
-        sub = commands[args.command]
-        # argparse before 3.13 reads the value of --opt=-- as [] and neither
-        # converts nor checks it: read "--", as 3.13 does, by the same two calls
-        given = vars(args)
-        for action in sub._actions if [] in [*given.values(), *given.get("include", ())] else ():
-            value = given.get(action.dest)
-            if action.dest == "include":
-                args.include = ["--" if spec == [] else spec for spec in value]
-            elif value == []:
-                try:
-                    value = sub._get_value(action, "--")
-                    sub._check_value(action, value)
-                except argparse.ArgumentError as exc:
-                    sub.error(str(exc))
-                setattr(args, action.dest, value)
+    args = (_plain_args(sub, argv[1:]) if sub else None) or parser.parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

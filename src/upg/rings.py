@@ -627,6 +627,9 @@ def table_ring(
         if len(element_names) != n:
             raise RingSpecError("table: element name count does not match order")
         names = tuple(element_names)
+    for text in (label or "", *names):  # one line each, as a CSV row needs
+        if "".join(text.splitlines()) != text:
+            raise RingSpecError(f"table: label or element name {text!r} has a line break")
     # labels must stay comma free, CSV output relies on it
     ring = FiniteRing(
         order=n,

@@ -188,6 +188,100 @@ def test_table_json_nested_too_deep_exit_2(tmp_path):
     assert "nested too deeply" in res.stderr
 
 
+@pytest.mark.parametrize("key, text", [("label", "Z4\nline,two"), ("label", "Z4\r"),
+                                       ("element_names", ["0", "1\u2028", "2", "3"])])
+def test_table_line_break_exit_2(tmp_path, key, text):
+    # a label or element name reaches verify's CSV rows, one line per row
+    doc = json.loads((DATA / "table_z4.json").read_text()) | {key: text}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(rings.RingSpecError, match="has a line break"):
+        rings.parse_ring_spec(f"table:@{path}")
+    argv = ("verify", "--claims", "thm-3.2,thm-4.1", "--zmod-max", "2",
+            "--include", f"table:@{path}", "--format", "csv")
+    code, out, err = run_main(cli.main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ring spec: table: ") and err.count("\n") == 1, err
+
+
+Z2_ADD = [[0, 1], [1, 0]]
+Z3_ADD = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+ZERO_MUL = [[0, 0, 0]] * 3
+# one table document per rejection no other test reaches: (content, error, message)
+TABLE_REJECTS = {
+    "not an object": ("[1, 2]", "RingSpecError", "document must be a JSON object"),
+    "missing key": ({"order": 2, "add": Z2_ADD, "mul": Z2_ADD}, "RingSpecError",
+                    "missing key 'zero'"),
+    "mul not a matrix": ({"order": 2, "add": Z2_ADD, "mul": 5, "zero": 0}, "RingSpecError",
+                         "add and mul must be matrices"),
+    "size not order": ({"order": 3, "add": Z2_ADD, "mul": Z2_ADD, "zero": 0}, "RingSpecError",
+                       "matrix size does not match order"),
+    "label not a string": ({"order": 2, "add": Z2_ADD, "mul": Z2_ADD, "zero": 0, "label": 2},
+                           "RingSpecError", "label must be a string"),
+    "names not strings": ({"order": 2, "add": Z2_ADD, "mul": Z2_ADD, "zero": 0,
+                           "element_names": ["0", 1]}, "RingSpecError",
+                          "element_names must be a list of strings"),
+    "name count": ({"order": 2, "add": Z2_ADD, "mul": Z2_ADD, "zero": 0,
+                    "element_names": ["0"]}, "RingSpecError",
+                   "element name count does not match order"),
+    "invalid JSON": ('{"order": 2', "RingSpecError", "invalid JSON"),
+    "not UTF-8": (b'{"label": "\xff"}', "RingSpecError", "invalid JSON"),
+    "add-associative": ({"order": 3, "add": [[0, 0, 0], [0, 0, 1], [0, 1, 0]], "mul": ZERO_MUL,
+                         "zero": 0}, "RingAxiomError", "add-associative"),
+    "zero-identity": ({"order": 2, "add": [[1, 0], [0, 1]], "mul": [[0, 0], [0, 0]], "zero": 0},
+                      "RingAxiomError", "zero-identity"),
+    "additive-inverse": ({"order": 2, "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 0]],
+                          "zero": 0}, "RingAxiomError", "additive-inverse"),
+    "mul-associative": ({"order": 3, "add": Z3_ADD, "mul": [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+                         "zero": 0}, "RingAxiomError", "mul-associative"),
+    "distributive": ({"order": 2, "add": Z2_ADD, "mul": [[1, 1], [1, 1]], "zero": 0},
+                     "RingAxiomError", "distributive"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_REJECTS)
+def test_table_document_and_axiom_rejects_exit_2(tmp_path, case):
+    content, error, message = TABLE_REJECTS[case]
+    path = tmp_path / "table.json"
+    if isinstance(content, dict):
+        content = json.dumps(content)
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    spec = f"table:@{path}"
+    with pytest.raises(getattr(rings, error), match=message):
+        rings.parse_ring_spec(spec)
+    code, out, err = run_main(cli.main, ("build", "--ring", spec))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ring spec {spec!r}: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+NO_UNITY_PROD = f"prod:(zmod:2,table:@{DATA / 'nounity.json'})"
+
+
+def test_product_without_unity_exit_3():
+    # a product with a component that has no unity has none either
+    for command in ("build", "analyze"):
+        code, out, err = run_main(cli.main, (command, "--ring", NO_UNITY_PROD))
+        assert (code, out, err) == (3, "", "error: ring Z/2 × 2Z/4Z has no unity element\n")
+    argv = ("verify", "--claims", "thm-3.2", "--zmod-max", "2",
+            "--include", NO_UNITY_PROD, "--format", "csv")
+    code, out, err = run_main(cli.main, argv)
+    assert (code, err) == (0, "")
+    assert "thm-3.2,Z/2 × 2Z/4Z,skipped,reason=ring has no unity element\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--claims", "thm-3.2", "--zmod-max", "2", "--include", "prod:(zmod:2"),
+    ("verify", "--claims", "thm-3.2", "--zmod-max", "2", "--include", "prod:zmod:2)"),
+    ("analyze", "--ring", "prod:zmod:2)"),
+    ("analyze", "--ring", "prod:(zmod:2))"),
+])
+def test_unbalanced_parentheses_exit_2(argv):
+    code, out, err = run_main(cli.main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_build_at_order_cap_gf4096():
     # UPG of GF(2^12): only 1 is self-inverse, so 2047 edges
     res = run_cli("build", "--ring", "gf:2^12", "--format", "json")
@@ -1066,6 +1160,23 @@ DASH_VALUE_CALLS = {
         2, "", "upg survey: error: argument --family: invalid choice: '--' "
         "(choose from 'zmod', 'gf', 'bool')",
     ),
+    # read as the value is consumed: before a required option is missed,
+    # before -h prints help, before an unknown option is reported
+    ("build", "--order-cap=--"): (
+        2, "", "upg build: error: argument --order-cap: invalid int value: '--'"
+    ),
+    ("survey", "--family=--"): (
+        2, "", "upg survey: error: argument --family: invalid choice: '--' "
+        "(choose from 'zmod', 'gf', 'bool')",
+    ),
+    ("analyze", "--format=--", "-h"): (
+        2, "", "upg analyze: error: argument --format: invalid choice: '--' "
+        "(choose from 'text', 'json')",
+    ),
+    ("analyze", "--ring", "zmod:5", "--graph=--", "--nope"): (
+        2, "", "upg analyze: error: argument --graph: invalid choice: '--' "
+        "(choose from 'upg', 'complement')",
+    ),
 }
 
 
@@ -1232,11 +1343,18 @@ def test_dash_values_read_as_python_313_reads_them(monkeypatch, tmp_path):
             assert written == run_main(cli.main, argv[:-1])[1], argv
 
 
+def test_dash_values_match_nested_parse(monkeypatch, tmp_path):
+    # --out=-- prints nothing, so these calls are not in the parity table
+    monkeypatch.chdir(tmp_path)
+    for argv in DASH_VALUE_CALLS:
+        assert run_main(cli.main, argv) == run_main(reference_main, argv), argv
+
+
 @pytest.mark.parametrize("python", SUPPORTED_PYTHONS)
 def test_supported_pythons_match_nested_parse(python, tmp_path):
     # argparse's handling of "--", abbreviations and leftover arguments
     # has changed between releases: the one-parse path must match each,
-    # and give the --opt=-- calls 3.13's outcome, which is its nested parse's
+    # and give the --opt=-- calls 3.13's outcome on every release
     exe, env = _interpreter(python)
     env["PYTHONPATH"] = os.pathsep.join((SRC, str(Path(__file__).resolve().parent)))
     calls = PARSE_PARITY_CALLS + tuple(DASH_VALUE_CALLS)
@@ -1252,8 +1370,7 @@ def test_supported_pythons_match_nested_parse(python, tmp_path):
             assert got == want, argv
             continue
         assert _pinned(got) == DASH_VALUE_CALLS[tuple(argv)], (python, argv)
-        if python == "python3.13":
-            assert got == want, argv
+        assert got == want, (python, argv)
 
 
 def test_build_computes_no_split(monkeypatch, capsys):

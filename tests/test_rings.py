@@ -553,6 +553,17 @@ def test_table_ring_without_unity():
     assert characteristic(ring) == 2
 
 
+def test_table_ring_unit_scan_pairs_inverses():
+    # 2 and 3 are each other's inverse in Z/5: the scan finds 3 from 2 and
+    # passes over 3 itself
+    z5 = zmod(5)
+    add = [[z5.add(a, b) for b in range(5)] for a in range(5)]
+    mul = [[z5.mul(a, b) for b in range(5)] for a in range(5)]
+    ring = table_ring(add, mul, 0)
+    assert ring.inverses is None
+    assert units(ring).inverse_of == units(z5).inverse_of == {1: 1, 2: 3, 3: 2, 4: 4}
+
+
 def test_table_ring_axiom_witnesses():
     z3_add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     z3_mul = [[(i * j) % 3 for j in range(3)] for i in range(3)]
