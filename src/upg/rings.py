@@ -630,6 +630,8 @@ def table_ring(
     for text in (label or "", *names):  # one line each, as a CSV row needs
         if "".join(text.splitlines()) != text:
             raise RingSpecError(f"table: label or element name {text!r} has a line break")
+    if '"' in (label or ""):  # a CSV ring field that starts with " is read as quoted
+        raise RingSpecError(f"table: label {label!r} has a double quote")
     # labels must stay comma free, CSV output relies on it
     ring = FiniteRing(
         order=n,

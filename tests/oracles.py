@@ -95,8 +95,9 @@ from upg.graphs import (
     graph_from_edges,
     unity_product_graph,
 )
-from upg.invariants import JOIN, PRIME, SMALL, UNION, VertexBoundError
+from upg.invariants import VertexBoundError
 from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
+from upg.rows import JOIN, PRIME, SMALL, UNION
 
 INFINITY = math.inf
 

@@ -26,6 +26,7 @@ from upg.claims import (
     run_sweep,
 )
 import upg.invariants
+import upg.rows
 from upg.graphs import complement, graph_from_edges, recognize_complete_multipartite
 from upg.invariants import InvariantReport, VertexBoundError
 from upg.rings import is_cyclic, parse_ring_spec, zmod
@@ -501,7 +502,7 @@ def test_sweep_builds_two_splits_and_solves_once_per_graph(monkeypatch):
             made.append(g)
             super().__init__(g)
 
-    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    monkeypatch.setattr(upg.rows.Decomposition, "__init__", refuse)
     monkeypatch.setattr(upg.invariants, "RingSplit", CountedRingSplit)
     for name in SOLVERS:
         def counted(g, *args, solver=getattr(upg.invariants, name), name=name):

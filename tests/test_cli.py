@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from random import Random
 import pytest
 
 import upg.invariants
+import upg.rows
 from upg import cli, rings
 from upg.graphs import SimpleGraph
 
@@ -202,6 +204,46 @@ def test_table_line_break_exit_2(tmp_path, key, text):
     code, out, err = run_main(cli.main, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: bad ring spec: table: ") and err.count("\n") == 1, err
+
+
+def test_table_label_quote_exit_2(tmp_path):
+    # a label is verify's CSV ring field, where a leading " opens a quoted
+    # field: at one time this call wrote 47 lines that read as 24 rows
+    doc = json.loads((DATA / "table_z4.json").read_text()) | {"label": '"T4'}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(rings.RingSpecError, match="has a double quote"):
+        rings.parse_ring_spec(f"table:@{path}")
+    argv = ("verify", "--claims", "thm-3.2,thm-4.1", "--zmod-max", "2",
+            "--include", f"table:@{path}", "--format", "csv")
+    code, out, err = run_main(cli.main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ring spec: table: ") and err.count("\n") == 1, err
+
+
+def test_table_element_name_quote_keeps_csv_rows(tmp_path):
+    # an element name reaches the CSV only inside a witness, after its
+    # key, where a quote is a plain character: a table copy of Z/18, whose
+    # prop-3.1 fail names a unit and its inverse
+    n = 18
+    doc = {
+        "order": n,
+        "add": [[(i + j) % n for j in range(n)] for i in range(n)],
+        "mul": [[i * j % n for j in range(n)] for i in range(n)],
+        "zero": 0,
+        "label": "T18",
+        "element_names": [f'"{i}"' for i in range(n)],
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    argv = ("verify", "--claims", "prop-3.1,thm-3.2", "--zmod-max", "2",
+            "--include", f"table:@{path}", "--format", "csv")
+    code, out, err = run_main(cli.main, argv)
+    assert (code, err) == (1, "")
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == out.count("\n") and {len(row) for row in rows} == {4}
+    witness = 'expected=every unit self-inverse; computed="5" inverse is "11"'
+    assert ["prop-3.1", "T18", "fail", witness] in rows
 
 
 Z2_ADD = [[0, 1], [1, 0]]
@@ -1379,7 +1421,7 @@ def test_build_computes_no_split(monkeypatch, capsys):
     def refuse(self, g):
         raise AssertionError("Decomposition built")
 
-    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    monkeypatch.setattr(upg.rows.Decomposition, "__init__", refuse)
     prefix = "build --ring zmod:493 --graph complement"
     pinned = [case for case in GOLDEN_DIGESTS if case[0].startswith(prefix)]
     assert len(pinned) == 2  # DOT and JSON
@@ -1395,7 +1437,7 @@ def test_analyze_survey_and_verify_build_no_decomposition(monkeypatch, capsys):
     def refuse(self, g):
         raise AssertionError("Decomposition built")
 
-    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    monkeypatch.setattr(upg.rows.Decomposition, "__init__", refuse)
     pinned = [case for case in GOLDEN_DIGESTS if not case[0].startswith("build")]
     graphs = {command.split()[4] for command, _, _ in pinned if command.startswith("analyze")}
     assert {command.split()[0] for command, _, _ in pinned} == {"analyze", "survey", "verify"}
@@ -1562,7 +1604,7 @@ def test_benchmark_operations_pass_their_oracle(monkeypatch):
     def refuse(self, g):
         raise AssertionError("Decomposition built")
 
-    monkeypatch.setattr(upg.invariants.Decomposition, "__init__", refuse)
+    monkeypatch.setattr(upg.rows.Decomposition, "__init__", refuse)
     workloads = bench_workloads()
     ops = {
         op.argv: op

@@ -24,8 +24,9 @@ from upg.graphs import (
     recognize_complete_multipartite,
     unity_product_graph,
 )
-from upg.invariants import INFINITY, Decomposition, InvariantReport, girth
+from upg.invariants import INFINITY, InvariantReport, girth
 from upg.rings import boolean_ring, parse_ring_spec, units, zmod
+from upg.rows import Decomposition
 
 from oracles import (
     SPLIT_FIELDS,

@@ -1,7 +1,12 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import bench_workloads
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "upg"
 
@@ -312,3 +317,45 @@ def test_unused_import_detector(tmp_path):
         "line 5: Counter",
         "line 6: export_dot",
     ]
+
+
+def loaded_after(script: str) -> list[str]:
+    """The upg modules a fresh interpreter holds after running ``script``."""
+    probe = script + "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'upg'))\n"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_rows_engine_or_registry():
+    # the rows engine and the paper's claims are loaded on first use
+    assert loaded_after("import upg.cli\n") == [
+        "upg", "upg.claims", "upg.cli", "upg.graphs", "upg.invariants", "upg.rings"
+    ]
+
+
+@pytest.mark.parametrize("workload", sorted(bench_workloads().WORKLOADS))
+def test_bench_first_operation_loads_no_rows_engine(workload):
+    # every CLI graph is a ring graph, split in closed form; only verify
+    # reads the claim registry
+    op = bench_workloads().generate(workload, 1)[0]
+    loaded = loaded_after(
+        "import contextlib, io, upg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = upg.cli.main({list(op.argv)!r})\n"
+        f"assert code == {op.expect_exit}, code\n"
+    )
+    assert "upg.rows" not in loaded
+    assert ("upg.paper" in loaded) == (op.argv[0] == "verify")
+
+
+def test_general_graph_loads_rows_engine():
+    # C5 is no ring graph: its report's split comes from the rows engine
+    loaded = loaded_after(
+        "from upg import InvariantReport, graph_from_edges\n"
+        "report = InvariantReport(graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))\n"
+        "assert report.girth == 5 and type(report.split).__name__ == 'Decomposition'\n"
+    )
+    assert "upg.rows" in loaded and "upg.paper" not in loaded

@@ -13,6 +13,7 @@ import pytest
 import upg.cli
 import upg.graphs
 import upg.invariants
+import upg.rows
 from upg.claims import RingContext, default_rings
 from upg.graphs import (
     SimpleGraph,
@@ -24,16 +25,8 @@ from upg.graphs import (
 )
 from upg.invariants import (
     INFINITY,
-    JOIN,
-    PRIME,
-    SMALL,
-    UNION,
-    Decomposition,
     InvariantReport,
     VertexBoundError,
-    _chromatic_search,
-    _clique_search,
-    _domination_search,
     chromatic_number,
     clique_number,
     domination_number,
@@ -48,6 +41,16 @@ from upg.invariants import (
     multipartite_planar,
 )
 from upg.rings import parse_ring_spec, units
+from upg.rows import (
+    JOIN,
+    PRIME,
+    SMALL,
+    UNION,
+    Decomposition,
+    _chromatic_search,
+    _clique_search,
+    _domination_search,
+)
 
 from oracles import (
     SPLIT_FIELDS,
@@ -530,7 +533,7 @@ def test_ring_graph_split_is_three_pieces_without_bfs(spec, monkeypatch, capsys)
         raise AssertionError("connected_parts called")
 
     monkeypatch.setattr(upg.graphs, "connected_parts", refuse)
-    monkeypatch.setattr(upg.invariants, "connected_parts", refuse)
+    monkeypatch.setattr(upg.rows, "connected_parts", refuse)
     upg_report = InvariantReport(g)
     for report in (upg_report, upg_report.complement()):
         split = report.split

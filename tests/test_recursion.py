@@ -43,11 +43,16 @@ def self_calls(path: Path) -> list[str]:
     return found
 
 
-# graphs and invariants run on graphs up to the order cap; rings recurses
-# only over spec nesting, which MAX_PROD_NESTING bounds
-@pytest.mark.parametrize("name", ["graphs.py", "invariants.py"])
+# every module but rings runs on graphs up to the order cap or on the
+# rings of a sweep; rings recurses only over spec nesting (_parse_spec),
+# which MAX_PROD_NESTING bounds
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "rings.py"))
 def test_no_recursive_functions(name):
     assert self_calls(PACKAGE / name) == []
+
+
+def test_rings_recurses_only_over_spec_nesting():
+    assert [call.split(": ")[1] for call in self_calls(PACKAGE / "rings.py")] == ["_parse_spec"]
 
 
 def test_recursion_detector_sees_functions_closures_and_methods(tmp_path):
