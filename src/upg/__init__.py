@@ -13,17 +13,11 @@ from .claims import (
     PASS,
     SKIPPED,
     Claim,
-    ClaimVerdict,
     RingContext,
-    Sweep,
     UnknownClaimError,
     builtin_claims,
     default_rings,
     lookup,
-    render_csv,
-    render_json,
-    render_text,
-    run_sweep,
 )
 from .graphs import (
     SimpleGraph,
@@ -67,11 +61,23 @@ from .rings import (
     is_boolean,
     is_cyclic,
     parse_ring_spec,
-    table_ring,
-    table_ring_from_json,
     unit_counts,
     units,
     zmod,
 )
 
 __version__ = "0.1.0"
+
+# loaded on first use: only verify sweeps, and only a table: spec reads tables
+_SWEEP_NAMES = {"ClaimVerdict", "Sweep", "render_csv", "render_json", "render_text", "run_sweep"}
+_TABLE_NAMES = {"table_ring", "table_ring_from_json"}
+
+
+def __getattr__(name: str):
+    if name in _SWEEP_NAMES:
+        from . import sweep as module
+    elif name in _TABLE_NAMES:
+        from . import tables as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

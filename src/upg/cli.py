@@ -28,19 +28,7 @@ from contextlib import nullcontext
 
 from . import claims as claims_mod
 from . import invariants as inv
-from .claims import (
-    FAIL,
-    RingContext,
-    UnknownClaimError,
-    builtin_claims,
-    default_rings,
-    lookup,
-    render_csv,
-    render_json,
-    render_text,
-    run_sweep,
-    summarize,
-)
+from .claims import FAIL, RingContext, UnknownClaimError, builtin_claims, default_rings, lookup
 from .graphs import dot_chunks, json_chunks
 from .rings import (
     DEFAULT_ORDER_CAP,
@@ -177,6 +165,8 @@ def _include_specs(values) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .sweep import render_csv, render_json, render_text, run_sweep, summarize
+
     selected = _selected_claims(args.claims)
     try:
         rings = default_rings(

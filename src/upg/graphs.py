@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from typing import NamedTuple
@@ -41,8 +40,8 @@ class lazy_property:
     The first read stores the value in the instance dict, where later
     reads find it ahead of this non-data descriptor.  Unlike
     ``functools.cached_property`` on Python 3.11 it takes no lock, and it
-    writes the dict directly, so it works on frozen dataclasses and keeps
-    a value set there beforehand.
+    writes the dict directly, so it works on a class that refuses
+    assignment, as SimpleGraph does, and keeps a value set there beforehand.
     """
 
     def __init__(self, fn):
@@ -67,19 +66,19 @@ def bit_indices(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Immutable simple graph: no loops, no parallel edges."""
+    """Immutable simple graph: no loops, no parallel edges.
 
-    n: int
-    labels: tuple[str, ...]
-    adj: tuple[int, ...]
+    Its value is ``(n, labels, adj)``: == and hash read those three, repr
+    shows them, and no attribute is set or deleted once it is made.
+    """
 
     # a ring graph's, in its instance dict; not fields, so == never reads them
     paired = False
     complemented = False
 
-    def __post_init__(self):
+    def __init__(self, n: int, labels: tuple[str, ...], adj: tuple[int, ...]):
+        self.__dict__.update(n=n, labels=labels, adj=adj)
         if len(self.labels) != self.n or len(self.adj) != self.n:
             raise ValueError("label/adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -101,6 +100,23 @@ class SimpleGraph:
                 for u in bit_indices(full & ~row & ~(1 << v)):
                     if self.adj[u] >> v & 1:
                         raise ValueError(f"asymmetric edge ({u}, {v})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.labels, self.adj) == (other.n, other.labels, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.labels, self.adj))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, labels={self.labels!r}, adj={self.adj!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def _trusted(cls, n: int, make_labels, edge_count: int, **held) -> SimpleGraph:

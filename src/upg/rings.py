@@ -2,8 +2,9 @@
 
 Every ring here lives on the index set ``0 .. order-1``; ``add`` and ``mul``
 are total functions on that domain.  Constructors cover modular integers,
-prime fields and their extensions, boolean rings, direct products, and
-arbitrary rings given by explicit Cayley tables.
+prime fields and their extensions, boolean rings and direct products;
+rings given by explicit Cayley tables live in ``tables.py``, which
+``parse_ring_spec`` imports the first time it reads a ``table:`` spec.
 
 The structured families state a ring's ``unit_counts`` and characteristic
 from the order alone, with no ``units`` and no ``add``.
@@ -11,7 +12,6 @@ from the order alone, with no ``units`` and no ``add``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache
@@ -524,128 +524,6 @@ def family(name: str, maximum: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> li
     return rings
 
 
-def validate_ring_axioms(ring: FiniteRing) -> None:
-    """Exhaustively check the commutative-ring axioms.
-
-    Raises RingAxiomError naming the first failed axiom, in a fixed check
-    order, with a witness tuple.  O(order^3): intended for table rings.
-    """
-    n = ring.order
-    rng = range(n)
-    for a in rng:
-        for b in rng:
-            if not 0 <= ring.add(a, b) < n:
-                raise RingAxiomError("add-closure", (a, b))
-            if not 0 <= ring.mul(a, b) < n:
-                raise RingAxiomError("mul-closure", (a, b))
-    for a in rng:
-        for b in rng:
-            if ring.add(a, b) != ring.add(b, a):
-                raise RingAxiomError("add-commutative", (a, b))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-                    raise RingAxiomError("add-associative", (a, b, c))
-    for a in rng:
-        if ring.add(a, ring.zero) != a:
-            raise RingAxiomError("zero-identity", (a,))
-    for a in rng:
-        if all(ring.add(a, b) != ring.zero for b in rng):
-            raise RingAxiomError("additive-inverse", (a,))
-    for a in rng:
-        for b in rng:
-            if ring.mul(a, b) != ring.mul(b, a):
-                raise RingAxiomError("mul-commutative", (a, b))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-                    raise RingAxiomError("mul-associative", (a, b, c))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-                    raise RingAxiomError("distributive", (a, b, c))
-    if ring.unity is not None:
-        for a in rng:
-            if ring.mul(ring.unity, a) != a:
-                raise RingAxiomError("unity-identity", (ring.unity, a))
-
-
-def _find_unity(ring: FiniteRing) -> int | None:
-    for u in range(ring.order):
-        if all(ring.mul(u, a) == a for a in range(ring.order)):
-            return u
-    return None
-
-
-def _is_index(v: object) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not indices
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def table_ring(
-    add_table: Sequence[Sequence[int]],
-    mul_table: Sequence[Sequence[int]],
-    zero: int,
-    *,
-    label: str | None = None,
-    element_names: Sequence[str] | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteRing:
-    """Ring given by explicit row-major Cayley tables.
-
-    Axioms are validated exhaustively; unity is located by scan and left
-    None when absent.
-    """
-    n = len(add_table)
-    if n < 1:
-        raise RingSpecError("table: empty addition table")
-    _check_cap(n, order_cap)
-    for name, tbl in (("add", add_table), ("mul", mul_table)):
-        square = all(isinstance(row, (list, tuple)) and len(row) == n for row in tbl)
-        if len(tbl) != n or not square:
-            raise RingSpecError(f"table: {name} table is not {n}x{n}")
-        for i, row in enumerate(tbl):
-            for j, v in enumerate(row):
-                if not _is_index(v) or not 0 <= v < n:
-                    raise RingSpecError(f"table: {name}[{i}][{j}] = {v!r} out of range")
-    if not 0 <= zero < n:
-        raise RingSpecError(f"table: zero index {zero} out of range")
-    if label is not None and not isinstance(label, str):
-        raise RingSpecError(f"table: label must be a string, got {label!r}")
-    add_rows = tuple(tuple(row) for row in add_table)
-    mul_rows = tuple(tuple(row) for row in mul_table)
-    if element_names is None:
-        names = tuple(str(i) for i in range(n))
-    else:
-        if not isinstance(element_names, (list, tuple)) or not all(
-            isinstance(name, str) for name in element_names
-        ):
-            raise RingSpecError("table: element_names must be a list of strings")
-        if len(element_names) != n:
-            raise RingSpecError("table: element name count does not match order")
-        names = tuple(element_names)
-    for text in (label or "", *names):  # one line each, as a CSV row needs
-        if "".join(text.splitlines()) != text:
-            raise RingSpecError(f"table: label or element name {text!r} has a line break")
-    if '"' in (label or ""):  # a CSV ring field that starts with " is read as quoted
-        raise RingSpecError(f"table: label {label!r} has a double quote")
-    # labels must stay comma free, CSV output relies on it
-    ring = FiniteRing(
-        order=n,
-        add=lambda a, b: add_rows[a][b],
-        mul=lambda a, b: mul_rows[a][b],
-        zero=zero,
-        unity=None,
-        label=label.replace(",", ";") if label is not None else f"table({n})",
-        element_name=names.__getitem__,
-    )
-    validate_ring_axioms(ring)
-    return replace(ring, unity=_find_unity(ring))
-
-
 def unit_counts(ring: FiniteRing) -> tuple[int, int]:
     """(u, s), the number of units and of self-inverse ones, from the ring's
     ``counts`` hook or else ``units``; NoUnityError without unity."""
@@ -796,45 +674,7 @@ def _parse_spec(text: str, order_cap: int, nesting: int) -> FiniteRing:
     if family == "table":
         if not arg.startswith("@"):
             raise RingSpecError("table: expected @<path to json file>")
-        path = arg[1:]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise RingSpecError(f"table: cannot read {path}: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RingSpecError(f"table: invalid JSON in {path}: {exc}") from None
-        except RecursionError:
-            raise RingSpecError(f"table: JSON in {path} is nested too deeply") from None
-        return table_ring_from_json(doc, order_cap=order_cap)
+        from .tables import table_ring_from_file
+
+        return table_ring_from_file(arg[1:], order_cap=order_cap)
     raise RingSpecError(f"unknown ring family {family!r}")
-
-
-def table_ring_from_json(doc: object, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Build a table ring from a parsed JSON document.
-
-    Required keys: order, add, mul (row-major matrices), zero.  Optional:
-    label, element_names.
-    """
-    if not isinstance(doc, dict):
-        raise RingSpecError("table: document must be a JSON object")
-    for key in ("order", "add", "mul", "zero"):
-        if key not in doc:
-            raise RingSpecError(f"table: missing key {key!r}")
-    order = doc["order"]
-    if not _is_index(order) or order < 1:
-        raise RingSpecError(f"table: order must be a positive integer, got {order!r}")
-    if not isinstance(doc["add"], list) or not isinstance(doc["mul"], list):
-        raise RingSpecError("table: add and mul must be matrices")
-    if len(doc["add"]) != order or len(doc["mul"]) != order:
-        raise RingSpecError("table: matrix size does not match order")
-    if not _is_index(doc["zero"]):
-        raise RingSpecError("table: zero must be an element index")
-    return table_ring(
-        doc["add"],
-        doc["mul"],
-        doc["zero"],
-        label=doc.get("label"),
-        element_names=doc.get("element_names"),
-        order_cap=order_cap,
-    )

@@ -309,14 +309,17 @@ class Decomposition:
     def planar(self) -> bool:
         """Exact planarity, for the classes decided in closed form.
 
-        Graphs on at most 4 vertices and forests (every unity product graph)
-        are planar; the edge bound 3n - 6 rejects; complete multipartite
-        graphs (every complement) use the classification.  Any other graph
-        is refused with VertexBoundError.
+        Graphs on at most 4 vertices and graphs of cyclomatic number
+        m - n + c at most 3 are planar: a subdivision of K5 or K3,3 has
+        cyclomatic number 6 or 4, and no subgraph exceeds its graph's.
+        That covers forests (every unity product graph) and cycles.  The
+        edge bound 3n - 6 rejects; complete multipartite graphs (every
+        complement) use the classification.  Any other graph is refused
+        with VertexBoundError.
         """
         g = self.graph
         m = g.edge_count
-        if g.n <= 4 or m == g.n - self.component_count:
+        if g.n <= 4 or m - g.n + self.component_count <= 3:
             return True
         if m > 3 * g.n - 6:
             return False
@@ -334,7 +337,9 @@ class Decomposition:
         multipartite graphs (every complement) use the closed form, which
         also settles those with a vertex of degree below 2.  Of the rest,
         graphs with such a vertex or fewer than n edges are not Hamiltonian,
-        and any other graph is refused with VertexBoundError.
+        and those with exactly n edges have every degree 2, so they are
+        cycles and Hamiltonian.  Any other graph is refused with
+        VertexBoundError.
         """
         g = self.graph
         if g.n < 3 or self.component_count != 1:
@@ -344,6 +349,8 @@ class Decomposition:
             return multipartite_hamiltonian(profile.part_sizes)
         if g.edge_count < g.n or any(g.degree(v) < 2 for v in range(g.n)):
             return False
+        if g.edge_count == g.n:
+            return True
         raise VertexBoundError("hamiltonicity", g.n)
 
 

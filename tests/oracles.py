@@ -83,7 +83,6 @@ from upg.claims import (
     PASS,
     SKIPPED,
     Claim,
-    ClaimVerdict,
     RingContext,
     claims_by_id,
 )
@@ -98,6 +97,7 @@ from upg.graphs import (
 from upg.invariants import VertexBoundError
 from upg.rings import FiniteRing, NoUnityError, UnitGroup, zmod
 from upg.rows import JOIN, PRIME, SMALL, UNION
+from upg.sweep import ClaimVerdict
 
 INFINITY = math.inf
 

@@ -18,7 +18,6 @@ from upg.claims import (
     FAIL,
     default_rings,
     lookup,
-    run_sweep,
 )
 from upg.graphs import (
     SimpleGraph,
@@ -41,6 +40,7 @@ from upg.invariants import (
     multipartite_hamiltonian,
 )
 from upg.rings import is_prime, units, zmod
+from upg.sweep import run_sweep
 
 from oracles import (
     brute_chromatic,

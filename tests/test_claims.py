@@ -13,23 +13,19 @@ from upg.claims import (
     PASS,
     SKIPPED,
     Claim,
-    ClaimVerdict,
     RingContext,
     UnknownClaimError,
     builtin_claims,
     claims_by_id,
     default_rings,
     lookup,
-    render_csv,
-    render_json,
-    render_text,
-    run_sweep,
 )
 import upg.invariants
 import upg.rows
 from upg.graphs import complement, graph_from_edges, recognize_complete_multipartite
 from upg.invariants import InvariantReport, VertexBoundError
 from upg.rings import is_cyclic, parse_ring_spec, zmod
+from upg.sweep import ClaimVerdict, render_csv, render_json, render_text, run_sweep
 
 from oracles import (
     prime_power,

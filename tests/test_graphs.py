@@ -305,6 +305,38 @@ def test_trusted_ring_graphs_pass_the_public_check():
         assert_matches_reference(Decomposition(g))
 
 
+def test_simple_graph_value_semantics():
+    # a graph's value is (n, labels, adj): a trusted ring graph equals the
+    # checked graph of its rows both ways, whatever its instance dict holds
+    for spec in ("zmod:15", "gf:2^3", "prod:(zmod:3,zmod:4)", f"table:@{TABLE_Z4}"):
+        g = unity_product_graph(units(parse_ring_spec(spec)))
+        for h in (g, complement(g)):
+            plain = SimpleGraph(h.n, h.labels, h.adj)
+            assert h == plain and plain == h and not h != plain, spec
+            assert hash(h) == hash(plain), spec
+            assert vars(h).keys() != vars(plain).keys(), spec
+    # the lazy fields stay out of == and hash
+    g, h = graph_from_edges(3, [(0, 1)]), graph_from_edges(3, [(0, 1)])
+    assert g.mate is None and "mate" in vars(g) and "mate" not in vars(h)
+    vars(g)["edge_count"] = 7
+    assert g == h and hash(g) == hash(h)
+    assert g != graph_from_edges(3, [(1, 2)]) and g != graph_from_edges(["a", "b", "c"], [(0, 1)])
+    assert g.__eq__((3, g.labels, g.adj)) is NotImplemented
+    assert repr(SimpleGraph(3, ("a", "b", "c"), (0b10, 0b101, 0b10))) == (
+        "SimpleGraph(n=3, labels=('a', 'b', 'c'), adj=(2, 5, 2))"
+    )
+    assert repr(unity_product_graph(units(zmod(5)))) == (
+        "SimpleGraph(n=4, labels=('1', '2', '3', '4'), adj=(0, 4, 2, 0))"
+    )
+    # no attribute is assigned or deleted, a field, a lazy one or a new one
+    for name in ("n", "labels", "adj", "edge_count", "mate", "paired", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.n, g.labels, g.adj, g.edge_count) == (3, ("0", "1", "2"), (2, 1, 0), 7)
+
+
 def test_mate_split_matches_reference():
     # a ring graph and its complement are split in closed form, with no
     # row; the Decomposition of the same graph on its rows must agree, and
@@ -362,7 +394,7 @@ def test_mate_exports_match_reference():
 
 
 def test_lazy_property_stores_once_and_keeps_seeded_values():
-    # stored in the instance dict of a frozen dataclass (the row check
+    # stored in the instance dict of an immutable graph (the row check
     # reads edge_count), outside the fields that == and hash see
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     assert vars(g)["edge_count"] == g.edge_count == 2

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -160,7 +161,7 @@ def test_refusals_handled_in_run_sweep_only():
         for path in sorted(PACKAGE.glob("*.py"))
         for function in handlers_of(path, "VertexBoundError")
     ]
-    assert found == ["claims.run_sweep"]
+    assert found == ["sweep.run_sweep"]
 
 
 def test_handlers_of_detector(tmp_path):
@@ -347,8 +348,8 @@ def test_bench_first_operation_loads_no_rows_engine(workload):
         f"    code = upg.cli.main({list(op.argv)!r})\n"
         f"assert code == {op.expect_exit}, code\n"
     )
-    assert "upg.rows" not in loaded
-    assert ("upg.paper" in loaded) == (op.argv[0] == "verify")
+    assert "upg.rows" not in loaded and "upg.tables" not in loaded
+    assert ("upg.paper" in loaded) == ("upg.sweep" in loaded) == (op.argv[0] == "verify")
 
 
 def test_general_graph_loads_rows_engine():
@@ -359,3 +360,70 @@ def test_general_graph_loads_rows_engine():
         "assert report.girth == 5 and type(report.split).__name__ == 'Decomposition'\n"
     )
     assert "upg.rows" in loaded and "upg.paper" not in loaded
+
+
+def test_first_table_spec_loads_tables():
+    # table rings are read by their own module, loaded by the first table: spec
+    data = Path(__file__).resolve().parent / "data" / "table_z4.json"
+    loaded = loaded_after(
+        "import upg.cli, sys\n"
+        "assert 'upg.tables' not in sys.modules\n"
+        f"ring = upg.rings.parse_ring_spec({f'table:@{data}'!r})\n"
+        "assert ring.order == 4 and ring.unity is not None\n"
+    )
+    assert "upg.tables" in loaded and "upg.sweep" not in loaded
+
+
+def test_package_import_loads_no_sweep_or_tables():
+    assert loaded_after("import upg\n") == [
+        "upg", "upg.claims", "upg.graphs", "upg.invariants", "upg.rings"
+    ]
+
+
+# what ``upg`` exports, by the module that defines each name
+EXPORTS = {
+    "claims": (
+        "FAIL", "HYPOTHESIS_GAP", "NOT_APPLICABLE", "PASS", "SKIPPED", "Claim", "RingContext",
+        "UnknownClaimError", "builtin_claims", "default_rings", "lookup",
+    ),
+    "sweep": ("ClaimVerdict", "Sweep", "render_csv", "render_json", "render_text", "run_sweep"),
+    "graphs": (
+        "SimpleGraph", "complement", "decompose_matching_structure", "export_dot", "export_json",
+        "graph_from_edges", "graph_from_json", "recognize_complete_multipartite", "ring_graph",
+        "unity_product_graph",
+    ),
+    "invariants": (
+        "INFINITY", "InvariantReport", "VertexBoundError", "chromatic_number", "clique_number",
+        "domination_number", "eccentricity_profile", "full_report", "girth", "is_hamiltonian",
+        "is_planar", "max_clique",
+    ),
+    "rings": (
+        "DEFAULT_ORDER_CAP", "FiniteRing", "NoUnityError", "OrderCapError", "RingAxiomError",
+        "RingError", "RingSpecError", "UnitGroup", "boolean_ring", "characteristic",
+        "direct_product", "gf", "is_boolean", "is_cyclic", "parse_ring_spec", "unit_counts",
+        "units", "zmod",
+    ),
+    "tables": ("table_ring", "table_ring_from_json"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_names_are_their_modules_objects(module):
+    import upg
+
+    defining = importlib.import_module(f"upg.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(upg, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError):
+        upg.no_such_name  # noqa: B018
+
+
+def test_claims_forwards_the_traced_sweep_names_only():
+    # bench/spans.py reads these four as upg.claims names
+    import upg.claims
+    import upg.sweep
+
+    for name in ("run_sweep", "render_text", "render_json", "render_csv"):
+        assert getattr(upg.claims, name) is getattr(upg.sweep, name), name
+    for name in ("ClaimVerdict", "Sweep", "summarize"):
+        assert not hasattr(upg.claims, name), name

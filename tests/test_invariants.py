@@ -4,7 +4,7 @@ import subprocess
 import sys
 import types
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from random import Random
 
@@ -80,6 +80,23 @@ def cycle(n):
 
 def path(n):
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def prism(k):
+    """C_k x K2: two k-cycles joined rung by rung, 3-regular and planar."""
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return graph_from_edges(2 * k, rims + [(i, k + i) for i in range(k)])
+
+
+def theta(*lengths):
+    """Two vertices joined by internally disjoint paths of the given lengths."""
+    n, edges = 2, []
+    for length in lengths:
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        walk = [0, *inner, 1]
+        edges += zip(walk, walk[1:])
+    return graph_from_edges(n, edges)
 
 
 def complete(n):
@@ -205,9 +222,25 @@ def test_planarity_known():
     ]
     for g, expected in closed_form:
         assert is_planar(g) == reference_is_planar(g) == expected, g
-    # a cycle is neither a forest nor complete multipartite
-    assert reference_is_planar(cycle(12))
-    assert decided(is_planar, cycle(12)) is None
+    # a cycle is neither a forest nor complete multipartite, but its
+    # cyclomatic number is 1
+    assert is_planar(cycle(12)) and reference_is_planar(cycle(12))
+
+
+def test_cycles_and_theta_graphs_decided():
+    # cyclomatic number 1 or 2: planar in closed form; a cycle is also
+    # hamiltonian in closed form, and a theta graph either decided or refused
+    for n in range(3, 13):
+        g = cycle(n)
+        assert is_planar(g) == reference_is_planar(g) is True, n
+        assert is_hamiltonian(g) == brute_hamiltonian(g) is True, n
+    # at most one path of length 1, so that the graph stays simple
+    shapes = [s for s in combinations_with_replacement(range(1, 5), 3) if s.count(1) <= 1]
+    assert len(shapes) == 16
+    for lengths in shapes:
+        g = theta(*lengths)
+        assert is_planar(g) == reference_is_planar(g) is True, g
+        assert decided(is_hamiltonian, g) in (brute_hamiltonian(g), None), g
 
 
 def test_planarity_subdivisions():
@@ -288,12 +321,12 @@ def test_hamiltonian_known():
 def test_vertex_bounds():
     # outside the closed-form classes a graph is refused at any size
     with pytest.raises(VertexBoundError) as exc:
-        is_planar(cycle(30))
+        is_planar(prism(15))
     assert exc.value.invariant == "planarity" and exc.value.n == 30
     assert "closed form" in str(exc.value)
 
     with pytest.raises(VertexBoundError) as exc:
-        is_hamiltonian(cycle(70))
+        is_hamiltonian(prism(35))
     assert exc.value.invariant == "hamiltonicity" and exc.value.n == 70
     assert "closed form" in str(exc.value)
 

@@ -29,14 +29,12 @@ from upg.rings import (
     is_cyclic,
     is_prime,
     parse_ring_spec,
-    table_ring,
-    table_ring_from_json,
     unit_counts,
     units,
-    validate_ring_axioms,
     zmod,
 )
 from upg.claims import default_rings
+from upg.tables import table_ring, table_ring_from_json, validate_ring_axioms
 
 from oracles import (
     _reference_modulus,

@@ -18,17 +18,13 @@ from upg.claims import (
     HYPOTHESIS_GAP,
     PASS,
     Claim,
-    Sweep,
     builtin_claims,
     default_rings,
     lookup,
-    render_csv,
-    render_json,
-    render_text,
-    run_sweep,
 )
 from upg.invariants import VertexBoundError
 from upg.rings import parse_ring_spec, zmod
+from upg.sweep import Sweep, render_csv, render_json, render_text, run_sweep
 
 from oracles import bench_module, reference_render, reference_sweep, run_main
 
